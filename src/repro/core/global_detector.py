@@ -244,6 +244,7 @@ class GlobalOutlierDetector(OutlierDetector):
         # Only points not already in P_i are added to D_{j,i}; duplicates are
         # ignored exactly as in the paper's update step.
         batch = self._new_batch()
+        added = False
         for point in delivered:
             if point in self._holdings:
                 self.stats.points_ignored += 1
@@ -255,8 +256,19 @@ class GlobalOutlierDetector(OutlierDetector):
                 self._index.add(point)
             self._received[sender].add(point)
             self.stats.points_received += 1
+            added = True
         self._commit_batch(batch)
         self.stats.events_processed += 1
+        if not added and self._index is not None:
+            # A delivery of points already held changes no state, and every
+            # state change is followed by ``_process``.  That call left each
+            # neighbor's shared set at S = S0 ∪ Z, where Z contains
+            # Z0 = O_n(P) ∪ [P|O_n(P)] and [P|O_n(S0 ∪ Z)] ⊆ Z.  Rerun now,
+            # the fixpoint starts from Z0 ⊆ S, so every iteration scores S
+            # itself and adds only points of Z: it ends inside S and sends
+            # nothing.  The brute-force oracle still reruns ``_process``, so
+            # the transcript suites check this skip.
+            return None
         return self._process()
 
     def neighborhood_changed(
@@ -309,6 +321,12 @@ class GlobalOutlierDetector(OutlierDetector):
             estimate_support = support_of_set(
                 self.query.ranking, estimate, holdings, index=index
             )
+        outlier_memo = support_memo = None
+        if index is not None:
+            # Scores and supports shared by every neighbor's fixpoint in this
+            # event; P_i itself is already scored.
+            outlier_memo = {frozenset(self._holdings): estimate}
+            support_memo = {}
         for neighbor in sorted(self._neighbors):
             shared = self._sent[neighbor] | self._received[neighbor]
             sufficient = compute_sufficient_set(
@@ -319,6 +337,8 @@ class GlobalOutlierDetector(OutlierDetector):
                 estimate_support=estimate_support,
                 index=index,
                 holdings_subset=holdings_subset,
+                outlier_memo=outlier_memo,
+                support_memo=support_memo,
             )
             to_send = sufficient - shared
             if to_send:

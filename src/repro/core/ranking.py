@@ -40,6 +40,8 @@ from __future__ import annotations
 import bisect
 import math
 from abc import ABC, abstractmethod
+from functools import reduce
+from operator import add
 from typing import FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -103,27 +105,48 @@ def _sorted_by_distance(
 UNRESOLVED_SUBSET = object()
 
 
-def _nearest_indexed(index, x: DataPoint, k: int, subset) -> list:
-    """First ``k`` neighbors of ``x`` from its cached parallel arrays, as
-    ``(distance, slot)`` pairs, restricted to ``subset`` when given.
+def _masked_head(values: Sequence, slots: Sequence[int], subset, k: int) -> Sequence:
+    """The first ``k`` entries of ``values`` -- a cached row's distances, or
+    its slots -- whose slot is a member of ``subset`` (any slot when
+    ``subset`` is ``None``).
 
-    The arrays are already sorted by ``(distance, ≺)``, so the full-index
-    case is a head read and the subset case a short masked walk -- no
-    distance is recomputed and the order matches the brute-force
-    ``_sorted_by_distance`` exactly.
+    Rows are sorted by ``(distance, ≺)``, so the full-index case is a head
+    read and the subset case one masked walk -- no distance is recomputed and
+    the order matches the brute-force ``_sorted_by_distance`` exactly.  Every
+    k-NN score and support over the index reads its row through this walk.
     """
-    dists, slots = index.row_for(x)
     if subset is None:
-        count = min(k, len(dists))
-        return [(dists[i], slots[i]) for i in range(count)]
+        return values[:k]
     mask = subset.mask
-    nearest = []
-    for i, slot in enumerate(slots):
+    head = []
+    i = 0
+    for slot in slots:
         if mask[slot]:
-            nearest.append((dists[i], slot))
-            if len(nearest) == k:
+            head.append(values[i])
+            if len(head) == k:
                 break
-    return nearest
+        i += 1
+    return head
+
+
+def _left_sum(values: Iterable[float]) -> float:
+    """``((v0 + v1) + v2) + ...`` in plain double additions (``values`` must
+    not be empty).
+
+    Every :class:`AverageKNNDistance` path adds its ``k`` distances through
+    this one chain, and :class:`~repro.core.rescoring.ScoreCache` adds numpy
+    columns in the same order, so all of them agree bit for bit.  The
+    builtin ``sum()`` of floats is compensated since Python 3.12 and may
+    round differently.
+    """
+    return reduce(add, values)
+
+
+def _knn_support_indexed(ranking, index, x: DataPoint, subset) -> FrozenSet[DataPoint]:
+    """``[Q|x]`` of the k-NN rankings: the first ``k`` neighbors in the row."""
+    ranking._check_index_metric(index)
+    slots = index.row_for(x)[1]
+    return frozenset(map(index.point_at, _masked_head(slots, slots, subset, ranking.k)))
 
 
 def _within_indexed(index, x: DataPoint, alpha: float, subset) -> list:
@@ -346,24 +369,24 @@ class KthNearestNeighborDistance(RankingFunction):
             return frozenset(candidates)
         return frozenset(candidates[: self.k])
 
+    def _score_row(self, row, subset) -> float:
+        """``R(x, Q)`` from ``x``'s cached row, ``Q`` given by ``subset``."""
+        head = _masked_head(row[0], row[1], subset, self.k)
+        if len(head) < self.k:
+            return (self.k - len(head)) * DEFICIT_UNIT
+        return head[-1]
+
     def score_indexed(self, index, x: DataPoint, subset=None) -> float:
         self._check_index_metric(index)
-        if subset is None:
-            dists, _ = index.row_for(x)
-            if len(dists) < self.k:
-                return (self.k - len(dists)) * DEFICIT_UNIT
-            return dists[self.k - 1]
-        distances = _nearest_indexed(index, x, self.k, subset)
-        if len(distances) < self.k:
-            return (self.k - len(distances)) * DEFICIT_UNIT
-        return distances[-1][0]
+        return self._score_row(index.row_for(x), subset)
 
     def bulk_scores_indexed(
         self, index, points: Sequence[DataPoint], subset=None
     ) -> List[float]:
         self._check_index_metric(index)
         if subset is not None:
-            return [self.score_indexed(index, p, subset) for p in points]
+            score_row, row_for = self._score_row, index.row_for
+            return [score_row(row_for(p), subset) for p in points]
         k, row_for, deficit = self.k, index.row_for, DEFICIT_UNIT
         return [
             dists[k - 1]
@@ -373,9 +396,7 @@ class KthNearestNeighborDistance(RankingFunction):
         ]
 
     def support_indexed(self, index, x: DataPoint, subset=None) -> FrozenSet[DataPoint]:
-        self._check_index_metric(index)
-        nearest = _nearest_indexed(index, x, self.k, subset)
-        return frozenset(index.point_at(slot) for _, slot in nearest)
+        return _knn_support_indexed(self, index, x, subset)
 
     def frontier_spec(self) -> Tuple[str, float]:
         return ("knn", self.k)
@@ -411,7 +432,7 @@ class AverageKNNDistance(RankingFunction):
         if len(candidates) < self.k:
             return (self.k - len(candidates)) * DEFICIT_UNIT
         dists = sorted(self._distance(x, q) for q in candidates)
-        return sum(dists[: self.k]) / self.k
+        return _left_sum(dists[: self.k]) / self.k
 
     def bulk_scores(self, Q: Sequence[DataPoint]) -> List[float]:
         if len(Q) <= 1:
@@ -424,11 +445,11 @@ class AverageKNNDistance(RankingFunction):
             if finite < self.k:
                 scores.append((self.k - finite) * DEFICIT_UNIT)
             else:
-                # Left-to-right Python summation, not numpy mean(): numpy
-                # switches to pairwise summation at >= 8 elements, which can
-                # differ in the last ulp from the scalar oracle's
-                # ``sum(dists[:k]) / k`` and desynchronise tie-breaks.
-                scores.append(sum(row[: self.k].tolist()) / self.k)
+                # Left-to-right summation, not numpy mean(): numpy switches
+                # to pairwise summation at >= 8 elements, which can differ in
+                # the last ulp from the scalar oracle and desynchronise
+                # tie-breaks.
+                scores.append(_left_sum(row[: self.k].tolist()) / self.k)
         return scores
 
     def support(self, x: DataPoint, P: Iterable[DataPoint]) -> FrozenSet[DataPoint]:
@@ -437,38 +458,34 @@ class AverageKNNDistance(RankingFunction):
             return frozenset(candidates)
         return frozenset(candidates[: self.k])
 
+    def _score_row(self, row, subset) -> float:
+        """``R(x, Q)`` from ``x``'s cached row, ``Q`` given by ``subset``."""
+        head = _masked_head(row[0], row[1], subset, self.k)
+        if len(head) < self.k:
+            return (self.k - len(head)) * DEFICIT_UNIT
+        return _left_sum(head) / self.k
+
     def score_indexed(self, index, x: DataPoint, subset=None) -> float:
         self._check_index_metric(index)
-        if subset is None:
-            dists, _ = index.row_for(x)
-            if len(dists) < self.k:
-                return (self.k - len(dists)) * DEFICIT_UNIT
-            # Ascending left-to-right sum over the head of the distance
-            # array, matching the scalar oracle bit-for-bit.
-            return sum(dists[: self.k]) / self.k
-        nearest = _nearest_indexed(index, x, self.k, subset)
-        if len(nearest) < self.k:
-            return (self.k - len(nearest)) * DEFICIT_UNIT
-        return sum(dist for dist, _ in nearest) / self.k
+        return self._score_row(index.row_for(x), subset)
 
     def bulk_scores_indexed(
         self, index, points: Sequence[DataPoint], subset=None
     ) -> List[float]:
         self._check_index_metric(index)
         if subset is not None:
-            return [self.score_indexed(index, p, subset) for p in points]
+            score_row, row_for = self._score_row, index.row_for
+            return [score_row(row_for(p), subset) for p in points]
         k, row_for, deficit = self.k, index.row_for, DEFICIT_UNIT
         return [
-            sum(dists[:k]) / k
+            _left_sum(dists[:k]) / k
             if len(dists := row_for(p)[0]) >= k
             else (k - len(dists)) * deficit
             for p in points
         ]
 
     def support_indexed(self, index, x: DataPoint, subset=None) -> FrozenSet[DataPoint]:
-        self._check_index_metric(index)
-        nearest = _nearest_indexed(index, x, self.k, subset)
-        return frozenset(index.point_at(slot) for _, slot in nearest)
+        return _knn_support_indexed(self, index, x, subset)
 
     def frontier_spec(self) -> Tuple[str, float]:
         return ("knn", self.k)

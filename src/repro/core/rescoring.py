@@ -67,6 +67,7 @@ from .ranking import (
     KthNearestNeighborDistance,
     NearestNeighborDistance,
     RankingFunction,
+    _masked_head,
 )
 
 __all__ = ["ScoreCache"]
@@ -393,17 +394,8 @@ class ScoreCache:
         if self._kind == "radius":
             return self._param
         k = self._param
-        dists, slots = self._index.row_at(slot)
-        if subset is None:
-            return dists[k - 1] if len(dists) >= k else inf
-        mask = subset.mask
-        found = 0
-        for i, s in enumerate(slots):
-            if mask[s]:
-                found += 1
-                if found == k:
-                    return dists[i]
-        return inf
+        head = _masked_head(*self._index.row_at(slot), subset, k)
+        return head[-1] if len(head) == k else inf
 
     def _rescore_dirty(self) -> None:
         dirty = self._dirty
@@ -440,7 +432,8 @@ class ScoreCache:
 
         Byte-identical to the scalar loop for head-scored rankings against
         the full index: scores accumulate column-wise left to right, exactly
-        the IEEE addition chain of ``sum(dists[:k])``, and the sorted order
+        the addition chain of :func:`~repro.core.ranking._left_sum` that
+        every ``AverageKNNDistance`` path uses, and the sorted order
         is rebuilt by merging two sorted runs of (score, key, slot) tuples
         that are unique per slot, so the result equals repeated
         ``insort``/``del``.  Returns ``False`` without mutating anything

@@ -397,8 +397,15 @@ class SemiGlobalOutlierDetector(OutlierDetector):
         if not self._neighbors:
             return None
         level_data = self._level_estimates()
+        # Per-event fixpoint memos: O_n(C) depends only on C, so one map
+        # serves every neighbor and hop level; [P|x] depends on the level's
+        # P, so each level keeps its own.
+        outlier_memo = {} if self._index is not None else None
+        support_memos = [{} for _ in level_data]
         for neighbor in sorted(self._neighbors):
-            outgoing = self._sufficient_for_neighbor(neighbor, level_data)
+            outgoing = self._sufficient_for_neighbor(
+                neighbor, level_data, outlier_memo, support_memos
+            )
             if outgoing:
                 payloads[neighbor] = frozenset(outgoing)
                 bucket = self._sent[neighbor]
@@ -462,23 +469,29 @@ class SemiGlobalOutlierDetector(OutlierDetector):
         return data
 
     def _sufficient_for_neighbor(
-        self, neighbor: int, level_data: List[tuple]
+        self,
+        neighbor: int,
+        level_data: List[tuple],
+        outlier_memo: Optional[dict],
+        support_memos: List[dict],
     ) -> List[DataPoint]:
         sent_bucket = self._sent[neighbor]
         recv_bucket = self._received[neighbor]
-        merged: Dict[RestKey, DataPoint] = {}
+        # Every level's Z consists of held copies, one per observation, so
+        # the ``[·]^min`` merge of the levels' sets is their union.
+        merged: Set[DataPoint] = set()
 
         all_shared = list(sent_bucket.values()) + list(recv_bucket.values())
+        paper = self.variant == "paper"
+        if not paper:
+            shared = frozenset(self._canonical(all_shared))
         for level in range(self.hop_diameter):
             level_holdings, estimate, estimate_support, subset = level_data[level]
             if not level_holdings:
                 continue
-            if self.variant == "paper":
-                shared_raw = [p for p in all_shared if p.hop <= level]
-            else:
-                shared_raw = all_shared
-            shared = self._canonical(shared_raw)
-            sufficient = compute_sufficient_set(
+            if paper:
+                shared = self._canonical([p for p in all_shared if p.hop <= level])
+            merged |= compute_sufficient_set(
                 self.query,
                 level_holdings,
                 shared,
@@ -486,17 +499,16 @@ class SemiGlobalOutlierDetector(OutlierDetector):
                 estimate_support=estimate_support,
                 index=self._index,
                 holdings_subset=subset,
+                outlier_memo=outlier_memo,
+                support_memo=support_memos[level],
             )
-            for point in sufficient:
-                forwarded = point.incremented()
-                current = merged.get(forwarded.rest)
-                if current is None or forwarded.hop < current.hop:
-                    merged[forwarded.rest] = forwarded
 
+        # A point is forwarded at hop + 1, so it is copied only when the
+        # neighbor is not already known to hold it at that hop or less.
         outgoing: List[DataPoint] = []
-        for key, point in merged.items():
-            known = self._known_hop(neighbor, key)
-            if known is not None and known <= point.hop:
+        for point in merged:
+            known = self._known_hop(neighbor, point.rest)
+            if known is not None and known <= point.hop + 1:
                 continue
-            outgoing.append(point)
+            outgoing.append(point.incremented())
         return sorted(outgoing, key=lambda p: (p.values, p.origin, p.epoch))

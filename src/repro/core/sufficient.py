@@ -18,11 +18,19 @@ fixpoint iteration:
 
 which terminates because ``Z_j`` only grows and is bounded by the finite
 ``P_i``.  Only ``Z_j \\ (D_{i,j} ∪ D_{j,i})`` is actually transmitted.
+
+A sensor runs this fixpoint once per neighbor (and, in the semi-global
+algorithm, once per hop level) on every event.  Within one event the
+callers share two memos, which is exact because ``O_n(C)`` depends only on
+the set ``C`` it scores and ``[P_i|x]`` only on ``P_i``, which one event
+does not change: ``outlier_memo`` maps ``C`` to ``O_n(C)`` for every
+neighbor and hop level, and ``support_memo`` maps ``x`` to ``[P_i|x]`` for
+one ``P_i``.  Neither outlives the event.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Set
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set
 
 from .outliers import OutlierQuery
 from .ranking import UNRESOLVED_SUBSET
@@ -39,6 +47,8 @@ def compute_sufficient_set(
     estimate_support: Iterable = None,
     index=None,
     holdings_subset=UNRESOLVED_SUBSET,
+    outlier_memo: Optional[Dict[FrozenSet, List]] = None,
+    support_memo: Optional[Dict] = None,
 ) -> Set:
     """Compute a set ``Z`` satisfying eq. (2).
 
@@ -68,6 +78,11 @@ def compute_sufficient_set(
         ``holdings`` is exactly the full index).  The detectors resolve the
         mask once per event and share it across every neighbor's fixpoint;
         when omitted it is resolved here.
+    outlier_memo, support_memo:
+        Optional per-event memos, read and filled on the indexed path only:
+        ``outlier_memo`` maps ``frozenset(C)`` to ``O_n(C)`` for the current
+        index content, ``support_memo`` maps ``x`` to ``[P_i|x]`` for this
+        ``holdings``.  The caller drops both when the event ends.
 
     Returns
     -------
@@ -76,7 +91,7 @@ def compute_sufficient_set(
         the paper's algorithm does not require minimality).
     """
     P = list(holdings)
-    shared = set(known_shared)
+    shared = frozenset(known_shared)
 
     # Resolve the membership mask of P once: every fixpoint iteration takes
     # supports within the same P, so the O(|P|) coverage check must not be
@@ -104,13 +119,25 @@ def compute_sufficient_set(
             estimate_support = support_of_set(ranking, estimate, P, index=index)
     Z: Set = set(estimate) | set(estimate_support)
 
+    if not use_index:
+        outlier_memo = None
+    elif support_memo is None:
+        support_memo = {}
     while True:
         combined = shared | Z
-        outliers = query.outliers(combined, index=index)
+        outliers = None if outlier_memo is None else outlier_memo.get(combined)
+        if outliers is None:
+            outliers = query.outliers(combined, index=index)
+            if outlier_memo is not None:
+                outlier_memo[combined] = outliers
         if use_index and index.covers(outliers):
             closure: Set = set()
             for x in outliers:
-                closure |= ranking.support_indexed(index, x, P_subset)
+                support = support_memo.get(x)
+                if support is None:
+                    support = ranking.support_indexed(index, x, P_subset)
+                    support_memo[x] = support
+                closure |= support
         else:
             closure = support_of_set(ranking, outliers, P)
         if closure <= Z:

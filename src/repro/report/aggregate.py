@@ -92,9 +92,13 @@ def summarize(values: Iterable[float]) -> SummaryStats:
     ordered = sorted(float(v) for v in values)
     if not ordered:
         raise ExperimentError("summarize() of an empty sequence")
+    # The rounded sum of n equal values over n can land one ulp outside
+    # them (eight copies of 688843.7030500963 average to ...964), so the
+    # mean is clamped into [min, max].
+    mean = sum(ordered) / len(ordered)
     return SummaryStats(
         count=len(ordered),
-        mean=sum(ordered) / len(ordered),
+        mean=min(max(mean, ordered[0]), ordered[-1]),
         median=percentile(ordered, 50.0),
         p95=percentile(ordered, 95.0),
         minimum=ordered[0],

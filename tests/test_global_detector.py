@@ -85,6 +85,26 @@ class TestMessaging:
         assert det.received_from(1) == set()
         assert det.stats.points_ignored == 1
 
+    @pytest.mark.parametrize("indexed", [True, False])
+    def test_duplicate_only_delivery_sends_nothing(self, indexed):
+        query = OutlierQuery(NearestNeighborDistance(), n=2)
+        det = GlobalOutlierDetector(0, query, neighbors=[1, 2], indexed=indexed)
+        local = _points([1.0, 2.0, 4.0, 40.0])
+        remote = _points([3.0, 9.0, 70.0], origin=1)
+        det.add_local_points(local)
+        det.handle_message(1, remote)
+        sent = {j: det.sent_to(j) for j in (1, 2)}
+        received = {j: det.received_from(j) for j in (1, 2)}
+        events = det.stats.events_processed
+
+        assert det.handle_message(2, [local[3], remote[0], remote[2]]) is None
+        # Still an event (events_processed is part of the transcript), and a
+        # rerun of the protocol step has nothing to send either.
+        assert det.stats.events_processed == events + 1
+        assert det._process() is None
+        assert {j: det.sent_to(j) for j in (1, 2)} == sent
+        assert {j: det.received_from(j) for j in (1, 2)} == received
+
     def test_message_from_non_neighbor_rejected(self):
         det = _detector(neighbors=(1,))
         with pytest.raises(ProtocolError):

@@ -31,6 +31,8 @@ import random
 
 import pytest
 
+import repro.core.global_detector as global_detector_module
+import repro.core.semiglobal_detector as semiglobal_detector_module
 from repro.baselines.centralized import CentralizedAggregator
 from repro.core import (
     AverageKNNDistance,
@@ -672,6 +674,32 @@ def _message_view(message):
     return None if message is None else (message.sender, dict(message.payloads))
 
 
+#: Both k-NN rankings: the head-scored families the per-event memos and the
+#: masked subset walk serve.
+KNN_FAMILIES = (AverageKNNDistance, KthNearestNeighborDistance)
+
+
+@pytest.fixture
+def fixpoint_oracle(monkeypatch):
+    """Check every detector fixpoint against a fresh one on the same
+    arguments -- without the per-event memos, the precomputed estimate or
+    the index -- and against eq. 2 itself.  Returns the sets checked on the
+    indexed path, so a test can assert that there were some."""
+    indexed_results = []
+
+    def checked(query, holdings, known_shared, **kwargs):
+        Z = compute_sufficient_set(query, holdings, known_shared, **kwargs)
+        assert Z == compute_sufficient_set(query, holdings, known_shared)
+        assert satisfies_sufficiency(query, Z, holdings, known_shared)
+        if kwargs.get("index") is not None:
+            indexed_results.append(Z)
+        return Z
+
+    for module in (global_detector_module, semiglobal_detector_module):
+        monkeypatch.setattr(module, "compute_sufficient_set", checked)
+    return indexed_results
+
+
 def _assert_event_equal(fast, slow, fast_msg, slow_msg, query):
     assert _message_view(fast_msg) == _message_view(slow_msg)
     assert fast.holdings == slow.holdings
@@ -684,10 +712,17 @@ def _assert_event_equal(fast, slow, fast_msg, slow_msg, query):
 
 
 @pytest.mark.parametrize("metric_name", registered_metrics())
-def test_global_dirty_rescoring_event_stream_matches_oracle(metric_name):
+def test_global_dirty_rescoring_event_stream_matches_oracle(
+    metric_name, fixpoint_oracle
+):
     metric = _metric_for(metric_name)
-    rng = random.Random(f"{metric_name}-global-stream")
-    query = OutlierQuery(AverageKNNDistance(k=3, metric=metric), n=3)
+    for family in KNN_FAMILIES:
+        rng = random.Random(f"{metric_name}-{family.__name__}-global-stream")
+        _replay_global_stream(rng, OutlierQuery(family(k=3, metric=metric), n=3))
+    assert fixpoint_oracle
+
+
+def _replay_global_stream(rng, query):
     fast = GlobalOutlierDetector(0, query, neighbors=[1, 2], indexed=True)
     slow = GlobalOutlierDetector(0, query, neighbors=[1, 2], indexed=False)
     assert fast._cache is not None  # the built-in rankings support caching
@@ -708,11 +743,16 @@ def test_global_dirty_rescoring_event_stream_matches_oracle(metric_name):
             events = [d.evict_points(victims) for d in (fast, slow)]
         elif roll < 0.70 and fast.neighbors:
             sender = rng.choice(sorted(fast.neighbors))
+            # Echo back points already held, sometimes alone: the indexed
+            # detector skips a duplicate-only delivery, the oracle reruns it.
+            echoed = rng.sample(pool, rng.randint(0, min(2, len(pool))))
             delivered = _cloud(
-                rng, rng.randint(1, 3), origin=sender, start_epoch=epoch
+                rng, rng.randint(0 if echoed else 1, 3), origin=sender,
+                start_epoch=epoch,
             )
             epoch += 3
             pool.extend(delivered)
+            delivered += echoed
             events = [d.handle_message(sender, delivered) for d in (fast, slow)]
         elif roll < 0.85:
             fresh = _cloud(rng, 1, start_epoch=epoch)
@@ -731,13 +771,22 @@ def test_global_dirty_rescoring_event_stream_matches_oracle(metric_name):
 
 
 @pytest.mark.parametrize("metric_name", registered_metrics())
-def test_semiglobal_dirty_rescoring_event_stream_matches_oracle(metric_name):
+def test_semiglobal_dirty_rescoring_event_stream_matches_oracle(
+    metric_name, fixpoint_oracle
+):
     """Interleaved add/evict/replace/message streams: re-delivering a held
     observation at a smaller hop exercises the O(1) relabel path and the
     per-level caches' membership churn on every round."""
     metric = _metric_for(metric_name)
-    rng = random.Random(f"{metric_name}-semiglobal-stream")
-    query = OutlierQuery(KthNearestNeighborDistance(k=2, metric=metric), n=2)
+    for family in KNN_FAMILIES:
+        rng = random.Random(f"{metric_name}-{family.__name__}-semiglobal-stream")
+        _replay_semiglobal_stream(
+            rng, OutlierQuery(family(k=2, metric=metric), n=2)
+        )
+    assert fixpoint_oracle
+
+
+def _replay_semiglobal_stream(rng, query):
     fast = SemiGlobalOutlierDetector(
         0, query, hop_diameter=2, neighbors=[1, 2], indexed=True
     )

@@ -6,12 +6,14 @@ plus the agreement between the vectorised and scalar scoring paths.
 """
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.errors import ConfigurationError
+from repro.core.index import NeighborhoodIndex
 from repro.core.points import make_point
 from repro.core.ranking import (
     DEFICIT_UNIT,
@@ -21,6 +23,7 @@ from repro.core.ranking import (
     NeighborCountWithinRadius,
     ranking_from_name,
 )
+from repro.core.rescoring import ScoreCache
 
 RANKINGS = [
     NearestNeighborDistance(),
@@ -100,6 +103,49 @@ class TestAverageKNN:
     def test_invalid_k(self):
         with pytest.raises(ConfigurationError):
             AverageKNNDistance(k=-1)
+
+    def test_every_path_adds_left_to_right(self):
+        """Scalar, bulk, indexed (whole index and subset) and ScoreCache
+        scores all equal ``((d0 + d1) + d2) + d3`` over the sorted distances
+        -- on every Python version, although ``sum()`` of floats is
+        compensated since 3.12."""
+        k = 4
+        rng = random.Random(12)
+        ranking = AverageKNNDistance(k=k)
+        pts = [
+            make_point([rng.uniform(0.0, 10.0) for _ in range(3)], 0, i)
+            for i in range(40)
+        ]
+        sub = pts[::2]
+        index = NeighborhoodIndex(pts)
+        _, subset = index.try_subset(sub)
+
+        def heads(Q):
+            return [
+                sorted(math.dist(x.values, q.values) for q in Q if q is not x)[:k]
+                for x in Q
+            ]
+
+        def left_to_right(head):
+            total = 0.0
+            for dist in head:
+                total += dist
+            return total / k
+
+        full = [left_to_right(head) for head in heads(pts)]
+        part = [left_to_right(head) for head in heads(sub)]
+        # The data tells the addition chains apart.
+        assert full != [math.fsum(head) / k for head in heads(pts)]
+
+        assert [ranking.score(x, pts) for x in pts] == full
+        assert ranking.bulk_scores(pts) == full
+        assert [ranking.score_indexed(index, x) for x in pts] == full
+        assert ranking.bulk_scores_indexed(index, pts) == full
+        assert [ranking.score_indexed(index, x, subset) for x in sub] == part
+        assert ranking.bulk_scores_indexed(index, sub, subset) == part
+        cache = ScoreCache(index, ranking)
+        cache.top_n(1)  # 40 dirty slots: the vectorized bulk rescore
+        assert [cache._score[index.slot_for(x)] for x in pts] == full
 
 
 class TestNeighborCount:

@@ -29,7 +29,7 @@ import shutil
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import repro.experiments  # noqa: F401  (importing registers the sweep families)
@@ -512,6 +512,7 @@ class _StubResult:
 
 class TestAggregateProperties:
     @given(values=value_lists)
+    @example(values=[688843.7030500963] * 8)
     @settings(max_examples=100, deadline=None)
     def test_statistics_are_bounded_by_min_and_max(self, values):
         stats = summarize(values)
