@@ -6,7 +6,7 @@ window/network the experiments can simulate, so it is measured the same way
 figures are -- reproducibly, from a CLI entry point, with artifacts a CI
 job can diff and threshold.
 
-Four benchmarks ship:
+Three benchmarks ship:
 
 * **hotpath** -- per-event latency of the steady-state detector loop (one
   arrival plus one eviction at a fixed window size), measured for the
@@ -24,14 +24,8 @@ Four benchmarks ship:
   build is skipped above a node cap (it is O(n^2); the cap keeps the bench
   bounded), so its speedup is ``null`` there.  Emitted as
   ``BENCH_setup.json``.
-* **shard** -- sharded scenario execution (:mod:`repro.shard`): one
-  semi-global scenario run single-process and at several shard counts,
-  with every sharded transcript compared byte-for-byte against the
-  baseline before its speedup is reported.  Records the machine's core
-  count, since the ratio is only a parallel speedup when there are cores
-  to spread the shards over.  Emitted as ``BENCH_shard.json``.
 
-Both artifacts carry a stable ``schema`` number and enough configuration to
+Every artifact carries a stable ``schema`` number and enough configuration to
 interpret a trajectory of them across commits.  The CLI's ``--check`` mode
 turns the hotpath result into a regression guard: it fails when the
 indexed-vs-rebuild speedup at ``--floor-window`` drops below ``--floor``.
@@ -62,7 +56,7 @@ import platform
 import random
 import time
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 __all__ = [
     "BENCH_SCHEMA",
@@ -83,15 +77,6 @@ __all__ = [
     "run_setup_bench",
     "render_setup_table",
     "check_setup_floor",
-    "BENCH_SHARD_SCHEMA",
-    "DEFAULT_SHARD_COUNTS",
-    "run_shard_bench",
-    "render_shard_table",
-    "check_shard_floor",
-    "BENCH_RECOVERY_SCHEMA",
-    "run_recovery_bench",
-    "render_recovery_table",
-    "check_recovery_ceiling",
     "write_bench_artifacts",
     "check_speedup_floor",
     "check_batched_floor",
@@ -119,18 +104,6 @@ DEFAULT_BATCH_SIZES: Tuple[int, ...] = (1, 4, 16, 64)
 #: Schema of ``BENCH_setup.json`` (independent of the hotpath/e2e schema:
 #: the artifacts evolve separately).  History: 1 -- initial layout.
 BENCH_SETUP_SCHEMA = 1
-
-#: Schema of ``BENCH_shard.json``.  History: 1 -- initial layout.
-BENCH_SHARD_SCHEMA = 1
-
-#: Shard counts of the sharded-execution benchmark.  1 is included on
-#: purpose: it runs the full bus machinery (worker process, epochs,
-#: crossings merge) with zero partition benefit, so the gap between the
-#: baseline and ``shards=1`` is the pure coordination overhead.
-DEFAULT_SHARD_COUNTS: Tuple[int, ...] = (1, 2, 4)
-
-#: Schema of ``BENCH_recovery.json``.  History: 1 -- initial layout.
-BENCH_RECOVERY_SCHEMA = 1
 
 #: Node counts of the full setup sweep (matches the ``scaling-nodes``
 #: paper-profile counts).
@@ -610,382 +583,15 @@ def check_setup_floor(
     )
 
 
-def run_shard_bench(
-    shard_counts: Sequence[int] = DEFAULT_SHARD_COUNTS,
-    nodes: Optional[int] = None,
-    quick: bool = False,
-    mode: str = "hop-interleaved",
-) -> Dict:
-    """Measure sharded execution and return the ``BENCH_shard`` payload.
-
-    One semi-global scenario (the algorithm the partitioner's hop-level
-    decomposition is built around) on the density-preserving scaling
-    terrain, run once single-process and once per shard count, all over the
-    *same* pre-built dataset.  Every sharded transcript is compared
-    byte-for-byte (``canonical_json``) against the single-process run and
-    the verdict lands in the row's ``identical`` field -- a speedup over a
-    divergent transcript would be meaningless.
-
-    Speedup is wall-clock of the single-process run over the sharded run.
-    It is only a *parallel* speedup when the machine has cores to spread
-    the shards over; the payload records ``cores`` so a trajectory of
-    artifacts is interpretable -- on a single-core machine the sub-1.0
-    "speedups" measure pure coordination overhead.
-    """
-    import os
-
-    from .core.config import Algorithm, DetectionConfig
-    from .datasets.loader import build_intel_lab_dataset
-    from .experiments.sweeps import scaling_terrain
-    from .wsn.runner import run_scenario
-    from .wsn.scenario import ScenarioConfig
-
-    node_count = nodes if nodes is not None else (256 if quick else 4096)
-    rounds = 3
-    window = min(10, rounds)
-    scenario = ScenarioConfig(
-        detection=DetectionConfig(
-            algorithm=Algorithm.SEMI_GLOBAL,
-            ranking="nn",
-            n_outliers=4,
-            k=4,
-            window_length=window,
-            hop_diameter=2,
-        ),
-        node_count=node_count,
-        rounds=rounds,
-        terrain_size=scaling_terrain(node_count),
-        seed=0,
-    )
-    dataset = build_intel_lab_dataset(scenario.dataset_config())
-
-    started = time.perf_counter()
-    baseline = run_scenario(scenario, dataset)
-    baseline_s = time.perf_counter() - started
-    baseline_bytes = baseline.canonical_json()
-
-    rows: List[Dict] = []
-    for shards in shard_counts:
-        started = time.perf_counter()
-        result = run_scenario(scenario, dataset, shards=int(shards), shard_mode=mode)
-        sharded_s = time.perf_counter() - started
-        rows.append(
-            {
-                "shards": int(shards),
-                "wallclock_seconds": sharded_s,
-                "speedup": baseline_s / sharded_s,
-                "identical": result.canonical_json() == baseline_bytes,
-            }
-        )
-    return {
-        "schema": BENCH_SHARD_SCHEMA,
-        "benchmark": "shard",
-        "quick": bool(quick),
-        "python": platform.python_version(),
-        "cores": os.cpu_count(),
-        "nodes": node_count,
-        "rounds": rounds,
-        "window": window,
-        "mode": mode,
-        "label": scenario.label(),
-        "baseline_seconds": baseline_s,
-        "shards": rows,
-    }
-
-
-def render_shard_table(payload: Dict) -> str:
-    """The human-readable table mirrored to ``results/shard.txt``."""
-    lines = [
-        f"Sharded scenario execution ({payload['label']}, "
-        f"{payload['nodes']} nodes, {payload['rounds']} rounds, "
-        f"{payload['mode']} placement, {payload['cores']} core(s))",
-        "",
-        f"single-process baseline: {payload['baseline_seconds']:.2f} s",
-        "",
-        f"{'shards':>8} {'wallclock s':>12} {'speedup':>9} {'identical':>10}",
-    ]
-    for row in payload["shards"]:
-        lines.append(
-            f"{row['shards']:>8} {row['wallclock_seconds']:>12.2f} "
-            f"{row['speedup']:>8.2f}x {str(bool(row['identical'])):>10}"
-        )
-    lines += [
-        "",
-        "speedup = single-process wall-clock / sharded wall-clock; it is a",
-        "parallel speedup only when the machine has cores to spread the",
-        "shards over (the cores field above) -- on fewer cores the ratio",
-        "measures the bus coordination overhead instead.  identical = the",
-        "sharded transcript matched the single-process run byte for byte.",
-    ]
-    return "\n".join(lines) + "\n"
-
-
-def check_shard_floor(
-    shard: Dict, floor: float, floor_count: int
-) -> Tuple[bool, str]:
-    """Regression guard for sharded execution: the speedup at
-    ``floor_count`` shards must be at least ``floor`` *and* the transcript
-    must be byte-identical.  Same never-vacuous contract as
-    :func:`check_speedup_floor` -- a missing shard count fails.
-    """
-    for row in shard["shards"]:
-        if row["shards"] == floor_count:
-            if not row.get("identical", False):
-                return False, (
-                    f"shard guard REGRESSION: transcript at {floor_count} "
-                    f"shards diverged from the single-process run"
-                )
-            speedup = row["speedup"]
-            ok = speedup >= floor
-            verdict = "ok" if ok else "REGRESSION"
-            return ok, (
-                f"shard guard {verdict}: speedup {speedup:.2f}x at "
-                f"{floor_count} shards on {shard.get('cores')} core(s) "
-                f"(floor {floor:.2f}x)"
-            )
-    return False, (
-        f"shard guard error: {floor_count} shards not in the measured sweep "
-        f"{[row['shards'] for row in shard['shards']]}"
-    )
-
-
-def run_recovery_bench(
-    nodes: Optional[int] = None,
-    checkpoint_every: Optional[int] = None,
-    quick: bool = False,
-    shards: int = 2,
-) -> Dict:
-    """Measure what fault tolerance costs and return the ``BENCH_recovery``
-    payload.
-
-    Three runs of one semi-global scenario over the same pre-built dataset,
-    all sharded across ``shards`` workers:
-
-    1. **baseline** -- recovery disabled: the plain PR-8 bus.
-    2. **checkpointed** -- workers snapshot every ``checkpoint_every`` bus
-       epochs; the ratio of its wall-clock to the baseline's is the
-       steady-state *overhead* of durability, and the per-snapshot write
-       latency/size lands in the payload.
-    3. **killed** -- same checkpoint cadence plus an injected SIGKILL of
-       shard 1 right after the first checkpoint epoch; the supervisor's
-       restart report gives the *restart-to-caught-up* time (respawn +
-       snapshot restore + epoch replay).
-
-    All three transcripts are byte-compared (``canonical_json``); a
-    recovery that changed a single result byte would make the timings
-    meaningless, so ``identical`` gates the ceiling check.
-    """
-    import os
-
-    from .core.config import Algorithm, DetectionConfig
-    from .datasets.loader import build_intel_lab_dataset
-    from .experiments.sweeps import scaling_terrain
-    from .recovery import ChaosPlan, RecoveryConfig
-    from .wsn.runner import run_scenario
-    from .wsn.scenario import ScenarioConfig
-
-    node_count = nodes if nodes is not None else (64 if quick else 256)
-    every = checkpoint_every if checkpoint_every is not None else 64
-    rounds = 3
-    window = min(10, rounds)
-    scenario = ScenarioConfig(
-        detection=DetectionConfig(
-            algorithm=Algorithm.SEMI_GLOBAL,
-            ranking="nn",
-            n_outliers=4,
-            k=4,
-            window_length=window,
-            hop_diameter=2,
-        ),
-        node_count=node_count,
-        rounds=rounds,
-        terrain_size=scaling_terrain(node_count),
-        seed=0,
-    )
-    dataset = build_intel_lab_dataset(scenario.dataset_config())
-
-    started = time.perf_counter()
-    baseline = run_scenario(scenario, dataset, shards=shards)
-    baseline_s = time.perf_counter() - started
-    baseline_bytes = baseline.canonical_json()
-
-    config = RecoveryConfig(checkpoint_every=every)
-    ckpt_stats: Dict = {}
-    started = time.perf_counter()
-    checkpointed = run_scenario(
-        scenario, dataset, shards=shards, recovery=config,
-        recovery_stats=ckpt_stats,
-    )
-    checkpointed_s = time.perf_counter() - started
-    checkpoints = ckpt_stats.get("checkpoints", [])
-    write_seconds = [c["write_seconds"] for c in checkpoints]
-    sizes = [c["bytes"] for c in checkpoints]
-
-    # Kill shard 1 right after the epoch grant that follows its first
-    # checkpoint barrier, so the restart restores a snapshot and replays a
-    # minimal tail (grant counts are 1-based: grant number every+1 is the
-    # one sent after barrier ``every`` was consumed).
-    kill_grant = every + 1
-    kill_stats: Dict = {}
-    started = time.perf_counter()
-    killed = run_scenario(
-        scenario, dataset, shards=shards, recovery=config,
-        chaos=ChaosPlan.parse(f"kill:shard1@epoch{kill_grant}"),
-        recovery_stats=kill_stats,
-    )
-    killed_s = time.perf_counter() - started
-    restarts = kill_stats.get("restarts", [])
-
-    return {
-        "schema": BENCH_RECOVERY_SCHEMA,
-        "benchmark": "recovery",
-        "quick": bool(quick),
-        "python": platform.python_version(),
-        "cores": os.cpu_count(),
-        "nodes": node_count,
-        "rounds": rounds,
-        "window": window,
-        "shards": shards,
-        "checkpoint_every": every,
-        "label": scenario.label(),
-        "baseline_seconds": baseline_s,
-        "checkpointed": {
-            "wallclock_seconds": checkpointed_s,
-            "overhead_ratio": checkpointed_s / baseline_s,
-            "epochs": ckpt_stats.get("epochs", 0),
-            "checkpoints": len(checkpoints),
-            "mean_write_seconds": (
-                sum(write_seconds) / len(write_seconds) if write_seconds else None
-            ),
-            "max_write_seconds": max(write_seconds) if write_seconds else None,
-            "mean_bytes": (
-                int(sum(sizes) / len(sizes)) if sizes else None
-            ),
-            "identical": checkpointed.canonical_json() == baseline_bytes,
-        },
-        "killed": {
-            "wallclock_seconds": killed_s,
-            "kill_at_grant": kill_grant,
-            "chaos_fired": kill_stats.get("chaos", []),
-            "restarts": len(restarts),
-            "downtime_seconds": (
-                sum(r["downtime_seconds"] for r in restarts) if restarts else None
-            ),
-            "replayed_epochs": (
-                sum(r["replayed_epochs"] for r in restarts) if restarts else None
-            ),
-            "resumed_from_epoch": (
-                restarts[0]["resumed_from_epoch"] if restarts else None
-            ),
-            "identical": killed.canonical_json() == baseline_bytes,
-        },
-    }
-
-
-def render_recovery_table(payload: Dict) -> str:
-    """The human-readable report mirrored to ``results/recovery.txt``."""
-    ckpt = payload["checkpointed"]
-    killed = payload["killed"]
-    mean_ms = (
-        f"{ckpt['mean_write_seconds'] * 1e3:.1f}"
-        if ckpt["mean_write_seconds"] is not None
-        else "n/a"
-    )
-    max_ms = (
-        f"{ckpt['max_write_seconds'] * 1e3:.1f}"
-        if ckpt["max_write_seconds"] is not None
-        else "n/a"
-    )
-    mean_kb = (
-        f"{ckpt['mean_bytes'] / 1024:.0f}"
-        if ckpt["mean_bytes"] is not None
-        else "n/a"
-    )
-    downtime = (
-        f"{killed['downtime_seconds']:.3f} s"
-        if killed["downtime_seconds"] is not None
-        else "n/a (no restart happened!)"
-    )
-    lines = [
-        f"Checkpoint/replay recovery ({payload['label']}, "
-        f"{payload['nodes']} nodes, {payload['rounds']} rounds, "
-        f"{payload['shards']} shards, checkpoint every "
-        f"{payload['checkpoint_every']} epochs, {payload['cores']} core(s))",
-        "",
-        f"recovery off (baseline):   {payload['baseline_seconds']:8.2f} s",
-        f"checkpointing on:          {ckpt['wallclock_seconds']:8.2f} s  "
-        f"(overhead {ckpt['overhead_ratio']:.2f}x, "
-        f"{ckpt['checkpoints']} snapshot(s) over {ckpt['epochs']} epochs, "
-        f"write mean/max {mean_ms}/{max_ms} ms, mean {mean_kb} KiB)",
-        f"with injected kill:        {killed['wallclock_seconds']:8.2f} s  "
-        f"({killed['restarts']} restart(s), restart-to-caught-up "
-        f"{downtime}, replayed {killed['replayed_epochs']} epoch(s) "
-        f"from epoch {killed['resumed_from_epoch']})",
-        "",
-        f"identical transcripts: checkpointed={ckpt['identical']} "
-        f"killed={killed['identical']}",
-        "",
-        "overhead = checkpointing wall-clock / recovery-off wall-clock on",
-        "the same pre-built dataset.  restart-to-caught-up covers respawn,",
-        "snapshot restore and epoch replay back to barrier parity.",
-        "identical = the transcript matched the recovery-off run byte for",
-        "byte (canonical_json); a non-identical recovery is a bug, not a",
-        "slower run.",
-    ]
-    return "\n".join(lines) + "\n"
-
-
-def check_recovery_ceiling(recovery: Dict, ceiling: float) -> Tuple[bool, str]:
-    """Regression guard for fault tolerance: both recovered transcripts
-    must be byte-identical, the injected kill must actually have fired and
-    restarted a worker, and the checkpointing overhead ratio must not
-    exceed ``ceiling``.  Same never-vacuous contract as the other guards --
-    missing measurements fail.
-    """
-    ckpt = recovery.get("checkpointed", {})
-    killed = recovery.get("killed", {})
-    if not ckpt.get("identical", False) or not killed.get("identical", False):
-        return False, (
-            "recovery guard REGRESSION: recovered transcript diverged from "
-            f"the recovery-off run (checkpointed identical="
-            f"{ckpt.get('identical')}, killed identical="
-            f"{killed.get('identical')})"
-        )
-    if not ckpt.get("checkpoints"):
-        return False, (
-            "recovery guard error: no checkpoint was written (interval "
-            f"{recovery.get('checkpoint_every')} epochs longer than the "
-            f"run's {ckpt.get('epochs')} epochs?)"
-        )
-    if not killed.get("restarts"):
-        return False, (
-            "recovery guard error: the injected kill produced no restart "
-            f"(chaos fired: {killed.get('chaos_fired')})"
-        )
-    ratio = ckpt.get("overhead_ratio")
-    if ratio is None:
-        return False, "recovery guard error: overhead ratio not measured"
-    ok = ratio <= ceiling
-    verdict = "ok" if ok else "REGRESSION"
-    return ok, (
-        f"recovery guard {verdict}: checkpointing overhead {ratio:.2f}x "
-        f"(ceiling {ceiling:.2f}x), restart-to-caught-up "
-        f"{killed.get('downtime_seconds'):.3f}s after "
-        f"{killed.get('replayed_epochs')} replayed epoch(s)"
-    )
-
-
 def write_bench_artifacts(
     output_dir,
     hotpath: Optional[Dict] = None,
     e2e: Optional[Dict] = None,
     setup: Optional[Dict] = None,
-    shard: Optional[Dict] = None,
-    recovery: Optional[Dict] = None,
 ) -> List[Path]:
     """Write ``BENCH_hotpath.json`` / ``BENCH_e2e.json`` /
-    ``BENCH_setup.json`` / ``BENCH_shard.json`` / ``BENCH_recovery.json``
-    under ``output_dir`` and return the written paths."""
+    ``BENCH_setup.json`` under ``output_dir`` and return the written
+    paths."""
     root = Path(output_dir)
     root.mkdir(parents=True, exist_ok=True)
     written = []
@@ -993,8 +599,6 @@ def write_bench_artifacts(
         ("BENCH_hotpath.json", hotpath),
         ("BENCH_e2e.json", e2e),
         ("BENCH_setup.json", setup),
-        ("BENCH_shard.json", shard),
-        ("BENCH_recovery.json", recovery),
     ):
         if payload is None:
             continue

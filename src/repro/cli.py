@@ -46,22 +46,10 @@ regression)::
     repro-wsn bench
     repro-wsn bench --quick --check --output-dir bench-artifacts
 
-Run one scenario partitioned across 4 shard processes (byte-identical to
-the single-process run), or measure the sharded-execution speedup into
-``BENCH_shard.json``::
+Kill a sweep pool worker mid-sweep and watch the supervised pool retry
+its scenario on a fresh worker, landing the identical result::
 
-    repro-wsn run --algorithm semi-global --nodes 256 --rounds 6 --shards 4
-    repro-wsn bench --shard --quick --check --shard-floor 1.2
-
-Inject deterministic process faults (kill/hang real worker processes) and
-watch the run recover to the byte-identical result -- chaos implies
-checkpoint/restart supervision on the sharded path and retry/quarantine on
-the sweep pool; ``bench --recovery`` measures what the fault tolerance
-costs::
-
-    repro-wsn run --nodes 64 --rounds 6 --shards 2 --chaos 'kill:shard1@epoch3'
     repro-wsn sweep figure4 --workers 4 --chaos 'kill:worker0@task2'
-    repro-wsn bench --recovery --quick --check
 
 Render the report site from a populated result store (store-only: nothing
 is simulated at report time), and regression-diff the current benchmark
@@ -140,54 +128,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(node churn), '{\"duty_cycle\": 0.75}' (sleep cycles) or "
         "'{\"burst_to_bad\": 0.02, \"burst_loss_bad\": 0.8}' "
         "(Gilbert-Elliott burst loss)",
-    )
-    run.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        help="partition the deployment across this many worker processes "
-        "over the deterministic message bus (results are byte-identical "
-        "to the single-process run; requires --loss 0)",
-    )
-    run.add_argument(
-        "--shard-mode",
-        choices=["hop-interleaved", "band"],
-        default="hop-interleaved",
-        help="shard placement: hop-interleaved balances every hop level "
-        "across shards (default), band cuts contiguous hop bands",
-    )
-    run.add_argument(
-        "--chaos",
-        metavar="SPEC",
-        default=None,
-        help="deterministic fault injection against the shard workers, "
-        "e.g. 'kill:shard1@epoch3,hang:shard0@epoch2' (requires "
-        "--shards; enables checkpoint/restart recovery; the result "
-        "stays byte-identical to the fault-free run)",
-    )
-    run.add_argument(
-        "--checkpoint-every",
-        type=int,
-        default=None,
-        help="with --shards, checkpoint every N bus epochs (default: 16 "
-        "once recovery is active; recovery activates when this flag, "
-        "--checkpoint-dir or --chaos is given)",
-    )
-    run.add_argument(
-        "--checkpoint-dir",
-        metavar="DIR",
-        default=None,
-        help="directory for checkpoint snapshots (default: a per-run "
-        "temporary directory)",
-    )
-    run.add_argument(
-        "--heartbeat-timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="with --shards and recovery active, declare a shard worker "
-        "hung after this long without a barrier message and restart it "
-        "(default: 600; hang chaos requires a finite timeout)",
     )
     run.add_argument(
         "--json",
@@ -320,69 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="node count the --setup-floor is evaluated at "
         "(default: 2048)",
     )
-    bench.add_argument(
-        "--shard",
-        action="store_true",
-        help="run the sharded-execution benchmark (one semi-global "
-        "scenario at each --shard-counts value, emits BENCH_shard.json) "
-        "instead of the hotpath/e2e suites",
-    )
-    bench.add_argument(
-        "--shard-counts",
-        metavar="CSV",
-        default=None,
-        help="comma-separated shard counts for --shard (default: 1,2,4)",
-    )
-    bench.add_argument(
-        "--shard-nodes",
-        type=int,
-        default=None,
-        help="network size for --shard (default: 4096; 256 with --quick)",
-    )
-    bench.add_argument(
-        "--shard-floor",
-        type=float,
-        default=2.5,
-        help="with --shard --check, minimum acceptable speedup over the "
-        "single-process run at --shard-floor-count shards "
-        "(default: 2.5)",
-    )
-    bench.add_argument(
-        "--shard-floor-count",
-        type=int,
-        default=4,
-        help="shard count the --shard-floor is evaluated at (default: 4)",
-    )
-    bench.add_argument(
-        "--recovery",
-        action="store_true",
-        help="run the recovery benchmark (checkpoint-write latency, "
-        "checkpointing overhead vs. recovery-off, and restart-to-"
-        "caught-up time after an injected kill; emits "
-        "BENCH_recovery.json) instead of the hotpath/e2e suites",
-    )
-    bench.add_argument(
-        "--recovery-nodes",
-        type=int,
-        default=None,
-        help="network size for --recovery (default: 256; 64 with --quick)",
-    )
-    bench.add_argument(
-        "--recovery-every",
-        type=int,
-        default=None,
-        help="checkpoint interval in bus epochs for --recovery "
-        "(default: 64)",
-    )
-    bench.add_argument(
-        "--recovery-ceiling",
-        type=float,
-        default=1.5,
-        help="with --recovery --check, maximum acceptable checkpointing "
-        "wall-clock overhead ratio vs. the recovery-off run "
-        "(default: 1.5)",
-    )
-
     sweep = sub.add_parser(
         "sweep",
         help="run a registered sweep family through the parallel orchestrator",
@@ -415,14 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["tiny", "quick", "paper"],
         default=None,
         help="experiment profile (default: REPRO_BENCH_PROFILE or quick)",
-    )
-    sweep.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        help="partition each computed scenario across this many shard "
-        "processes (parallelism *within* a scenario; mutually exclusive "
-        "with pool parallelism, so misses run inline)",
     )
     sweep.add_argument(
         "--no-report",
@@ -573,57 +442,8 @@ def _command_run(args: argparse.Namespace) -> int:
     except ReproError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    if args.shards is not None and args.shards < 1:
-        print(f"error: --shards must be >= 1, got {args.shards}", file=sys.stderr)
-        return 2
-
-    chaos = None
-    recovery = None
-    wants_recovery = (
-        args.chaos
-        or args.checkpoint_every is not None
-        or args.checkpoint_dir
-        or args.heartbeat_timeout is not None
-    )
-    if wants_recovery and args.shards is None:
-        print(
-            "error: --chaos/--checkpoint-*/--heartbeat-timeout apply to "
-            "sharded execution; add --shards",
-            file=sys.stderr,
-        )
-        return 2
-    if wants_recovery:
-        from .recovery import ChaosPlan, RecoveryConfig
-
-        try:
-            if args.chaos:
-                chaos = ChaosPlan.parse(args.chaos)
-            recovery_overrides = {}
-            if args.heartbeat_timeout is not None:
-                recovery_overrides["heartbeat_timeout"] = args.heartbeat_timeout
-            recovery = RecoveryConfig(
-                checkpoint_every=(
-                    args.checkpoint_every
-                    if args.checkpoint_every is not None
-                    else 16
-                ),
-                directory=args.checkpoint_dir,
-                **recovery_overrides,
-            )
-        except ReproError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-
-    recovery_stats: dict = {}
     try:
-        result = run_scenario(
-            scenario,
-            shards=args.shards,
-            shard_mode=args.shard_mode,
-            recovery=recovery,
-            chaos=chaos,
-            recovery_stats=recovery_stats if wants_recovery else None,
-        )
+        result = run_scenario(scenario)
     except ReproError as error:
         # Configuration problems only detectable mid-run (e.g. a metric
         # parameterisation that does not fit a custom dataset's dimension)
@@ -635,30 +455,11 @@ def _command_run(args: argparse.Namespace) -> int:
             "scenario": scenario.to_json_dict(),
             "summary": result.summary(),
         }
-        if wants_recovery:
-            payload["recovery"] = recovery_stats
         print(json.dumps(payload, indent=2, sort_keys=True))
         return 0
     print(f"scenario: {scenario.label()}  nodes={args.nodes} rounds={args.rounds} w={args.window}")
     for key, value in result.summary().items():
         print(f"  {key:24s} {value:.6g}")
-    if wants_recovery:
-        checkpoints = recovery_stats.get("checkpoints", [])
-        restarts = recovery_stats.get("restarts", [])
-        print(
-            f"recovery: {recovery_stats.get('epochs', 0)} epochs, "
-            f"{len(checkpoints)} checkpoint(s), {len(restarts)} restart(s)"
-        )
-        for fired in recovery_stats.get("chaos", []):
-            print(f"  chaos fired: {fired}")
-        for restart in restarts:
-            print(
-                f"  shard {restart['shard']} restarted from epoch "
-                f"{restart['resumed_from_epoch']} "
-                f"(replayed {restart['replayed_epochs']} epoch(s), "
-                f"downtime {restart['downtime_seconds']:.3f}s): "
-                f"{restart['reason']}"
-            )
     return 0
 
 
@@ -699,80 +500,15 @@ def _command_bench(args: argparse.Namespace) -> int:
         QUICK_WINDOWS,
         check_batched_floor,
         check_setup_floor,
-        check_shard_floor,
         check_speedup_floor,
         render_hotpath_table,
         render_regression_report,
         render_setup_table,
-        render_shard_table,
         run_e2e_bench,
         run_hotpath_bench,
         run_setup_bench,
-        run_shard_bench,
         write_bench_artifacts,
     )
-
-    if args.recovery:
-        from .bench import (
-            check_recovery_ceiling,
-            render_recovery_table,
-            run_recovery_bench,
-        )
-
-        if args.recovery_every is not None and args.recovery_every < 1:
-            print("error: --recovery-every must be >= 1", file=sys.stderr)
-            return 2
-        recovery = run_recovery_bench(
-            nodes=args.recovery_nodes,
-            checkpoint_every=args.recovery_every,
-            quick=args.quick,
-        )
-        print(render_recovery_table(recovery))
-        written = write_bench_artifacts(args.output_dir, recovery=recovery)
-        for path in written:
-            print(f"wrote {path}")
-        if args.check:
-            ok, message = check_recovery_ceiling(recovery, args.recovery_ceiling)
-            print(message)
-            if not ok:
-                return 1
-        return 0
-
-    if args.shard:
-        from .bench import DEFAULT_SHARD_COUNTS
-
-        if args.shard_counts:
-            try:
-                shard_counts = tuple(
-                    int(token)
-                    for token in args.shard_counts.split(",")
-                    if token.strip()
-                )
-            except ValueError:
-                print(f"error: --shard-counts must be a CSV of integers, got "
-                      f"{args.shard_counts!r}", file=sys.stderr)
-                return 2
-            if not shard_counts or any(s < 1 for s in shard_counts):
-                print("error: --shard-counts needs at least one count >= 1",
-                      file=sys.stderr)
-                return 2
-        else:
-            shard_counts = DEFAULT_SHARD_COUNTS
-        shard = run_shard_bench(
-            shard_counts=shard_counts, nodes=args.shard_nodes, quick=args.quick
-        )
-        print(render_shard_table(shard))
-        written = write_bench_artifacts(args.output_dir, shard=shard)
-        for path in written:
-            print(f"wrote {path}")
-        if args.check:
-            ok, message = check_shard_floor(
-                shard, args.shard_floor, args.shard_floor_count
-            )
-            print(message)
-            if not ok:
-                return 1
-        return 0
 
     if args.setup:
         if args.setup_nodes:
@@ -882,6 +618,8 @@ def _command_sweep(args: argparse.Namespace) -> int:
     from . import experiments
     from .core.errors import ExperimentError
     from .orchestrator import (
+        ChaosPlan,
+        RecoveryConfig,
         ResultStore,
         all_families,
         default_store,
@@ -889,6 +627,7 @@ def _command_sweep(args: argparse.Namespace) -> int:
         get_family,
         run_scenarios,
     )
+    from .orchestrator.supervisor import check_chaos
 
     try:
         profile = (
@@ -925,19 +664,15 @@ def _command_sweep(args: argparse.Namespace) -> int:
     except ExperimentError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    if args.shards is not None and args.shards < 1:
-        print(f"error: --shards must be >= 1, got {args.shards}", file=sys.stderr)
-        return 2
 
     chaos = None
     recovery = None
     if args.chaos or args.scenario_timeout is not None:
-        from .recovery import ChaosPlan, RecoveryConfig
-
         try:
             if args.chaos:
                 chaos = ChaosPlan.parse(args.chaos)
             recovery = RecoveryConfig(scenario_timeout=args.scenario_timeout)
+            check_chaos(chaos, recovery)
         except ReproError as error:
             print(f"error: {error}", file=sys.stderr)
             return 2
@@ -956,7 +691,6 @@ def _command_sweep(args: argparse.Namespace) -> int:
             workers=workers,
             store=store,
             progress=progress,
-            shards=args.shards,
             recovery=recovery,
             chaos=chaos,
         )
@@ -1065,6 +799,9 @@ def _command_report(args: argparse.Namespace) -> int:
             families = list(all_families())
         bench_dir = Path(args.bench_dir)
         bench = load_bench_artifacts(bench_dir) if bench_dir.is_dir() else {}
+        # A missing or malformed BASE is bad input (exit 2), resolved before
+        # any site build; only a detected regression exits 1.
+        baseline = baseline_metrics(args.diff) if args.diff else None
     except ReproError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
@@ -1126,8 +863,8 @@ def _command_report(args: argparse.Namespace) -> int:
                 f"{len(payload['entries'])} entr(ies); newest {git_sha} "
                 f"with {len(metrics)} metric(s)"
             )
-        if args.diff:
-            label, base = baseline_metrics(args.diff)
+        if baseline is not None:
+            label, base = baseline
             diff = diff_metrics(base, extract_metrics(bench), base_label=label)
             print()
             print(diff.render())

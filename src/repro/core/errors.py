@@ -59,7 +59,3 @@ class DatasetError(ReproError):
 class ExperimentError(ReproError):
     """Raised when an experiment harness is configured inconsistently."""
 
-
-class CheckpointError(ReproError):
-    """Raised when a runtime checkpoint cannot be written, read or restored
-    (missing snapshot, digest mismatch, incompatible checkpoint schema)."""

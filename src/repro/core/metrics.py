@@ -375,7 +375,9 @@ def metric_from_name(name: str, **params: object) -> Metric:
         ) from None
     try:
         return factory(**params)
-    except TypeError:
+    except (TypeError, ValueError):
+        # ValueError covers unparseable values and numpy's LinAlgError (a
+        # singular or non-square covariance).
         raise ConfigurationError(
             f"invalid parameters for metric {name!r}: {params!r}"
         ) from None

@@ -9,10 +9,7 @@ that only exist because the orchestrator makes them cheap to declare:
   protocol's accuracy and energy degrade as the channel gets lossy;
 * ``scaling-nodes`` -- a large-network scaling sweep (1k/4k/16k sensors at
   the ``paper`` profile, scaled down for ``quick``/``tiny``) for the
-  distributed algorithms, on a density-preserving terrain; its report also
-  re-runs the two largest sizes partitioned across shard processes
-  (:mod:`repro.shard`), asserting transcript equivalence and tabulating the
-  wall-clock;
+  distributed algorithms, on a density-preserving terrain;
 * ``metric-sensitivity`` -- every registered metric space (Euclidean,
   Manhattan, Chebyshev, weighted Euclidean, Mahalanobis) run over the same
   multi-attribute injected-anomaly workload, comparing convergence accuracy
@@ -64,9 +61,6 @@ __all__ = [
     "scaling_node_counts",
     "scaling_scenarios",
     "run_scaling",
-    "SCALING_SHARD_COUNTS",
-    "scaling_shard_counts",
-    "run_scaling_shards",
     "METRIC_VARIANTS",
     "metric_sensitivity_windows",
     "metric_sensitivity_scenarios",
@@ -258,102 +252,6 @@ def scaling_scenarios(profile: ExperimentProfile) -> List[ScenarioConfig]:
     ]
 
 
-#: Shard counts of the scaling sweep's sharded variants: 1 isolates the
-#: message-bus coordination overhead, 4 is the headline parallel cut.
-SCALING_SHARD_COUNTS = (1, 4)
-
-#: Largest network the sharded variants are run at.  Sharded runs bypass
-#: the result cache (sharding is an execution knob, not a scenario field,
-#: so a sharded rerun would just hit the cache and measure nothing); the
-#: cap keeps the report phase bounded at the paper profile.
-_SHARD_SCALING_CAP = 4096
-
-
-def scaling_shard_counts(profile: ExperimentProfile) -> Tuple[int, ...]:
-    """The (at most two largest) node counts the sharded variants run at."""
-    counts = [n for n in scaling_node_counts(profile) if n <= _SHARD_SCALING_CAP]
-    return tuple(counts[-2:])
-
-
-def run_scaling_shards(profile: ExperimentProfile) -> FigureResult:
-    """Sharded-execution wall-clock of the semi-global scaling scenarios.
-
-    Re-runs the two largest (capped) scaling networks partitioned across
-    :data:`SCALING_SHARD_COUNTS` shard processes and reports wall-clock per
-    series, next to the single-process wall-clock recorded on the cached
-    result.  Every sharded transcript is asserted byte-identical
-    (``canonical_json``) to the unsharded run before its time is reported
-    -- the table is also a live equivalence check at scale.
-    """
-    import time as _time
-
-    from ..core.errors import ExperimentError
-    from ..orchestrator import store_only_active
-    from ..wsn.runner import run_scenario
-
-    window = _stress_window(profile)
-    semi_global = next(
-        detection
-        for label, detection in _scaling_configurations(window, 1 << 30)
-        if label.startswith("Semi-global")
-    )
-    counts = scaling_shard_counts(profile)
-    if store_only_active():
-        # Sharded timing is a *live* measurement (sharding is an execution
-        # knob, not a scenario field, so it bypasses the result store); in
-        # store-only mode -- the report pipeline proving its pages come
-        # from the store alone -- only the cached single-process wall-clock
-        # can be reported.
-        single = [
-            run_many([_scaling_scenario(profile, semi_global, nodes)])[0]
-            for nodes in counts
-        ]
-        return FigureResult(
-            figure="Scaling: sharded execution wall-clock [s]",
-            x_label="nodes",
-            x_values=[float(n) for n in counts],
-            series={
-                "single-process": [r.wallclock_seconds for r in single]
-            },
-            notes=(
-                f"store-only mode: sharded variants skipped (they re-execute "
-                f"live); single-process times are the cached run's own "
-                f"wall-clock, profile={profile.name}"
-            ),
-        )
-    wallclock: Dict[str, List[float]] = {"single-process": []}
-    for shards in SCALING_SHARD_COUNTS:
-        wallclock[f"shards={shards}"] = []
-    for nodes in counts:
-        scenario = _scaling_scenario(profile, semi_global, nodes)
-        (baseline,) = run_many([scenario])
-        wallclock["single-process"].append(baseline.wallclock_seconds)
-        expected = baseline.canonical_json()
-        for shards in SCALING_SHARD_COUNTS:
-            started = _time.perf_counter()
-            result = run_scenario(scenario, shards=shards)
-            elapsed = _time.perf_counter() - started
-            if result.canonical_json() != expected:
-                raise ExperimentError(
-                    f"sharded transcript diverged from the single-process "
-                    f"run at {nodes} nodes, shards={shards}"
-                )
-            wallclock[f"shards={shards}"].append(elapsed)
-
-    note = (
-        f"semi-global epsilon=2, w<={window}, seed 0, transcripts asserted "
-        f"byte-identical per cell; single-process times are the cached "
-        f"run's own wall-clock, profile={profile.name}"
-    )
-    return FigureResult(
-        figure="Scaling: sharded execution wall-clock [s]",
-        x_label="nodes",
-        x_values=[float(n) for n in counts],
-        series=wallclock,
-        notes=note,
-    )
-
-
 def run_scaling(profile: ExperimentProfile) -> Sequence[FigureResult]:
     """Per-node energy and traffic as the network grows.
 
@@ -407,7 +305,6 @@ def run_scaling(profile: ExperimentProfile) -> Sequence[FigureResult]:
             series=traffic,
             notes=note,
         ),
-        run_scaling_shards(profile),
     )
 
 
@@ -962,8 +859,7 @@ _FAMILIES = (
     SweepFamily(
         name="scaling-nodes",
         description="Large-network scaling sweep (1k/4k/16k sensors at the "
-                    "paper profile) for the distributed algorithms, with "
-                    "sharded-execution variants at the two largest sizes",
+                    "paper profile) for the distributed algorithms",
         build=scaling_scenarios,
         report=run_scaling,
     ),

@@ -4,8 +4,13 @@ The paper's evaluation is a grid of independent, seed-deterministic
 simulation runs.  This package turns that structure into infrastructure:
 
 * :mod:`~repro.orchestrator.executor` -- resolve batches of scenarios
-  through a two-tier cache (process memory + disk) and a
-  ``multiprocessing`` pool, with bit-identical parallel/serial results;
+  through a two-tier cache (process memory + disk) and a supervised
+  worker pool, with bit-identical parallel/serial results;
+* :mod:`~repro.orchestrator.supervisor` -- that pool: per-scenario
+  timeout, retry on a fresh worker after a crash or hang, poison
+  quarantine;
+* :mod:`~repro.orchestrator.chaos` -- deterministic SIGKILL/SIGSTOP
+  injection against pool workers (``sweep --chaos 'kill:worker0@task2'``);
 * :mod:`~repro.orchestrator.store` -- the persistent, content-addressed
   result store (canonical scenario JSON, SHA-256 keys, atomic writes,
   corruption-tolerant reads);
@@ -13,6 +18,7 @@ simulation runs.  This package turns that structure into infrastructure:
   ``repro-wsn sweep`` CLI.
 """
 
+from .chaos import ChaosPlan
 from .executor import (
     STORE_ONLY_ENV,
     clear_memory,
@@ -37,6 +43,7 @@ from .store import (
     canonical_scenario_json,
     scenario_key,
 )
+from .supervisor import RecoveryConfig
 
 __all__ = [
     "run_scenarios",
@@ -47,6 +54,8 @@ __all__ = [
     "default_store",
     "store_only_active",
     "STORE_ONLY_ENV",
+    "ChaosPlan",
+    "RecoveryConfig",
     "ResultStore",
     "StoreHealth",
     "canonical_scenario_json",

@@ -37,16 +37,15 @@ Invariants the executor maintains:
 from __future__ import annotations
 
 import os
-from functools import partial
 from typing import Callable, Dict, Iterable, List, Optional
 
 from ..core.errors import ExperimentError
-from ..recovery.chaos import ChaosPlan
-from ..recovery.supervisor import RecoveryConfig, SweepSupervisor
 from ..wsn.results import SimulationResult
 from ..wsn.runner import run_scenario_worker
 from ..wsn.scenario import ScenarioConfig
+from .chaos import ChaosPlan
 from .store import ResultStore, scenario_key
+from .supervisor import RecoveryConfig, SweepSupervisor
 
 __all__ = [
     "run_scenarios",
@@ -142,7 +141,6 @@ def run_scenarios(
     workers: int = 1,
     store: Optional[ResultStore] = None,
     progress: Optional[ProgressCallback] = None,
-    shards: Optional[int] = None,
     recovery: Optional[RecoveryConfig] = None,
     chaos: Optional[ChaosPlan] = None,
 ) -> List[SimulationResult]:
@@ -163,25 +161,14 @@ def run_scenarios(
         Optional ``callback(event, scenario, done, total)`` invoked once per
         unique scenario with event ``"memory"``, ``"store"`` or
         ``"computed"``.
-    shards:
-        When given, each computed miss is itself partitioned across this
-        many shard processes (:mod:`repro.shard`) instead of running as one
-        simulator.  Sharding parallelises *within* a scenario where the
-        pool parallelises *across* scenarios, so the two are mutually
-        exclusive: ``shards`` forces the misses inline (pool workers are
-        daemonic and may not spawn the shard processes).  Results are
-        byte-identical either way, so cache keys and store entries do not
-        change.
     recovery:
         Fault-tolerance knobs for the worker pool (per-scenario timeout,
-        retry budget, restart backoff); defaults apply when omitted.  Like
-        ``workers`` this is an execution knob: it never changes what a
-        scenario computes.
+        retry budget); defaults apply when omitted.  Like ``workers`` this
+        is an execution knob: it never changes what a scenario computes.
     chaos:
-        A :class:`~repro.recovery.chaos.ChaosPlan` whose ``worker`` actions
-        are inflicted on the pool workers (``shard`` actions are forwarded
-        into sharded misses when ``shards`` is set).  Chaos against pool
-        workers forces the supervised-pool path even for ``workers == 1``.
+        A :class:`~repro.orchestrator.chaos.ChaosPlan` inflicted on the
+        pool workers.  Chaos forces the supervised-pool path even for
+        ``workers == 1``.
 
     Returns
     -------
@@ -252,19 +239,10 @@ def run_scenarios(
             f"{labels}{suffix}"
         )
 
-    pool_chaos = chaos is not None and chaos.has("worker")
+    pool_chaos = chaos is not None and chaos.has()
     timed = recovery is not None and recovery.scenario_timeout is not None
     if missing:
-        if shards is not None:
-            compute = partial(
-                run_scenario_worker,
-                shards=shards,
-                recovery=recovery,
-                chaos=chaos,
-            )
-            for scenario in missing:
-                consume_one(scenario, compute(scenario))
-        elif workers == 1 and not pool_chaos and not timed:
+        if workers == 1 and not pool_chaos and not timed:
             for scenario in missing:
                 consume_one(scenario, run_scenario_worker(scenario))
         else:

@@ -211,7 +211,7 @@ class ResultStore:
     ) -> Path:
         """Record that ``scenario`` was quarantined after ``attempts``
         failed executions (see
-        :class:`~repro.recovery.supervisor.SweepSupervisor`)."""
+        :class:`~repro.orchestrator.supervisor.SweepSupervisor`)."""
         self.root.mkdir(parents=True, exist_ok=True)
         path = self.poison_path_for(scenario)
         payload = json.dumps(

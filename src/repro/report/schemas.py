@@ -11,8 +11,9 @@ rejection per schema) against the same code.
 
 Each validator checks both *structure* (required keys, value types) and the
 *semantic invariants* an artifact must never violate regardless of the
-machine that produced it -- e.g. a shard or recovery artifact whose
-transcripts were not byte-identical is invalid, not merely slow.
+machine that produced it -- e.g. a hotpath artifact without its batched
+columns, or an end-to-end accuracy outside ``[0, 1]``, is invalid, not
+merely slow.
 
 The validated benchmark kinds and their current schema versions are listed
 in :data:`SCHEMA_VERSIONS`; ``trajectory`` is the cross-PR perf-trajectory
@@ -44,8 +45,6 @@ SCHEMA_VERSIONS: Dict[str, int] = {
     "hotpath": 2,
     "e2e": 2,
     "setup": 1,
-    "shard": 1,
-    "recovery": 1,
     "trajectory": 1,
 }
 
@@ -161,61 +160,6 @@ def _validate_setup(payload: Mapping[str, Any]) -> None:
             _positive(row, "speedup", context)
 
 
-def _validate_shard(payload: Mapping[str, Any]) -> None:
-    _header(payload, "shard")
-    _positive(payload, "cores", "shard")
-    _positive(payload, "nodes", "shard")
-    _positive(payload, "baseline_seconds", "shard")
-    counts = []
-    for row in _rows(payload, "shards", "shard"):
-        context = f"shard count {row.get('shards')!r}"
-        counts.append(_positive(row, "shards", context))
-        _positive(row, "wallclock_seconds", context)
-        _positive(row, "speedup", context)
-        # Not a perf number: a sharded transcript that diverged from the
-        # single-process run makes the whole measurement meaningless.
-        _require(
-            row.get("identical") is True,
-            f"{context}: 'identical' must be true (transcript diverged?)",
-        )
-    _require(
-        counts == sorted(set(counts)),
-        f"shard: counts must be strictly increasing, got {counts}",
-    )
-
-
-def _validate_recovery(payload: Mapping[str, Any]) -> None:
-    _header(payload, "recovery")
-    _positive(payload, "baseline_seconds", "recovery")
-    _positive(payload, "nodes", "recovery")
-    _positive(payload, "checkpoint_every", "recovery")
-    checkpointed = payload.get("checkpointed")
-    _require(
-        isinstance(checkpointed, Mapping),
-        "recovery: 'checkpointed' must be an object",
-    )
-    _require(
-        checkpointed.get("identical") is True,
-        "recovery: checkpointed transcript must be identical",
-    )
-    _positive(checkpointed, "checkpoints", "recovery checkpointed")
-    _positive(checkpointed, "overhead_ratio", "recovery checkpointed")
-    _positive(checkpointed, "mean_write_seconds", "recovery checkpointed")
-    killed = payload.get("killed")
-    _require(isinstance(killed, Mapping), "recovery: 'killed' must be an object")
-    _require(
-        killed.get("identical") is True,
-        "recovery: recovered transcript must be identical",
-    )
-    restarts = _positive(killed, "restarts", "recovery killed")
-    _require(restarts >= 1, "recovery: the killed run must have restarted")
-    _require(
-        isinstance(killed.get("chaos_fired"), list) and killed["chaos_fired"],
-        "recovery: 'chaos_fired' must be a non-empty list (kill never fired?)",
-    )
-    _positive(killed, "downtime_seconds", "recovery killed")
-
-
 def _validate_trajectory(payload: Mapping[str, Any]) -> None:
     _header(payload, "trajectory")
     for entry in _rows(payload, "entries", "trajectory"):
@@ -247,8 +191,6 @@ _VALIDATORS: Dict[str, Callable[[Mapping[str, Any]], None]] = {
     "hotpath": _validate_hotpath,
     "e2e": _validate_e2e,
     "setup": _validate_setup,
-    "shard": _validate_shard,
-    "recovery": _validate_recovery,
     "trajectory": _validate_trajectory,
 }
 

@@ -1,30 +1,29 @@
 """Cross-PR perf trajectory: extraction, the v1 artifact, regression diffs.
 
-The five committed ``BENCH_*.json`` artifacts each record one PR's
-measurement of one subsystem.  This module flattens them into a single
-namespace of **trajectory metrics** and maintains
+The three committed ``BENCH_*.json`` measurement artifacts each record
+one PR's measurement of one subsystem.  This module flattens them into a
+single namespace of **trajectory metrics** and maintains
 ``results/BENCH_trajectory.json`` (schema v1), which appends one entry per
 PR so the perf story of the repo is a diffable artifact instead of
 archaeology over git history.
 
 Metric keys are parameterised by the configuration that produced them --
-``hotpath.speedup.w256``, ``setup.grid_ms.n4096``,
-``shard.speedup.n4096.x4`` -- because a number measured at a different
-window/network size is a *different metric*, not a comparable one.  A diff
-therefore only compares the **intersection** of two entries' keys: a quick
-CI run (windows 64/256, 256-node shard bench) gates against a committed
-full run exactly on the configurations both measured, and everything else
-is listed as skipped rather than silently compared across configs.
+``hotpath.speedup.w256``, ``setup.grid_ms.n4096`` -- because a number
+measured at a different window/network size is a *different metric*, not a
+comparable one.  A diff therefore only compares the **intersection** of two
+entries' keys: a quick CI run (windows 64/256, setup at 512/2048 nodes)
+gates against a committed full run exactly on the configurations both
+measured, and everything else is listed as skipped rather than silently
+compared across configs.
 
-Regression gating is deliberately restricted to **dimensionless ratios**
-(speedups, the recovery overhead ratio), with generous per-metric
-thresholds: raw latencies and wall-clocks vary several-fold between a dev
-box and a shared CI runner, so they are tracked and rendered but never
-gated -- the absolute floors in CI's perf-smoke job already guard them at
-fixed configurations.  The gate here exists to catch the order-of-magnitude
-regressions (an index silently falling back to rebuilds, a batched path
-that stopped batching) that a same-machine floor can miss when the floor
-itself is conservative.
+Regression gating is deliberately restricted to **dimensionless speedup
+ratios**, with generous per-metric thresholds: raw latencies and
+wall-clocks vary several-fold between a dev box and a shared CI runner, so
+they are tracked and rendered but never gated -- the absolute floors in
+CI's perf-smoke job already guard them at fixed configurations.  The gate
+here exists to catch the order-of-magnitude regressions (an index
+silently falling back to rebuilds, a batched path that stopped batching)
+that a same-machine floor can miss when the floor itself is conservative.
 """
 
 from __future__ import annotations
@@ -113,30 +112,6 @@ def extract_metrics(
             if row.get("speedup") is not None:
                 metrics[f"setup.speedup.n{n}"] = float(row["speedup"])
 
-    shard = artifacts.get("shard")
-    if shard is not None:
-        n = int(shard["nodes"])
-        metrics[f"shard.baseline_s.n{n}"] = float(shard["baseline_seconds"])
-        for row in shard["shards"]:
-            metrics[f"shard.speedup.n{n}.x{int(row['shards'])}"] = float(
-                row["speedup"]
-            )
-
-    recovery = artifacts.get("recovery")
-    if recovery is not None:
-        n = int(recovery["nodes"])
-        checkpointed = recovery["checkpointed"]
-        killed = recovery["killed"]
-        metrics[f"recovery.overhead_ratio.n{n}"] = float(
-            checkpointed["overhead_ratio"]
-        )
-        metrics[f"recovery.checkpoint_write_ms.n{n}"] = (
-            float(checkpointed["mean_write_seconds"]) * 1000.0
-        )
-        metrics[f"recovery.downtime_s.n{n}"] = float(
-            killed["downtime_seconds"]
-        )
-
     return dict(sorted(metrics.items()))
 
 
@@ -145,21 +120,16 @@ def extract_metrics(
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class MetricGate:
-    """Gating rule for one metric-key prefix.
-
-    For a higher-is-better metric a current/base ratio below ``ratio``
-    regresses; for lower-is-better, a ratio above ``ratio`` does.
+    """Gating rule for one metric-key prefix: every gated metric is a
+    speedup (higher is better), so a current/base ratio below ``ratio``
+    regresses.
     """
 
     prefix: str
-    higher_is_better: bool
     ratio: float
 
     def regressed(self, base: float, current: float) -> bool:
-        observed = current / base
-        if self.higher_is_better:
-            return observed < self.ratio
-        return observed > self.ratio
+        return current / base < self.ratio
 
 
 #: Gated prefixes, first match wins.  Thresholds are calibrated so a quick
@@ -168,11 +138,9 @@ class MetricGate:
 #: e.g. the committed window-256 indexed speedup is ~19x, so the 0.25 gate
 #: fires below ~4.7x -- right where perf-smoke's absolute floor (5x) sits.
 GATES: Tuple[MetricGate, ...] = (
-    MetricGate("hotpath.speedup.", higher_is_better=True, ratio=0.25),
-    MetricGate("hotpath.batched_speedup.", higher_is_better=True, ratio=0.2),
-    MetricGate("setup.speedup.", higher_is_better=True, ratio=0.25),
-    MetricGate("shard.speedup.", higher_is_better=True, ratio=0.4),
-    MetricGate("recovery.overhead_ratio.", higher_is_better=False, ratio=2.0),
+    MetricGate("hotpath.speedup.", ratio=0.25),
+    MetricGate("hotpath.batched_speedup.", ratio=0.2),
+    MetricGate("setup.speedup.", ratio=0.25),
 )
 
 
@@ -325,8 +293,7 @@ class RegressionReport:
         for row in self.rows:
             gate = "-"
             if row.gate is not None:
-                direction = ">=" if row.gate.higher_is_better else "<="
-                gate = f"{direction} {row.gate.ratio:g}x"
+                gate = f">= {row.gate.ratio:g}x"
             table_rows.append(
                 (row.key, row.base, row.current, row.ratio, gate, row.verdict)
             )

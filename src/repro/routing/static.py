@@ -92,11 +92,6 @@ def install_shortest_path_routes(
         step = node_id
         parent = towards_sink[node_id]
         while parent is not None:
-            # ``agents`` may cover only a subset of the topology (a shard's
-            # local nodes); the chain is still walked in full so every local
-            # hop on the path learns its route.
-            agent = agents.get(parent)
-            if agent is not None:
-                agent.set_route(node_id, step)
+            agents[parent].set_route(node_id, step)
             step = parent
             parent = towards_sink[parent]

@@ -6,53 +6,22 @@ a handful of convenience methods for periodic activities.  The engine is
 single-threaded and deterministic: given the same seed and the same sequence
 of ``schedule`` calls it always produces the same execution.
 
-Determinism rests on the event total order ``(time, priority, gen, pkey,
-idx, sequence)`` documented in :mod:`repro.simulator.events`: the heap pops
-events in exactly that order, :meth:`Simulator.step` asserts the clock never
-runs backwards, and replaying an identical sequence of ``schedule`` calls
-replays an identical execution.  :meth:`Simulator.run_exclusive` exposes the
-barrier primitive the sharded message bus (``repro.shard``) builds its
-lockstep epochs on: execute everything strictly before a grant time, never
-fast-forward the clock.
-
-Lineage tracking
-----------------
-A plain ``Simulator()`` breaks ties among simultaneous events with the
-process-wide ``sequence`` counter -- scheduling order.  That counter is
-meaningless across processes, so ``Simulator(lineage=True)`` additionally
-stamps every event with a *lineage* triple ``(gen, pkey, idx)``:
-
-* ``gen`` -- the cascade generation within the event's ``(time, priority)``
-  class: 0 for events scheduled from outside that class (setup, earlier
-  instants, other priorities), parent's generation + 1 for an event
-  scheduled *at the same instant and priority* as its scheduling parent;
-* ``pkey`` -- the scheduling parent's full lineage sort key (empty for
-  events scheduled outside any event execution);
-* ``idx`` -- the index among the parent's schedule calls (or a per-process
-  counter of outside-execution schedule calls).
-
-Within one process the lineage order is provably the sequence order --
-simultaneous events fire generation by generation, within a generation in
-parent execution order, within a parent in schedule-call order, which is
-exactly how the sequence counter grows -- so switching lineage on never
-changes an execution.  What it buys is that the key is *locally
-computable*: a shard worker that receives a cross-shard delivery stamped
-with the sender's lineage (see ``allocate_lineage``) slots it among its own
-simultaneous events exactly where the single-process schedule would have.
+Determinism rests on the event total order ``(time, priority, sequence)``
+documented in :mod:`repro.simulator.events`: the heap pops events in exactly
+that order, :meth:`Simulator.step` asserts the clock never runs backwards,
+and replaying an identical sequence of ``schedule`` calls replays an
+identical execution.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, List, Optional
 
 from ..core.errors import SimulationError
 from .events import Event, EventPriority
 
 __all__ = ["Simulator"]
-
-#: A lineage triple ``(gen, pkey, idx)`` -- see the module docstring.
-LineageKey = Tuple[int, Tuple[Any, ...], int]
 
 
 class Simulator:
@@ -71,19 +40,12 @@ class Simulator:
     1.5
     """
 
-    def __init__(self, lineage: bool = False) -> None:
+    def __init__(self) -> None:
         self._now = 0.0
         self._queue: List[Event] = []
         self._running = False
         self.events_executed = 0
         self.events_scheduled = 0
-        self._lineage = lineage
-        #: Event currently being fired (lineage mode only).
-        self._current: Optional[Event] = None
-        #: Schedule calls made by the current event so far.
-        self._child_idx = 0
-        #: Schedule calls made outside any event execution so far.
-        self._root_idx = 0
 
     # ------------------------------------------------------------------
     # Clock
@@ -92,56 +54,6 @@ class Simulator:
     def now(self) -> float:
         """Current simulated time in seconds."""
         return self._now
-
-    # ------------------------------------------------------------------
-    # Lineage
-    # ------------------------------------------------------------------
-    @property
-    def tracks_lineage(self) -> bool:
-        """Whether this simulator stamps events with lineage keys."""
-        return self._lineage
-
-    @property
-    def current_lineage_key(self) -> Optional[Tuple[Any, ...]]:
-        """Full lineage sort key of the event being fired right now.
-
-        ``None`` outside event execution or on a non-lineage simulator.
-        The shard runtime records energy charges under this key so a
-        replayed fold can reconstruct the single-process charge order.
-        """
-        if self._current is None:
-            return None
-        return self._current.lineage_key
-
-    def allocate_lineage(self, time: float, priority: int) -> LineageKey:
-        """Consume and return the lineage an event scheduled *now* at
-        ``(time, priority)`` would receive.
-
-        The shard channel calls this for a delivery that crosses to another
-        process: the crossing occupies a schedule-call slot of the
-        transmitting event exactly like a local delivery would, and the
-        returned key ships with the crossing so the receiving shard can
-        schedule it under the sender's lineage (see
-        ``schedule_at(..., lineage=...)``).
-        """
-        if not self._lineage:
-            raise SimulationError("allocate_lineage requires Simulator(lineage=True)")
-        return self._next_lineage(time, priority)
-
-    def _next_lineage(self, time: float, priority: int) -> LineageKey:
-        parent = self._current
-        if parent is not None:
-            gen = (
-                parent.gen + 1
-                if time == parent.time and priority == parent.priority
-                else 0
-            )
-            idx = self._child_idx
-            self._child_idx += 1
-            return (gen, parent.lineage_key, idx)
-        idx = self._root_idx
-        self._root_idx += 1
-        return (0, (), idx)
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -166,31 +78,15 @@ class Simulator:
         *args: Any,
         priority: int = EventPriority.NORMAL,
         name: str = "",
-        lineage: Optional[LineageKey] = None,
     ) -> Event:
-        """Schedule ``callback(*args)`` at absolute simulated time ``time``.
-
-        ``lineage`` (lineage mode only) overrides the computed lineage
-        triple; the sharded bus passes the sender-side key of a
-        cross-process delivery here.
-        """
+        """Schedule ``callback(*args)`` at absolute simulated time ``time``."""
         if time < self._now:
             raise SimulationError(
                 f"cannot schedule an event at t={time} before the current time t={self._now}"
             )
-        if self._lineage:
-            gen, pkey, idx = (
-                lineage if lineage is not None else self._next_lineage(time, priority)
-            )
-            event = Event(
-                time=time, priority=priority, gen=gen, pkey=pkey, idx=idx,
-                callback=callback, args=args, name=name,
-            )
-        else:
-            event = Event(
-                time=time, priority=priority, callback=callback, args=args,
-                name=name,
-            )
+        event = Event(
+            time=time, priority=priority, callback=callback, args=args, name=name
+        )
         heapq.heappush(self._queue, event)
         self.events_scheduled += 1
         return event
@@ -232,23 +128,14 @@ class Simulator:
             event = heapq.heappop(self._queue)
             if event.cancelled:
                 continue
-            # The (time, priority, gen, pkey, idx, sequence) total order
-            # forbids the clock from ever moving backwards;
-            # schedule()/schedule_at() reject past events, so a violation
-            # here would mean heap corruption.
+            # The (time, priority, sequence) total order forbids the clock
+            # from ever moving backwards; schedule()/schedule_at() reject
+            # past events, so a violation here would mean heap corruption.
             assert event.time >= self._now, (
                 f"event total order violated: t={event.time} < now={self._now}"
             )
             self._now = event.time
-            if self._lineage:
-                self._current = event
-                self._child_idx = 0
-                try:
-                    event.fire()
-                finally:
-                    self._current = None
-            else:
-                event.fire()
+            event.fire()
             self.events_executed += 1
             return True
         return False
@@ -280,55 +167,6 @@ class Simulator:
                 self._now = until
         finally:
             self._running = False
-
-    def run_exclusive(self, until: float) -> None:
-        """Execute every pending event with ``time`` strictly below ``until``.
-
-        The barrier primitive of the sharded message bus: a worker is granted
-        an epoch ``[now, until)`` that is causally closed (no other shard can
-        inject an event before ``until``), executes exactly the events inside
-        it, and reports back.  Two differences from :meth:`run`:
-
-        * the bound is *exclusive* -- an event at exactly ``until`` stays
-          queued, so a grant computed as ``min next event + lookahead`` can
-          never execute an event another shard is still allowed to affect;
-        * the clock is never fast-forwarded to ``until`` -- it stays at the
-          last executed event, so repeated grants observe the same clock a
-          single uninterrupted run would have.
-        """
-        if self._running:
-            raise SimulationError("simulator is already running (re-entrant run() call)")
-        self._running = True
-        try:
-            while self._queue:
-                head = self._queue[0]
-                if head.cancelled:
-                    heapq.heappop(self._queue)
-                    continue
-                if head.time >= until:
-                    break
-                self.step()
-        finally:
-            self._running = False
-
-    # ------------------------------------------------------------------
-    # Checkpointing
-    # ------------------------------------------------------------------
-    def __getstate__(self) -> dict:
-        """Pickle support for runtime checkpoints (see :mod:`repro.recovery`).
-
-        Capture is only legal *between* events: a half-executed callback is
-        not reconstructible, so pickling a running simulator is refused
-        rather than silently snapshotting an inconsistent instant.  The
-        event heap pickles as-is -- a heap's list layout is itself valid
-        heap order, so restoring needs no re-heapify.
-        """
-        if self._running or self._current is not None:
-            raise SimulationError(
-                "cannot checkpoint a running simulator; capture only at a "
-                "quiescent point between events"
-            )
-        return dict(self.__dict__)
 
     # ------------------------------------------------------------------
     # Introspection

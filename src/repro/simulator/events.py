@@ -1,10 +1,10 @@
 """Event objects for the discrete-event simulation engine.
 
 An :class:`Event` is a callback scheduled at a simulated time.  Events are
-totally ordered by ``(time, priority, gen, pkey, idx, sequence)`` so that
-simultaneous events fire in a deterministic order: first by explicit
-priority, then by scheduling order.  Cancelled events stay in the heap but
-are skipped when popped, which keeps cancellation O(1).
+totally ordered by ``(time, priority, sequence)`` so that simultaneous
+events fire in a deterministic order: first by explicit priority, then by
+scheduling order.  Cancelled events stay in the heap but are skipped when
+popped, which keeps cancellation O(1).
 
 Total-order contract
 --------------------
@@ -15,30 +15,12 @@ reduces to it:
 * ``time`` is the simulated instant, compared first;
 * ``priority`` breaks ties at one instant (:class:`EventPriority`; lower
   fires first, so ``FAULT`` availability flips precede same-instant traffic);
-* ``gen``/``pkey``/``idx`` are the event's *lineage*: the cascade
-  generation within its ``(time, priority)`` class, the full sort key of
-  the event that scheduled it, and its index among that parent's schedule
-  calls.  A plain single-process simulator leaves them at their neutral
-  defaults ``(0, (), 0)`` -- every comparison falls through to
-  ``sequence`` and the order is exactly the classic
-  ``(time, priority, sequence)``.  A lineage-tracking simulator
-  (``Simulator(lineage=True)``, used by the shard workers of
-  ``repro.shard``) fills them in, which reproduces that same order from
-  locally computable data: simultaneous events fire generation by
-  generation, within a generation in their parents' execution order, and
-  within one parent in schedule-call order -- precisely the order the
-  process-wide ``sequence`` counter encodes when one process schedules
-  everything.  Because ``pkey`` nests the parent's own sort key, a lineage
-  key is meaningful *across* processes: the sharded bus ships it with each
-  cross-shard delivery so the receiving shard can slot the delivery among
-  its own same-instant events exactly where the single-process schedule
-  would have;
 * ``sequence`` is a process-wide monotonically increasing counter stamped
-  at construction, the final tie-break, so events that tie on everything
-  else fire in exactly the order they were scheduled.
+  at construction, the final tie-break, so events that tie on time and
+  priority fire in exactly the order they were scheduled.
 
-``tests/test_simulator.py`` pins the contract with property tests,
-including the equivalence of the neutral and lineage orders.
+``tests/test_simulator.py`` pins the contract with a property test: the
+engine fires any schedule in exactly ``sort_key`` order.
 """
 
 from __future__ import annotations
@@ -72,16 +54,12 @@ _sequence = itertools.count()
 class Event:
     """A scheduled callback.
 
-    Only ``time``, ``priority``, the lineage triple ``(gen, pkey, idx)``
-    and ``sequence`` participate in ordering; the callback and its
-    arguments are compared by identity never.
+    Only ``time``, ``priority`` and ``sequence`` participate in ordering;
+    the callback and its arguments are compared by identity never.
     """
 
     time: float
     priority: int = EventPriority.NORMAL
-    gen: int = 0
-    pkey: Tuple[Any, ...] = ()
-    idx: int = 0
     sequence: int = field(default_factory=lambda: next(_sequence))
     callback: Optional[Callable[..., Any]] = field(default=None, compare=False)
     args: Tuple[Any, ...] = field(default=(), compare=False)
@@ -89,27 +67,14 @@ class Event:
     cancelled: bool = field(default=False, compare=False)
 
     @property
-    def sort_key(self) -> Tuple[float, int, int, Tuple[Any, ...], int, int]:
-        """The total-order key ``(time, priority, gen, pkey, idx, sequence)``.
+    def sort_key(self) -> Tuple[float, int, int]:
+        """The total-order key ``(time, priority, sequence)``.
 
         This is exactly the comparison the dataclass ordering performs; it is
-        exposed so tests and the sharded message bus can assert against the
-        contract instead of re-deriving it.
+        exposed so tests can assert against the contract instead of
+        re-deriving it.
         """
-        return (
-            self.time, self.priority, self.gen, self.pkey, self.idx,
-            self.sequence,
-        )
-
-    @property
-    def lineage_key(self) -> Tuple[float, int, int, Tuple[Any, ...], int]:
-        """The process-independent prefix of :attr:`sort_key`.
-
-        This is what a lineage-tracking simulator nests into children's
-        ``pkey`` and what crossings carry between shards: everything except
-        the process-local ``sequence`` counter.
-        """
-        return (self.time, self.priority, self.gen, self.pkey, self.idx)
+        return (self.time, self.priority, self.sequence)
 
     def cancel(self) -> None:
         """Mark the event so the engine skips it when its time comes."""

@@ -16,7 +16,7 @@ the algorithm selected in the scenario:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Sequence, Union
+from typing import Dict, Optional, Union
 
 from ..core.config import Algorithm
 from ..core.errors import ConfigurationError
@@ -62,44 +62,22 @@ class Deployment:
         return app if isinstance(app, CentralizedSinkApp) else None
 
 
-def build_deployment(
-    scenario: ScenarioConfig,
-    dataset: SensorDataset,
-    *,
-    topology: Optional[Topology] = None,
-    simulator: Optional[Simulator] = None,
-    channel: Optional[WirelessChannel] = None,
-    node_ids: Optional[Sequence[int]] = None,
-    fault_runtime_factory: Optional[Callable[..., FaultRuntime]] = None,
-) -> Deployment:
-    """Assemble simulator, network and applications for ``scenario``.
-
-    The keyword parameters exist for the sharded execution engine
-    (:mod:`repro.shard`), which assembles a *slice* of the deployment: a
-    pre-built full topology, a shard-local simulator and channel, the subset
-    of node ids the shard owns (per-node constructions -- detectors, apps,
-    routing agents, random streams -- are identical regardless of which
-    shard builds them), and a factory producing the mirror-aware fault
-    runtime.  With all of them omitted the function builds the full
-    single-process deployment exactly as before.
-    """
-    if topology is None:
-        topology = Topology.from_positions(
-            dataset.positions, transmission_range=scenario.transmission_range
-        )
-        topology.require_connected()
+def build_deployment(scenario: ScenarioConfig, dataset: SensorDataset) -> Deployment:
+    """Assemble simulator, network and applications for ``scenario``."""
+    topology = Topology.from_positions(
+        dataset.positions, transmission_range=scenario.transmission_range
+    )
+    topology.require_connected()
 
     streams = RandomStreams(scenario.seed)
-    if simulator is None:
-        simulator = Simulator()
-    if channel is None:
-        channel = WirelessChannel(
-            simulator,
-            topology,
-            loss_probability=scenario.loss_probability,
-            streams=streams,
-            burst=scenario.faults.burst_params(),
-        )
+    simulator = Simulator()
+    channel = WirelessChannel(
+        simulator,
+        topology,
+        loss_probability=scenario.loss_probability,
+        streams=streams,
+        burst=scenario.faults.burst_params(),
+    )
 
     deployment = Deployment(
         scenario=scenario,
@@ -110,7 +88,7 @@ def build_deployment(
     )
 
     query = scenario.detection.make_query()
-    for node_id in (topology.node_ids if node_ids is None else node_ids):
+    for node_id in topology.node_ids:
         node = SimNode(node_id, channel)
         deployment.nodes[node_id] = node
 
@@ -182,10 +160,11 @@ def build_deployment(
         )
 
     if scenario.faults.churn_enabled:
-        plan = FaultPlan.from_scenario(scenario)
-        factory = fault_runtime_factory or FaultRuntime
-        deployment.fault_runtime = factory(
-            plan, deployment.nodes, deployment.apps, topology=topology
+        deployment.fault_runtime = FaultRuntime(
+            FaultPlan.from_scenario(scenario),
+            deployment.nodes,
+            deployment.apps,
+            topology=topology,
         )
 
     return deployment

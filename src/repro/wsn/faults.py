@@ -464,18 +464,9 @@ class FaultRuntime:
             return self._topology.neighbors_sorted(node_id)
         return tuple(sorted(self._adjacency.get(node_id, ())))
 
-    def _is_up(self, node_id: int) -> bool:
-        """Is ``node_id``'s radio on right now?
-
-        The single hook the sharded runtime overrides: there, a node may be
-        remote, in which case its availability is read from the mirrored
-        up/down map instead of a live :class:`SimNode`.
-        """
-        return self._nodes[node_id].up
-
     def _notify_neighbors(self, node_id: int) -> None:
         for neighbor_id in self._neighbors(node_id):
-            if self._is_up(neighbor_id):
+            if self._nodes[neighbor_id].up:
                 self._deliver_neighborhood(neighbor_id)
 
     def _deliver_neighborhood(self, node_id: int) -> None:
@@ -485,7 +476,7 @@ class FaultRuntime:
         live = {
             neighbor_id
             for neighbor_id in self._neighbors(node_id)
-            if self._is_up(neighbor_id)
+            if self._nodes[neighbor_id].up
         }
         handler(live)
 

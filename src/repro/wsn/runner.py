@@ -14,7 +14,6 @@ from typing import Dict, List, Optional, Set
 
 from ..analysis.accuracy import compare_estimates, normalise
 from ..core.config import Algorithm
-from ..core.errors import ConfigurationError
 from ..core.points import DataPoint
 from ..core.reference import semi_global_reference_all
 from ..datasets.loader import build_intel_lab_dataset
@@ -35,9 +34,7 @@ __all__ = [
 ]
 
 
-def schedule_workload(
-    deployment: Deployment, local_nodes: Optional[Set[int]] = None
-) -> None:
+def schedule_workload(deployment: Deployment) -> None:
     """Schedule every sampling event (and, for the centralized baseline, the
     sink's per-round outlier publication) on the deployment's simulator.
 
@@ -46,11 +43,6 @@ def schedule_workload(
     plan's power transitions are queued as
     :attr:`~repro.simulator.events.EventPriority.FAULT`-priority events;
     without one, the schedule is exactly the pre-fault-subsystem schedule.
-
-    ``local_nodes`` restricts the schedule to a shard's own nodes.  The
-    per-node time offset still uses the *global* enumeration index over the
-    sorted sample keys, so every node samples at the exact instant it would
-    in the single-process run regardless of which shard schedules it.
     """
     scenario = deployment.scenario
     dataset = deployment.dataset
@@ -62,8 +54,6 @@ def schedule_workload(
         base_time = round_index * period
         samples = dataset.points_at(round_index)
         for offset, node_id in enumerate(sorted(samples)):
-            if local_nodes is not None and node_id not in local_nodes:
-                continue
             app = deployment.apps[node_id]
             # A tiny deterministic per-node offset keeps simultaneous events
             # ordered consistently without materially shifting the schedule.
@@ -110,14 +100,7 @@ def final_references(
 
 
 def run_scenario(
-    scenario: ScenarioConfig,
-    dataset: Optional[SensorDataset] = None,
-    shards: Optional[int] = None,
-    shard_mode: str = "hop-interleaved",
-    *,
-    recovery=None,
-    chaos=None,
-    recovery_stats: Optional[dict] = None,
+    scenario: ScenarioConfig, dataset: Optional[SensorDataset] = None
 ) -> SimulationResult:
     """Run one complete simulation and return its results.
 
@@ -128,44 +111,7 @@ def run_scenario(
     dataset:
         Pre-built dataset to use; when omitted one is generated from the
         scenario (deterministically, from the scenario seed).
-    shards:
-        When given, partition the deployment across this many worker
-        processes and run them in lockstep over the deterministic message
-        bus (:mod:`repro.shard`).  The result -- including ``shards=1`` --
-        is byte-identical to the single-process run; ``None`` (the default)
-        keeps the classic in-process execution.  Sharding is an *execution*
-        knob, not a scenario field: it never changes the transcript, so it
-        is deliberately not part of the orchestrator's cache key.
-    shard_mode:
-        Partition placement (``"hop-interleaved"`` or ``"band"``); see
-        :func:`repro.shard.partition.partition_topology`.
-    recovery / chaos / recovery_stats:
-        Fault-tolerance knobs of the sharded path (see
-        :mod:`repro.recovery`): a
-        :class:`~repro.recovery.supervisor.RecoveryConfig` enables
-        checkpoint/restart supervision, a
-        :class:`~repro.recovery.chaos.ChaosPlan` injects deterministic
-        process faults, and ``recovery_stats`` (a dict, filled in place)
-        receives the supervisor's out-of-band report.  Like ``shards``
-        these are execution knobs -- they never change the result bytes.
     """
-    if shards is not None:
-        # Imported lazily: repro.shard imports this module's helpers.
-        from ..shard.bus import run_sharded_scenario
-
-        return run_sharded_scenario(
-            scenario,
-            dataset,
-            shards=shards,
-            mode=shard_mode,
-            recovery=recovery,
-            chaos=chaos,
-            recovery_stats=recovery_stats,
-        )
-    if recovery is not None or chaos is not None:
-        raise ConfigurationError(
-            "recovery and chaos apply to sharded execution; pass shards=k"
-        )
     started = time.perf_counter()
     data = dataset or build_intel_lab_dataset(scenario.dataset_config())
     deployment = build_deployment(scenario, data)
@@ -179,11 +125,9 @@ def collect_result(
 ) -> SimulationResult:
     """Finalise a fully-run deployment into a :class:`SimulationResult`.
 
-    Factored out of :func:`run_scenario` so that a deployment *restored
-    from a checkpoint* and run to completion can be finalised through the
-    identical code path -- the recovery round-trip property tests pin that
-    ``collect_result(restore(capture(d)))`` serialises byte-identically to
-    the uninterrupted run.  ``started`` is a ``time.perf_counter`` origin
+    The last step of :func:`run_scenario`, public so a caller that drives
+    ``build_deployment -> schedule_workload -> Simulator.run`` itself gets
+    the identical result.  ``started`` is a ``time.perf_counter`` origin
     for the (non-canonical) wallclock field.
     """
     scenario = deployment.scenario
@@ -245,30 +189,15 @@ def collect_result(
     )
 
 
-def run_scenario_worker(
-    scenario: ScenarioConfig,
-    shards: Optional[int] = None,
-    recovery=None,
-    chaos=None,
-) -> SimulationResult:
+def run_scenario_worker(scenario: ScenarioConfig) -> SimulationResult:
     """Pool entry point used by the sweep executor.
 
     A module-level function so it pickles cleanly into ``multiprocessing``
-    workers (the executor binds ``shards`` with ``functools.partial``,
-    which pickles fine too).  A scenario is a pure function of its
-    configuration (the seed drives every random stream), so running it in a
-    worker process -- or partitioned across shard processes -- yields the
-    same result as running it inline.  ``recovery``/``chaos`` are forwarded
-    into sharded execution (the executor's inline ``shards`` path); chaos
-    ``worker`` actions are not this function's business and are ignored
-    here by the sharded bus, which only consumes ``shard`` actions.
+    workers.  A scenario is a pure function of its configuration (the seed
+    drives every random stream), so running it in a worker process yields
+    the same result as running it inline.
     """
-    return run_scenario(
-        scenario,
-        shards=shards,
-        recovery=recovery if shards is not None else None,
-        chaos=chaos if shards is not None else None,
-    )
+    return run_scenario(scenario)
 
 
 def run_repetitions(

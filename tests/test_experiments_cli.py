@@ -125,15 +125,68 @@ class TestCli:
         assert payload["scenario"]["extra_channels"] == 1
         assert "accuracy_exact" in payload["summary"]
 
-    def test_run_rejects_bad_metric_params(self, capsys):
-        assert main(
-            ["run", "--nodes", "6", "--rounds", "4",
-             "--metric-params", "not json"]
-        ) == 2
-        assert main(
-            ["run", "--nodes", "6", "--rounds", "4",
-             "--metric", "weighted-euclidean"]  # missing required weights
-        ) == 2
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(["run", "-w", "0"], id="window-0"),
+            pytest.param(["run", "--epsilon", "0"], id="epsilon-0"),
+            pytest.param(
+                ["run", "--metric-params", "not json"], id="params-not-json"
+            ),
+            pytest.param(["run", "--faults", "{"], id="faults-not-json"),
+            pytest.param(
+                ["run", "--metric", "weighted-euclidean"], id="weights-missing"
+            ),
+            pytest.param(
+                ["run", "--metric", "weighted-euclidean",
+                 "--metric-params", '{"weights": "abc"}'],
+                id="weights-not-numbers",
+            ),
+            pytest.param(
+                ["run", "--metric", "mahalanobis",
+                 "--metric-params", '{"cov": "x"}'],
+                id="cov-not-a-matrix",
+            ),
+            pytest.param(
+                ["run", "--metric", "mahalanobis",
+                 "--metric-params", '{"cov": [[1,2],[3]]}'],
+                id="cov-ragged",
+            ),
+            pytest.param(
+                ["run", "--metric", "mahalanobis",
+                 "--metric-params", '{"cov": [["a",0,0],[0,1,0],[0,0,1]]}'],
+                id="cov-not-numbers",
+            ),
+            pytest.param(
+                ["sweep", "stress-loss", "--chaos", "kill:worker1@epoch3"],
+                id="chaos-epoch-trigger",
+            ),
+            pytest.param(
+                ["sweep", "stress-loss", "--chaos", "explode:worker0"],
+                id="chaos-unknown-kind",
+            ),
+            pytest.param(
+                ["sweep", "stress-loss", "--chaos", "hang:worker0"],
+                id="hang-without-timeout",
+            ),
+            pytest.param(
+                ["sweep", "stress-loss", "--scenario-timeout", "0"],
+                id="scenario-timeout-0",
+            ),
+            pytest.param(
+                ["sweep", "stress-loss", "--workers", "0"], id="workers-0"
+            ),
+        ],
+    )
+    def test_run_rejects_bad_metric_params(self, argv, capfd):
+        """Bad input exits 2 with exactly one ``error:`` line, never a
+        traceback."""
+        size = ["--nodes", "6", "--rounds", "4"] if argv[0] == "run" else []
+        assert main(argv + size) == 2
+        err = capfd.readouterr().err
+        assert "Traceback" not in err
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), err
 
 
 class TestSweepCli:

@@ -228,6 +228,29 @@ class TestRegistry:
         with pytest.raises(ConfigurationError):
             metric_from_name("euclidean", weights=(1.0,))
 
+    @pytest.mark.parametrize(
+        "name,params",
+        [
+            pytest.param("weighted-euclidean", {"weights": "abc"},
+                         id="weights-not-numbers"),
+            pytest.param("weighted-euclidean", {"weights": [1.0, -2.0]},
+                         id="weights-negative"),
+            pytest.param("mahalanobis", {"cov": "x"}, id="cov-not-a-matrix"),
+            pytest.param("mahalanobis", {"cov": [[1, 2], [3]]},
+                         id="cov-ragged"),
+            pytest.param("mahalanobis",
+                         {"cov": [["a", 0, 0], [0, 1, 0], [0, 0, 1]]},
+                         id="cov-not-numbers"),
+            pytest.param("mahalanobis", {"cov": [[1.0, 1.0], [1.0, 1.0]]},
+                         id="cov-singular"),
+        ],
+    )
+    def test_invalid_param_values_are_configuration_errors(self, name, params):
+        """Every bad value surfaces as a ConfigurationError, never as the
+        ValueError (or numpy LinAlgError) the factory raised."""
+        with pytest.raises(ConfigurationError):
+            metric_from_name(name, **params)
+
     def test_bad_weights_rejected(self):
         for weights in ((), (0.0,), (-1.0, 2.0), (float("nan"),), (float("inf"),)):
             with pytest.raises(ConfigurationError):

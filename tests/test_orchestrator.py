@@ -31,6 +31,7 @@ from repro.orchestrator import (
     scenario_key,
 )
 from repro.orchestrator import executor as executor_module
+from repro.wsn.faults import FaultConfig
 from repro.wsn.results import SimulationResult
 from repro.wsn.runner import run_scenario
 from repro.wsn.scenario import ScenarioConfig
@@ -162,6 +163,51 @@ class TestStoreKeys:
         payload["brand_new_knob"] = 42
         with pytest.raises(TypeError):
             ScenarioConfig.from_json_dict(payload)
+
+    @pytest.mark.parametrize(
+        "scenario,key",
+        [
+            pytest.param(
+                tiny_scenario(),
+                "ce8744f9d8605afddb28b9b3b825b356559b647d76b593c0c0fecc02999921be",
+                id="global",
+            ),
+            pytest.param(
+                tiny_scenario(detection=DetectionConfig(
+                    algorithm=Algorithm.SEMI_GLOBAL, ranking="knn",
+                    window_length=3, hop_diameter=2,
+                )),
+                "885699022974351151aeff7a7821de7da426d4ec15f5f03de8f0ba637962c05b",
+                id="semi-global",
+            ),
+            pytest.param(
+                tiny_scenario(
+                    detection=DetectionConfig(
+                        algorithm=Algorithm.CENTRALIZED, window_length=3
+                    ),
+                    faults=FaultConfig(
+                        crash_probability=0.25, recovery_probability=1.0,
+                        min_downtime_rounds=1, max_downtime_rounds=2,
+                    ),
+                ),
+                "cffe8064f767f099316036a356ba50053e8fffe0694e9ab3794cf301d326ec22",
+                id="centralized-churn",
+            ),
+            pytest.param(
+                tiny_scenario(detection=DetectionConfig(
+                    window_length=3, metric="mahalanobis",
+                    metric_params={"cov": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
+                                           [0.0, 0.0, 1.0]]},
+                )),
+                "e8ff567b4556670a54172721e0691f3ac3ad8e505bf555b08a61550823626d32",
+                id="mahalanobis",
+            ),
+        ],
+    )
+    def test_keys_are_pinned(self, scenario, key):
+        """Existing stores stay warm: a key may change only together with
+        a ``STORE_SCHEMA_VERSION`` bump, which must update these pins."""
+        assert scenario_key(scenario) == key
 
 
 # ----------------------------------------------------------------------
@@ -440,31 +486,3 @@ class TestDefaultWorkers:
         monkeypatch.setenv("REPRO_WSN_WORKERS", "  ")
         monkeypatch.setenv("REPRO_WORKERS", "2")
         assert executor_module.default_workers() == 2
-
-
-# ----------------------------------------------------------------------
-# Sharded misses through the executor
-# ----------------------------------------------------------------------
-class TestExecutorShards:
-    def test_sharded_misses_match_the_plain_path(self, tmp_path):
-        scenario = tiny_scenario()
-        plain = run_scenarios([scenario])[0]
-        clear_memory()
-        events = []
-        sharded = run_scenarios(
-            [scenario],
-            shards=2,
-            progress=lambda event, *_: events.append(event),
-        )[0]
-        assert events == ["computed"]
-        assert sharded.canonical_json() == plain.canonical_json()
-
-    def test_sharded_store_entry_is_byte_identical(self, tmp_path):
-        scenario = tiny_scenario(seed=5)
-        cold_store = ResultStore(tmp_path / "cold")
-        shard_store = ResultStore(tmp_path / "shard")
-        run_scenarios([scenario], store=cold_store)
-        clear_memory()
-        run_scenarios([scenario], store=shard_store, shards=2)
-        assert cold_store.get(scenario).canonical_json() == \
-            shard_store.get(scenario).canonical_json()

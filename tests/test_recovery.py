@@ -1,60 +1,50 @@
-"""Fault-tolerant execution (``repro.recovery``).
+"""The supervised sweep pool (``repro.orchestrator.supervisor``).
 
-Three layers under test, mirroring the module structure:
+Three layers under test:
 
-* **serialization** -- checkpoint capture/restore is a loss-free deep copy:
-  a deployment frozen mid-run and resumed finishes with a transcript
-  byte-identical (``SimulationResult.canonical_json``) to the uninterrupted
-  run, across every registered metric space (hypothesis drives the cut
-  point).  The content-addressed :class:`CheckpointStore` detects silent
-  corruption and quarantines it aside.
-* **supervision** -- a sharded run that loses a worker to an injected
-  SIGKILL/SIGSTOP restarts it from the last snapshot, replays the journal,
-  and still produces the byte-identical transcript; a supervised sweep that
-  loses a pool worker retries and completes with an identical store, and a
-  deterministically crashing scenario is quarantined as poison instead of
-  wedging the sweep.
-* **chaos plans** -- the ``--chaos`` mini-language parses deterministically,
-  fires each action exactly once, and is rejected up front when the
-  supervisor cannot possibly detect the injected fault (hang without a
-  timeout) or recover from it (shard chaos without recovery).
+* **chaos plans** -- the ``sweep --chaos`` mini-language parses
+  deterministically, fires each action exactly once, and is rejected up
+  front when the supervisor cannot possibly detect the injected fault
+  (hang without a timeout);
+* **supervision** -- over trivial tasks, the supervisor yields each
+  result once, retries a raising scenario up to its budget before
+  quarantining it, and restarts a killed worker; a supervised sweep that
+  loses a pool worker to an injected SIGKILL/SIGSTOP retries and completes
+  with an identical store, and a deterministically crashing scenario is
+  quarantined as poison instead of wedging the sweep;
+* **store hardening** -- undecodable result-store entries are quarantined
+  aside, never served.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import multiprocessing
 import os
-import pickle
-from typing import Dict, Tuple
+import signal
+import threading
+from typing import Dict
 
 import pytest
-from hypothesis import HealthCheck, given, settings
-from hypothesis import strategies as st
 
-from repro.core.config import Algorithm, DetectionConfig
-from repro.core.errors import (
-    CheckpointError,
-    ConfigurationError,
-    ExperimentError,
-    SimulationError,
-)
-from repro.datasets.loader import build_intel_lab_dataset
-from repro.experiments.sweeps import METRIC_VARIANTS
+from repro.core.config import DetectionConfig
+from repro.core.errors import ConfigurationError, ExperimentError
 from repro.orchestrator import executor
+from repro.orchestrator.chaos import ChaosPlan
 from repro.orchestrator.executor import clear_memory, run_scenarios
 from repro.orchestrator.store import ResultStore
-from repro.recovery import (
-    ChaosPlan,
-    CheckpointPolicy,
-    CheckpointStore,
+from repro.orchestrator.supervisor import (
+    BACKOFF_BASE,
+    BACKOFF_CAP,
     RecoveryConfig,
-    capture_state,
-    restore_state,
+    SweepSupervisor,
+    backoff,
+    check_chaos,
+    sweep_worker_main,
 )
-from repro.simulator.engine import Simulator
-from repro.wsn.deployment import build_deployment
 from repro.wsn.results import SimulationResult
-from repro.wsn.runner import collect_result, run_scenario, schedule_workload
+from repro.wsn.runner import run_scenario
 from repro.wsn.scenario import ScenarioConfig
 
 
@@ -65,34 +55,6 @@ def _fresh_memory():
     clear_memory()
 
 
-def metric_scenario(metric: str, metric_params) -> ScenarioConfig:
-    """A small 4-d scenario exercising one registered metric space."""
-    return ScenarioConfig(
-        detection=DetectionConfig(
-            algorithm=Algorithm.SEMI_GLOBAL, ranking="nn", n_outliers=4,
-            k=4, window_length=2, hop_diameter=2, metric=metric,
-            metric_params=metric_params,
-        ),
-        node_count=12,
-        rounds=2,
-        extra_channels=1,
-        seed=0,
-    )
-
-
-def shard_scenario(seed: int = 0) -> ScenarioConfig:
-    """Small but epoch-rich: enough barriers for mid-run chaos triggers."""
-    return ScenarioConfig(
-        detection=DetectionConfig(
-            algorithm=Algorithm.SEMI_GLOBAL, ranking="knn", n_outliers=4,
-            k=4, window_length=3, hop_diameter=2,
-        ),
-        node_count=16,
-        rounds=3,
-        seed=seed,
-    )
-
-
 def sweep_scenario(seed: int = 0) -> ScenarioConfig:
     return ScenarioConfig(
         detection=DetectionConfig(window_length=3), node_count=6, rounds=4,
@@ -100,53 +62,72 @@ def sweep_scenario(seed: int = 0) -> ScenarioConfig:
     )
 
 
-#: Fault-free transcripts, computed once and shared across chaos variants.
-_BASELINES: Dict[ScenarioConfig, str] = {}
-
-
-def golden(scenario: ScenarioConfig) -> str:
-    if scenario not in _BASELINES:
-        _BASELINES[scenario] = run_scenario(scenario).canonical_json()
-    return _BASELINES[scenario]
-
-
 # ----------------------------------------------------------------------
 # Chaos plan parsing
 # ----------------------------------------------------------------------
 class TestChaosPlan:
     def test_parse_round_trips_each_entry(self):
-        plan = ChaosPlan.parse(
-            "kill:shard1@epoch3, hang:worker2@task5 ,kill:worker0"
-        )
+        plan = ChaosPlan.parse("hang:worker2@task5 ,kill:worker0")
         assert [a.describe() for a in plan.pending()] == [
-            "kill:shard1@epoch3",
             "hang:worker2@task5",
             "kill:worker0@task1",  # trigger count defaults to 1
         ]
 
     def test_take_fires_each_action_exactly_once(self):
-        plan = ChaosPlan.parse("kill:shard1@epoch3")
-        assert plan.take("shard", 1, 2) is None
-        assert plan.take("worker", 1, 3) is None
-        action = plan.take("shard", 1, 3)
+        plan = ChaosPlan.parse("kill:worker1@task3")
+        assert plan.take(1, 2) is None
+        assert plan.take(0, 3) is None
+        action = plan.take(1, 3)
         assert action is not None and action.kind == "kill"
-        assert plan.take("shard", 1, 3) is None  # consumed
+        assert plan.take(1, 3) is None  # consumed
         assert not plan and plan.fired == [action]
 
-    def test_has_filters_by_target_and_kind(self):
-        plan = ChaosPlan.parse("hang:shard0@epoch2")
-        assert plan.has("shard") and plan.has("shard", "hang")
-        assert not plan.has("shard", "kill") and not plan.has("worker")
+    def test_has_filters_by_kind(self):
+        plan = ChaosPlan.parse("hang:worker0@task2")
+        assert plan.has() and plan.has("hang")
+        assert not plan.has("kill")
+
+    def test_actions_on_one_worker_fire_at_their_own_counts(self):
+        plan = ChaosPlan.parse("kill:worker0@task2,hang:worker0@task1")
+        assert plan.take(0, 1).kind == "hang"
+        assert plan.take(0, 2).kind == "kill"
+        assert [a.describe() for a in plan.fired] == [
+            "hang:worker0@task1", "kill:worker0@task2",
+        ]
+
+    def test_pending_is_a_snapshot(self):
+        plan = ChaosPlan.parse("kill:worker0")
+        plan.pending().clear()
+        assert plan.has("kill")
+
+    @pytest.mark.parametrize(
+        "kind,expected", [("kill", signal.SIGKILL), ("hang", signal.SIGSTOP)]
+    )
+    def test_apply_sends_the_matching_signal(self, kind, expected, monkeypatch):
+        sent = []
+        monkeypatch.setattr(os, "kill", lambda pid, sig: sent.append((pid, sig)))
+        ChaosPlan.parse(f"{kind}:worker0").take(0, 1).apply(4242)
+        assert sent == [(4242, expected)]
+
+    def test_only_hang_chaos_needs_a_scenario_timeout(self):
+        untimed, timed = RecoveryConfig(), RecoveryConfig(scenario_timeout=5.0)
+        with pytest.raises(ConfigurationError, match="timeout"):
+            check_chaos(ChaosPlan.parse("kill:worker0,hang:worker1"), untimed)
+        check_chaos(ChaosPlan.parse("hang:worker1"), timed)
+        check_chaos(ChaosPlan.parse("kill:worker0"), untimed)
+        check_chaos(None, untimed)
 
     @pytest.mark.parametrize(
         "spec",
         [
-            "explode:shard1@epoch3",  # unknown fault kind
-            "kill:shard1@task3",  # shards count epochs, not tasks
-            "kill:worker1@epoch3",  # workers count tasks, not epochs
-            "kill:shard1@epoch0",  # trigger counts are 1-based
-            "kill shard1",  # malformed
+            "explode:worker1@task3",  # unknown fault kind
+            "kill:worker1@epoch3",  # workers count tasks
+            "kill:worker1@task0",  # trigger counts are 1-based
+            "kill worker1",  # malformed
             " , ",  # empty
+            "kill:worker@task1",  # no worker index
+            "kill:worker1@task",  # no trigger count
+            "KILL:worker1",  # kinds are lower case
         ],
     )
     def test_bad_specifications_are_rejected(self, spec):
@@ -155,256 +136,106 @@ class TestChaosPlan:
 
 
 # ----------------------------------------------------------------------
-# Checkpoint serialization + store
+# The supervisor on its own, over trivial tasks
 # ----------------------------------------------------------------------
-class TestCheckpointStore:
-    def test_put_get_round_trip_is_content_addressed(self, tmp_path):
-        store = CheckpointStore(tmp_path)
-        key = store.put(b"snapshot bytes")
-        assert store.get(key) == b"snapshot bytes"
-        assert store.put(b"snapshot bytes") == key  # idempotent
-        assert key in store and len(store) == 1
-
-    def test_missing_key_raises(self, tmp_path):
-        with pytest.raises(CheckpointError, match="not found"):
-            CheckpointStore(tmp_path).get("0" * 64)
-
-    def test_corrupt_snapshot_is_quarantined_not_served(self, tmp_path):
-        store = CheckpointStore(tmp_path)
-        key = store.put(b"good bytes")
-        store.path_for(key).write_bytes(b"rotted bytes")
-        with pytest.raises(CheckpointError, match="digest"):
-            store.get(key)
-        # The bad file is moved aside, observable, and no longer a key.
-        assert store.path_for(key).with_suffix(".corrupt").exists()
-        assert key not in store
-
-    def test_policy_validates_interval_and_skips_epoch_zero(self, tmp_path):
-        policy = CheckpointPolicy(directory=str(tmp_path), every=3)
-        assert [e for e in range(10) if policy.due(e)] == [3, 6, 9]
-        with pytest.raises(CheckpointError):
-            CheckpointPolicy(directory=str(tmp_path), every=0)
+def _double(value):
+    return 2 * value
 
 
-class TestCheckpointSerialization:
-    def test_capture_restore_round_trip_with_meta(self):
-        state, meta = restore_state(
-            capture_state({"heap": [1, 2, 3]}, meta={"epoch": 7})
+def _fails_on_odd(value):
+    if value % 2:
+        raise ValueError(f"odd input {value}")
+    return value
+
+
+def _fails_first_time(task):
+    """Raise on the first call per marker file, succeed afterwards."""
+    marker, value = task
+    if not os.path.exists(marker):
+        open(marker, "w").close()
+        raise RuntimeError("transient failure")
+    return value
+
+
+def supervise(task, scenarios, workers=2, **kwargs):
+    supervisor = SweepSupervisor(task, workers, **kwargs)
+    results = sorted(supervisor.run(scenarios))
+    return supervisor, results
+
+
+class TestSweepSupervisor:
+    def test_every_scenario_yields_exactly_one_result(self):
+        supervisor, results = supervise(_double, range(7))
+        assert results == [(i, 2 * i) for i in range(7)]
+        assert sum(supervisor.dispatch_counts) == 7
+        assert supervisor.restart_counts == [0, 0]
+        assert supervisor.poisoned == []
+
+    @pytest.mark.parametrize("max_retries", [0, 1, 2])
+    def test_raising_scenario_is_retried_then_poisoned(self, max_retries):
+        supervisor, results = supervise(
+            _fails_on_odd, range(4),
+            recovery=RecoveryConfig(max_retries=max_retries),
         )
-        assert state == {"heap": [1, 2, 3]} and meta == {"epoch": 7}
+        assert results == [(0, 0), (2, 2)]
+        assert sorted(p["scenario"] for p in supervisor.poisoned) == [1, 3]
+        for entry in supervisor.poisoned:
+            assert entry["attempts"] == max_retries + 1
+            assert f"odd input {entry['scenario']}" in entry["reason"]
+        # A task that raises leaves its worker alive: nothing restarted.
+        assert supervisor.restart_counts == [0, 0]
 
-    def test_foreign_bytes_are_rejected(self):
-        with pytest.raises(CheckpointError, match="magic"):
-            restore_state(b"PNG\n{}\nblob")
+    def test_transient_failure_succeeds_on_retry(self, tmp_path):
+        tasks = [(str(tmp_path / f"m{i}"), i) for i in range(3)]
+        supervisor, results = supervise(_fails_first_time, tasks)
+        assert results == sorted((task, task[1]) for task in tasks)
+        assert supervisor.poisoned == []
 
-    def test_unsupported_schema_is_rejected(self):
-        payload = capture_state("state")
-        magic, header, blob = payload.split(b"\n", 2)
-        header = json.dumps({"schema": 999, "meta": {}}).encode()
-        with pytest.raises(CheckpointError, match="schema"):
-            restore_state(magic + b"\n" + header + b"\n" + blob)
+    def test_killed_worker_is_restarted_and_its_scenario_rerun(self):
+        chaos = ChaosPlan.parse("kill:worker0@task1")
+        supervisor, results = supervise(_double, range(5), chaos=chaos)
+        assert results == [(i, 2 * i) for i in range(5)]
+        assert [a.describe() for a in chaos.fired] == ["kill:worker0@task1"]
+        assert supervisor.restart_counts[0] == 1
+        assert supervisor.poisoned == []
 
-    def test_unpicklable_state_is_a_checkpoint_error(self):
-        with pytest.raises(CheckpointError, match="not checkpointable"):
-            capture_state(lambda: None)
+    def test_no_scenarios_spawn_no_workers(self):
+        supervisor, results = supervise(_double, [])
+        assert results == []
+        assert supervisor.dispatch_counts == [0, 0]
 
-    def test_running_simulator_refuses_to_checkpoint(self):
-        """Capture is only legal between events: a half-fired callback is
-        not reconstructible, so the simulator itself enforces quiescence."""
-        simulator = Simulator()
-        simulator.schedule_at(1.0, lambda: pickle.dumps(simulator))
-        with pytest.raises(SimulationError, match="quiescent"):
-            simulator.run()
-        # And through the checkpoint layer the refusal surfaces wrapped.
-        simulator = Simulator()
-        simulator.schedule_at(1.0, lambda: capture_state(simulator))
-        with pytest.raises(CheckpointError, match="quiescent"):
-            simulator.run()
+    def test_close_reaps_every_worker_and_is_idempotent(self):
+        supervisor, _ = supervise(_double, range(3))
+        assert supervisor.processes == [None, None]
+        assert supervisor.connections == [None, None]
+        supervisor.close()
 
+    def test_at_least_one_worker_is_required(self):
+        with pytest.raises(ExperimentError, match="workers"):
+            SweepSupervisor(_double, 0)
 
-class TestRoundTripProperties:
-    """Freeze a deployment mid-run, thaw it, finish: byte-identical.
-
-    Hypothesis drives the interruption point across the full observation
-    interval; the parametrisation covers every registered metric space, so
-    the snapshot layer is pinned against each detector configuration the
-    paper's experiments use.
-    """
-
-    _cache: Dict[Tuple[str, Tuple], Tuple] = {}
-
-    def _fixtures(self, metric, metric_params):
-        cache_key = (metric, metric_params)
-        if cache_key not in self._cache:
-            scenario = metric_scenario(metric, metric_params)
-            dataset = build_intel_lab_dataset(scenario.dataset_config())
-            baseline = run_scenario(scenario, dataset).canonical_json()
-            self._cache[cache_key] = (scenario, dataset, baseline)
-        return self._cache[cache_key]
-
-    @pytest.mark.parametrize(
-        "metric,metric_params",
-        [(metric, params) for _label, metric, params in METRIC_VARIANTS],
-        ids=[label for label, _, _ in METRIC_VARIANTS],
-    )
-    @settings(
-        max_examples=5,
-        deadline=None,
-        suppress_health_check=[HealthCheck.function_scoped_fixture],
-    )
-    @given(cut=st.floats(min_value=0.02, max_value=0.98))
-    def test_interrupted_run_resumes_byte_identical(
-        self, metric, metric_params, cut
-    ):
-        scenario, dataset, baseline = self._fixtures(metric, metric_params)
-        deployment = build_deployment(scenario, dataset)
-        schedule_workload(deployment)
-        deployment.simulator.run(until=cut * scenario.duration)
-
-        payload = capture_state(deployment, meta={"cut": cut})
-        restored, meta = restore_state(payload)
-        assert meta == {"cut": cut}
-        # The original must not share mutable state with the restored copy.
-        assert restored is not deployment
-        restored.simulator.run()
-        assert collect_result(restored).canonical_json() == baseline
-
-
-# ----------------------------------------------------------------------
-# Supervised sharded execution
-# ----------------------------------------------------------------------
-class TestShardRecovery:
-    def recovery(self, tmp_path, **overrides) -> RecoveryConfig:
-        base = dict(
-            checkpoint_every=2,
-            directory=str(tmp_path),
-            backoff_base=0.01,
-            backoff_cap=0.05,
+    def test_worker_protocol_answers_results_and_errors(self):
+        parent, child = multiprocessing.Pipe()
+        worker = threading.Thread(
+            target=sweep_worker_main, args=(child, _fails_on_odd)
         )
-        base.update(overrides)
-        return RecoveryConfig(**base)
-
-    def test_killed_shard_resumes_from_checkpoint_byte_identical(
-        self, tmp_path
-    ):
-        scenario = shard_scenario()
-        stats: dict = {}
-        result = run_scenario(
-            scenario,
-            shards=2,
-            recovery=self.recovery(tmp_path),
-            chaos=ChaosPlan.parse("kill:shard1@epoch5"),
-            recovery_stats=stats,
-        )
-        assert result.canonical_json() == golden(scenario)
-        assert stats["enabled"] and stats["chaos"] == ["kill:shard1@epoch5"]
-        assert stats["chaos_pending"] == []
-        (restart,) = stats["restarts"]
-        assert restart["shard"] == 1 and restart["attempt"] == 1
-        # Kill at grant 5 with snapshots every 2 epochs: the worker resumes
-        # from epoch 4's snapshot, not from genesis.
-        assert restart["resumed_from_epoch"] == 4
-        assert restart["replayed_epochs"] >= 1
-        assert len(CheckpointStore(tmp_path)) >= 1
-
-    def test_kill_before_first_checkpoint_replays_from_genesis(
-        self, tmp_path
-    ):
-        scenario = shard_scenario()
-        stats: dict = {}
-        result = run_scenario(
-            scenario,
-            shards=2,
-            recovery=self.recovery(tmp_path, checkpoint_every=10_000),
-            chaos=ChaosPlan.parse("kill:shard0@epoch3"),
-            recovery_stats=stats,
-        )
-        assert result.canonical_json() == golden(scenario)
-        (restart,) = stats["restarts"]
-        assert restart["resumed_from_epoch"] == 0
-        # Kill fires right after the 3rd grant; whether the worker finished
-        # that epoch's barrier before the signal landed is a process race,
-        # so the journal replays either 3 or 4 epochs -- both from genesis.
-        assert restart["replayed_epochs"] in (3, 4)
-
-    def test_hung_shard_is_detected_and_restarted_byte_identical(
-        self, tmp_path
-    ):
-        scenario = shard_scenario()
-        stats: dict = {}
-        result = run_scenario(
-            scenario,
-            shards=2,
-            recovery=self.recovery(tmp_path, heartbeat_timeout=1.0),
-            chaos=ChaosPlan.parse("hang:shard0@epoch4"),
-            recovery_stats=stats,
-        )
-        assert result.canonical_json() == golden(scenario)
-        (restart,) = stats["restarts"]
-        assert "silent" in restart["reason"]
-
-    def test_shard_chaos_auto_enables_recovery(self, tmp_path):
-        scenario = shard_scenario()
-        stats: dict = {}
-        result = run_scenario(
-            scenario,
-            shards=2,
-            chaos=ChaosPlan.parse("kill:shard1@epoch3"),
-            recovery_stats=stats,
-        )
-        assert result.canonical_json() == golden(scenario)
-        assert stats["enabled"] and len(stats["restarts"]) == 1
-
-    def test_exhausted_restart_budget_is_fatal(self, tmp_path):
-        with pytest.raises(SimulationError, match="restart budget"):
-            run_scenario(
-                shard_scenario(),
-                shards=2,
-                recovery=self.recovery(tmp_path, max_restarts=0),
-                chaos=ChaosPlan.parse("kill:shard1@epoch3"),
-            )
-
-    def test_recovery_without_shards_is_rejected(self, tmp_path):
-        with pytest.raises(ConfigurationError, match="shards"):
-            run_scenario(shard_scenario(), recovery=self.recovery(tmp_path))
-
-    def test_hang_chaos_without_heartbeat_timeout_is_rejected(self, tmp_path):
-        with pytest.raises(ConfigurationError, match="heartbeat"):
-            run_scenario(
-                shard_scenario(),
-                shards=2,
-                recovery=self.recovery(tmp_path, heartbeat_timeout=None),
-                chaos=ChaosPlan.parse("hang:shard0@epoch2"),
-            )
-
-    @pytest.mark.parametrize(
-        "overrides",
-        [
-            {"checkpoint_every": 0},
-            {"max_restarts": -1},
-            {"backoff_base": -0.1},
-            {"heartbeat_timeout": 0.0},
-            {"scenario_timeout": -1.0},
-            {"max_retries": -1},
-        ],
-    )
-    def test_recovery_config_validation(self, tmp_path, overrides):
-        with pytest.raises(ConfigurationError):
-            self.recovery(tmp_path, **overrides)
-
-    def test_backoff_grows_exponentially_to_the_cap(self, tmp_path):
-        recovery = self.recovery(
-            tmp_path, backoff_base=0.05, backoff_cap=0.15
-        )
-        assert [recovery.backoff(a) for a in (1, 2, 3, 4)] == pytest.approx(
-            [0.05, 0.10, 0.15, 0.15]
-        )
+        worker.start()
+        parent.send(("task", 7, 4))
+        assert parent.recv() == ("result", 7, 4)
+        parent.send(("task", 8, 3))
+        kind, tag, payload = parent.recv()
+        assert (kind, tag) == ("error", 8)
+        assert "ValueError: odd input 3" in payload
+        parent.send(("stop",))
+        worker.join(timeout=10)
+        assert not worker.is_alive()
+        parent.close()
 
 
 # ----------------------------------------------------------------------
 # Supervised sweep execution
 # ----------------------------------------------------------------------
-def _always_crashes(scenario, shards=None, recovery=None, chaos=None):
+def _always_crashes(scenario):
     raise ValueError(f"deterministic bug for seed {scenario.seed}")
 
 
@@ -480,6 +311,30 @@ class TestSweepRecovery:
                 workers=2,
                 chaos=ChaosPlan.parse("hang:worker0"),
             )
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [{"scenario_timeout": -1.0}, {"max_retries": -1},
+         {"scenario_timeout": 0.0}],
+    )
+    def test_recovery_config_validation(self, overrides):
+        with pytest.raises(ConfigurationError):
+            RecoveryConfig(**overrides)
+
+    def test_recovery_config_holds_only_the_two_sweep_knobs(self):
+        config = RecoveryConfig()
+        assert [f.name for f in dataclasses.fields(config)] == [
+            "scenario_timeout", "max_retries",
+        ]
+        assert (config.scenario_timeout, config.max_retries) == (None, 2)
+
+    def test_backoff_grows_exponentially_to_the_cap(self):
+        delays = [backoff(attempt) for attempt in range(1, 9)]
+        assert delays[:3] == pytest.approx(
+            [BACKOFF_BASE, 2 * BACKOFF_BASE, 4 * BACKOFF_BASE]
+        )
+        assert delays == sorted(delays)
+        assert delays[-1] == BACKOFF_CAP
 
 
 # ----------------------------------------------------------------------

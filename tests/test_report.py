@@ -47,6 +47,7 @@ from repro.orchestrator import (
 )
 from repro.orchestrator import executor as executor_module
 from repro.report import (
+    GATES,
     SchemaError,
     append_entry,
     baseline_metrics,
@@ -74,7 +75,7 @@ RESULTS_DIR = Path(__file__).resolve().parent.parent / "results"
 GOLDEN_ROOT = Path(__file__).resolve().parent / "goldens" / "report"
 
 #: All committed benchmark measurement artifacts (kind -> filename).
-COMMITTED_KINDS = ("hotpath", "e2e", "setup", "shard", "recovery")
+COMMITTED_KINDS = ("hotpath", "e2e", "setup")
 
 
 @pytest.fixture(autouse=True)
@@ -438,18 +439,6 @@ class TestSchemas:
         with pytest.raises(SchemaError, match="brute_cap"):
             validate_bench(payload)
 
-    def test_shard_rejects_diverged_transcript(self):
-        payload = self._committed("shard")
-        payload["shards"][0]["identical"] = False
-        with pytest.raises(SchemaError, match="identical"):
-            validate_bench(payload)
-
-    def test_recovery_rejects_unfired_chaos(self):
-        payload = self._committed("recovery")
-        payload["killed"]["chaos_fired"] = []
-        with pytest.raises(SchemaError, match="chaos_fired"):
-            validate_bench(payload)
-
     def test_trajectory_rejects_non_numeric_metric(self):
         payload = copy.deepcopy(FIXTURE_TRAJECTORY)
         payload["entries"][0]["metrics"]["hotpath.speedup.w256"] = "fast"
@@ -618,15 +607,25 @@ class TestTrajectory:
         metrics = extract_metrics(load_bench_artifacts(RESULTS_DIR))
         assert "hotpath.speedup.w256" in metrics
         assert "setup.speedup.n4096" in metrics
-        assert "shard.speedup.n4096.x4" in metrics
-        assert "recovery.overhead_ratio.n256" in metrics
         assert any(key.startswith("e2e.wallclock_s.") for key in metrics)
 
     def test_gates_cover_ratios_but_not_raw_latencies(self):
         assert gate_for("hotpath.speedup.w256") is not None
-        assert gate_for("recovery.overhead_ratio.n256") is not None
+        assert gate_for("setup.speedup.n4096") is not None
         assert gate_for("hotpath.indexed_ms.w256") is None
         assert gate_for("e2e.total_wallclock_s") is None
+
+    @pytest.mark.parametrize("gate", GATES, ids=lambda gate: gate.prefix)
+    def test_every_gate_covers_a_committed_metric(self, gate):
+        """No gate is left guarding a metric no artifact produces."""
+        metrics = extract_metrics(load_bench_artifacts(RESULTS_DIR))
+        assert any(gate_for(key) is gate for key in metrics)
+
+    @pytest.mark.parametrize("gate", GATES, ids=lambda gate: gate.prefix)
+    def test_gate_trips_only_below_its_ratio(self, gate):
+        assert gate.regressed(10.0, 10.0 * gate.ratio * 0.99)
+        assert not gate.regressed(10.0, 10.0 * gate.ratio)
+        assert not gate.regressed(10.0, 20.0)
 
     def test_committed_trajectory_matches_committed_artifacts(self):
         """The newest committed trajectory entry is exactly the metrics of
@@ -654,20 +653,13 @@ class TestTrajectory:
         ]
         assert "REGRESSION" in report.render()
 
-    def test_lower_is_better_gate_direction(self):
-        base = {"recovery.overhead_ratio.n256": 1.0}
-        worse = {"recovery.overhead_ratio.n256": 2.5}
-        better = {"recovery.overhead_ratio.n256": 0.5}
-        assert not diff_metrics(base, worse).ok
-        assert diff_metrics(base, better).ok
-
     def test_diff_compares_only_the_intersection(self):
         base = {"hotpath.speedup.w256": 20.0, "setup.speedup.n4096": 9.0}
-        current = {"hotpath.speedup.w256": 19.0, "shard.speedup.n256.x4": 2.0}
+        current = {"hotpath.speedup.w256": 19.0, "setup.speedup.n512": 2.0}
         report = diff_metrics(base, current)
         assert [row.key for row in report.rows] == ["hotpath.speedup.w256"]
         assert report.only_base == ("setup.speedup.n4096",)
-        assert report.only_current == ("shard.speedup.n256.x4",)
+        assert report.only_current == ("setup.speedup.n512",)
 
     def test_fully_disjoint_diff_is_an_error(self):
         with pytest.raises(SchemaError, match="no metrics in common"):
@@ -781,6 +773,24 @@ class TestReportCli:
         )
         assert code == 1
         assert "REGRESSION" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "base, message",
+        [("missing.json", "no such trajectory artifact"),
+         ("malformed.json", "not valid JSON")],
+    )
+    def test_bad_diff_base_exits_two_before_the_site_build(
+        self, fixture_store, tmp_path, capsys, base, message
+    ):
+        """Bad input is told apart from a regression (exit 1)."""
+        (tmp_path / "malformed.json").write_text("{")
+        code = self._report(
+            fixture_store, tmp_path, "--diff", str(tmp_path / base)
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not (tmp_path / "site").exists()
 
     def test_update_trajectory_writes_the_artifact(
         self, fixture_store, tmp_path, capsys

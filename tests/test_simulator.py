@@ -1,5 +1,7 @@
 """Tests for the discrete-event engine, events and random streams."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,12 +29,26 @@ class TestEvent:
         a = Event(time=1.0, priority=EventPriority.HIGH)
         b = Event(time=1.0, priority=EventPriority.NORMAL)
         c = Event(time=1.0, priority=EventPriority.NORMAL)
-        assert a.sort_key == (1.0, EventPriority.HIGH, 0, (), 0, a.sequence)
+        assert a.sort_key == (1.0, EventPriority.HIGH, a.sequence)
         # Comparison and sort_key must agree: a before b (priority), b
         # before c (sequence: b was constructed first).
         assert (a < b) == (a.sort_key < b.sort_key)
         assert (b < c) == (b.sort_key < c.sort_key)
         assert sorted([c, a, b]) == sorted([c, a, b], key=lambda e: e.sort_key)
+
+    def test_ordering_uses_exactly_time_priority_sequence(self):
+        compared = [f.name for f in dataclasses.fields(Event) if f.compare]
+        assert compared == ["time", "priority", "sequence"]
+
+    def test_sequence_is_process_wide_and_increasing(self):
+        first, second = Simulator(), Simulator()
+        events = [
+            sim.schedule(1.0, lambda: None)
+            for sim in (first, second, first, second)
+        ]
+        sequences = [event.sequence for event in events]
+        assert sequences == sorted(sequences)
+        assert len(set(sequences)) == len(sequences)
 
 
 class TestSimulator:
@@ -116,13 +132,124 @@ class TestSimulator:
         assert sim.events_scheduled == 2
         assert sim.events_executed == 2
 
+    def test_same_instant_same_priority_fires_in_schedule_order(self):
+        sim = Simulator()
+        fired = []
+        for label in "edcba":
+            sim.schedule_at(1.0, fired.append, label)
+        sim.run()
+        assert fired == list("edcba")
+
+    def test_same_instant_priorities_fire_fault_first(self):
+        sim = Simulator()
+        fired = []
+        for priority in (EventPriority.LOW, EventPriority.NORMAL,
+                         EventPriority.HIGH, EventPriority.FAULT):
+            sim.schedule_at(1.0, fired.append, priority, priority=priority)
+        sim.run()
+        assert fired == [EventPriority.FAULT, EventPriority.HIGH,
+                         EventPriority.NORMAL, EventPriority.LOW]
+
+    def test_zero_delay_event_fires_after_its_queued_peers(self):
+        sim = Simulator()
+        fired = []
+
+        def spawn():
+            fired.append("a")
+            sim.schedule(0.0, fired.append, "c")
+
+        sim.schedule_at(1.0, spawn)
+        sim.schedule_at(1.0, fired.append, "b")
+        sim.run()
+        assert fired == ["a", "b", "c"]
+        assert sim.now == 1.0
+
+    def test_reentrant_run_is_rejected_and_the_engine_recovers(self):
+        sim = Simulator()
+        sim.schedule(1.0, sim.run)
+        with pytest.raises(SimulationError, match="re-entrant"):
+            sim.run()
+        fired = []
+        sim.schedule(1.0, fired.append, "after")
+        sim.run()
+        assert fired == ["after"]
+
+    def test_peek_time_discards_a_cancelled_head(self):
+        sim = Simulator()
+        head = sim.schedule(1.0, lambda: None)
+        sim.schedule(2.0, lambda: None)
+        head.cancel()
+        assert sim.pending == 1
+        assert sim.peek_time() == 2.0
+        assert Simulator().peek_time() is None
+
+    def test_cancelled_events_do_not_count_toward_max_events(self):
+        sim = Simulator()
+        fired = []
+        sim.schedule(1.0, fired.append, "x").cancel()
+        sim.schedule(2.0, fired.append, "y")
+        sim.schedule(3.0, fired.append, "z")
+        sim.run(max_events=2)
+        assert fired == ["y", "z"]
+        assert sim.events_executed == 2
+
+    def test_step_fires_exactly_one_event(self):
+        sim = Simulator()
+        fired = []
+        sim.schedule(1.0, fired.append, "a")
+        sim.schedule(2.0, fired.append, "b")
+        assert sim.step() is True
+        assert fired == ["a"] and sim.now == 1.0 and sim.pending == 1
+
+    def test_periodic_with_an_explicit_start(self):
+        sim = Simulator()
+        ticks = []
+        sim.schedule_periodic(
+            2.0, lambda: ticks.append(sim.now), start=0.5, until=6.5
+        )
+        sim.run()
+        assert ticks == [0.5, 2.5, 4.5, 6.5]
+
+
+_TIMES = st.floats(min_value=0.0, max_value=10.0,
+                   allow_nan=False, allow_infinity=False)
+
+#: ``(time, priority, child delay or None)``: an event that fires may
+#: schedule one follow-up, so the queue changes while it drains.
+_SPAWNING_SCHEDULES = st.lists(
+    st.tuples(
+        _TIMES,
+        st.sampled_from([EventPriority.HIGH, EventPriority.NORMAL,
+                         EventPriority.FAULT, EventPriority.LOW]),
+        st.one_of(st.none(), st.floats(min_value=0.0, max_value=3.0,
+                                       allow_nan=False, allow_infinity=False)),
+    ),
+    min_size=1,
+    max_size=20,
+)
+
+
+def _replay(entries, drive):
+    """Schedule ``entries`` on a fresh simulator, ``drive`` it to idle, and
+    return the firing order."""
+    sim = Simulator()
+    fired = []
+
+    def fire(label, delay):
+        fired.append(label)
+        if delay is not None:
+            sim.schedule(delay, fired.append, f"{label}+")
+
+    for index, (time, priority, delay) in enumerate(entries):
+        sim.schedule_at(time, fire, index, delay, priority=priority)
+    drive(sim)
+    assert sim.peek_time() is None
+    return fired
+
 
 class TestTotalOrderReplay:
-    """Property tests of the event total order: the execution the engine
-    replays is exactly the schedule sorted by ``Event.sort_key``, chopping
-    the run into arbitrary exclusive epochs (the sharded bus's barrier
-    primitive) never changes it, and a lineage-tracking simulator fires in
-    exactly the order a plain one does."""
+    """Property test of the event total order: the execution the engine
+    replays is exactly the schedule sorted by ``Event.sort_key``."""
 
     @settings(max_examples=50, deadline=None)
     @given(data=st.data())
@@ -158,151 +285,30 @@ class TestTotalOrderReplay:
 
     @settings(max_examples=50, deadline=None)
     @given(data=st.data())
-    def test_exclusive_epochs_replay_identically(self, data):
-        entries = data.draw(
-            st.lists(
-                st.tuples(
-                    st.floats(min_value=0.0, max_value=10.0,
-                              allow_nan=False, allow_infinity=False),
-                    st.sampled_from(
-                        [EventPriority.HIGH, EventPriority.NORMAL,
-                         EventPriority.LOW]
-                    ),
-                ),
-                min_size=1,
-                max_size=30,
-            )
-        )
-        grants = sorted(
-            data.draw(
-                st.lists(
-                    st.floats(min_value=0.0, max_value=11.0,
-                              allow_nan=False, allow_infinity=False),
-                    max_size=5,
-                )
-            )
-        )
+    def test_event_count_slices_replay_the_single_run(self, data):
+        entries = data.draw(_SPAWNING_SCHEDULES)
+        size = data.draw(st.integers(min_value=1, max_value=7))
+        whole = _replay(entries, lambda sim: sim.run())
 
-        def build(record):
-            sim = Simulator()
-            for index, (time, priority) in enumerate(entries):
-                sim.schedule_at(time, record.append, index, priority=priority)
-            return sim
+        def sliced(sim):
+            while sim.peek_time() is not None:
+                sim.run(max_events=size)
 
-        continuous = []
-        build(continuous).run()
-
-        chopped = []
-        sim = Simulator()
-        for index, (time, priority) in enumerate(entries):
-            sim.schedule_at(time, chopped.append, index, priority=priority)
-        for grant in grants:
-            sim.run_exclusive(grant)
-        sim.run()  # drain whatever the last grant left pending
-        assert chopped == continuous
+        assert _replay(entries, sliced) == whole
 
     @settings(max_examples=50, deadline=None)
     @given(data=st.data())
-    def test_lineage_order_equals_sequence_order(self, data):
-        # Random seed events, each of which may recursively schedule
-        # children -- some at the *same* instant (a cascade, the case the
-        # lineage generation field exists for), some later.  The lineage
-        # simulator must fire everything in exactly the plain simulator's
-        # (time, priority, sequence) order.
-        entries = data.draw(
-            st.lists(
-                st.tuples(
-                    st.floats(min_value=0.0, max_value=4.0,
-                              allow_nan=False, allow_infinity=False),
-                    st.sampled_from(
-                        [EventPriority.HIGH, EventPriority.NORMAL]
-                    ),
-                    st.integers(min_value=0, max_value=2),  # cascade depth
-                    st.integers(min_value=1, max_value=2),  # fan-out
-                ),
-                min_size=1,
-                max_size=12,
-            )
-        )
+    def test_time_slices_replay_the_single_run(self, data):
+        entries = data.draw(_SPAWNING_SCHEDULES)
+        cuts = sorted(data.draw(st.lists(_TIMES, max_size=5)))
+        whole = _replay(entries, lambda sim: sim.run())
 
-        def run(sim):
-            fired = []
-            counter = iter(range(10**6))
-
-            def cascade(label, priority, depth, fanout):
-                fired.append(label)
-                if depth <= 0:
-                    return
-                for child in range(fanout):
-                    same_instant = (depth + child) % 2 == 0
-                    delay = 0.0 if same_instant else 0.25
-                    sim.schedule(
-                        delay, cascade,
-                        (label, child), priority, depth - 1, fanout,
-                    )
-
-            for index, (time, priority, depth, fanout) in enumerate(entries):
-                sim.schedule_at(
-                    time, cascade, (next(counter),), priority, depth, fanout,
-                    priority=priority,
-                )
+        def sliced(sim):
+            for cut in cuts:
+                sim.run(until=cut)
             sim.run()
-            return fired
 
-        assert run(Simulator(lineage=True)) == run(Simulator())
-
-    def test_lineage_keys_are_unique_and_match_execution(self):
-        sim = Simulator(lineage=True)
-        fired = []
-
-        def parent():
-            fired.append("parent")
-            sim.schedule(0.0, fired.append, "same-instant child")
-            sim.schedule(1.0, fired.append, "later child")
-
-        sim.schedule_at(1.0, parent)
-        sim.schedule_at(1.0, fired.append, "sibling seed")
-        sim.run()
-        # The same-instant child is generation 1: it fires after every
-        # generation-0 event at its instant, including the sibling seed
-        # that was scheduled *before* it existed.
-        assert fired == [
-            "parent", "sibling seed", "same-instant child", "later child"
-        ]
-
-    def test_allocate_lineage_consumes_a_child_slot(self):
-        sim = Simulator(lineage=True)
-        allocated = []
-        events = []
-
-        def parent():
-            allocated.append(sim.allocate_lineage(2.0, EventPriority.NORMAL))
-            events.append(sim.schedule_at(2.0, lambda: None))
-
-        sim.schedule_at(1.0, parent)
-        sim.run(until=1.5)
-        (lineage,), (event,) = allocated, events
-        # The explicit allocation took child slot 0, the later schedule
-        # call slot 1, both under the parent's key.
-        assert lineage[2] == 0
-        assert event.idx == 1
-        assert event.pkey == lineage[1]
-        with pytest.raises(SimulationError):
-            Simulator().allocate_lineage(1.0, EventPriority.NORMAL)
-
-    def test_run_exclusive_is_exclusive_and_keeps_the_clock(self):
-        sim = Simulator()
-        fired = []
-        sim.schedule_at(1.0, fired.append, "a")
-        sim.schedule_at(2.0, fired.append, "b")
-        sim.run_exclusive(2.0)
-        assert fired == ["a"]
-        # The boundary event did not run and the clock sits at the last
-        # executed event, never fast-forwarded to the grant.
-        assert sim.now == 1.0
-        assert sim.pending == 1
-        sim.run_exclusive(2.0 + 1e-9)
-        assert fired == ["a", "b"]
+        assert _replay(entries, sliced) == whole
 
 
 class TestRandomStreams:
