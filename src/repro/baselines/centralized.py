@@ -35,35 +35,24 @@ class CentralizedAggregator:
     """Sink-side state of the centralized baseline.
 
     The aggregator keeps the most recent window reported by every sensor and
-    recomputes the global outlier set on demand.  With ``indexed=True``
-    (default) the union of all windows is mirrored in an incremental
-    neighborhood index; ``indexed=False`` preserves the full-recompute
-    reference behavior.  With ``batched=True`` (default, only meaningful
-    when indexed) each window upload's diff is applied to the index as one
-    :class:`~repro.core.batch.EventBatch` instead of point by point --
-    results are identical, only the dispatch is amortized.
+    recomputes the global outlier set on demand.  The union of all windows
+    is mirrored in an incremental neighborhood index, and each window
+    upload's diff reaches it as one :class:`~repro.core.batch.EventBatch`.
     """
 
-    def __init__(
-        self, query: OutlierQuery, indexed: bool = True, batched: bool = True
-    ) -> None:
+    def __init__(self, query: OutlierQuery) -> None:
         self.query = query
         self._windows: Dict[int, Set[DataPoint]] = {}
         #: Number of reporting windows containing each union point; a point
         #: enters the index on 0 -> 1 and leaves it on 1 -> 0.
         self._multiplicity: Counter = Counter()
-        self._index: Optional[NeighborhoodIndex] = (
-            NeighborhoodIndex(metric=query.ranking.metric) if indexed else None
-        )
+        self._index = NeighborhoodIndex(metric=query.ranking.metric)
         # Dirty-set rescoring over the union: the per-round outlier
         # publication becomes a tail read of the maintained (score, ≺) order
         # instead of a full rescore of every reported window.
-        self._cache: Optional[ScoreCache] = (
-            ScoreCache.if_supported(self._index, query.ranking)
-            if self._index is not None
-            else None
+        self._cache: Optional[ScoreCache] = ScoreCache.if_supported(
+            self._index, query.ranking
         )
-        self._batched = bool(batched) and self._index is not None
         self.updates_received = 0
 
     # ------------------------------------------------------------------
@@ -78,14 +67,11 @@ class CentralizedAggregator:
         fresh = {p for p in points}
         previous = self._windows.get(int(node_id), set())
         self._windows[int(node_id)] = fresh
-        batch = EventBatch() if self._batched else None
+        batch = EventBatch()
         for point in fresh - previous:
             self._multiplicity[point] += 1
             if self._multiplicity[point] == 1:
-                if batch is not None:
-                    batch.adds.append(point)
-                elif self._index is not None:
-                    self._index.add(point)
+                batch.adds.append(point)
         for point in previous - fresh:
             self._release(point, batch)
         if batch:
@@ -96,24 +82,19 @@ class CentralizedAggregator:
         """Drop a sensor's contribution (e.g. when it leaves the network)."""
         previous = self._windows.pop(int(node_id), None)
         if previous:
-            batch = EventBatch() if self._batched else None
+            batch = EventBatch()
             for point in previous:
                 self._release(point, batch)
             if batch:
                 self._index.apply_batch(batch)
 
-    def _release(
-        self, point: DataPoint, batch: Optional[EventBatch] = None
-    ) -> None:
+    def _release(self, point: DataPoint, batch: EventBatch) -> None:
         remaining = self._multiplicity[point] - 1
         if remaining > 0:
             self._multiplicity[point] = remaining
         else:
             del self._multiplicity[point]
-            if batch is not None:
-                batch.evicts.append(point)
-            elif self._index is not None:
-                self._index.discard(point)
+            batch.evicts.append(point)
 
     # ------------------------------------------------------------------
     # Queries

@@ -9,9 +9,10 @@ job can diff and threshold.
 Three benchmarks ship:
 
 * **hotpath** -- per-event latency of the steady-state detector loop (one
-  arrival plus one eviction at a fixed window size), measured for the
-  incremental flat-array engine (``indexed=True``) and the full-recompute
-  oracle (``indexed=False``), at several window sizes.  Emitted as
+  arrival plus one eviction per event at a fixed window size), with the
+  events applied 1, 4, 16 or 64 per tick, at several window sizes.  Batch
+  size 1 is the per-event latency; larger ticks share one
+  :class:`~repro.core.batch.EventBatch` and one rescoring pass.  Emitted as
   ``BENCH_hotpath.json``.
 * **e2e** -- end-to-end wall-clock of complete simulated scenarios through
   :func:`repro.wsn.runner.run_scenario` (the global and semi-global
@@ -28,7 +29,8 @@ Three benchmarks ship:
 Every artifact carries a stable ``schema`` number and enough configuration to
 interpret a trajectory of them across commits.  The CLI's ``--check`` mode
 turns the hotpath result into a regression guard: it fails when the
-indexed-vs-rebuild speedup at ``--floor-window`` drops below ``--floor``.
+batched speedup (largest swept batch size over batch size 1) at
+``--floor-window`` drops below ``--batch-floor``.
 
 Methodology invariants (what makes two artifacts comparable):
 
@@ -38,10 +40,10 @@ Methodology invariants (what makes two artifacts comparable):
   cost rather than the machine's mood.  Consequence: numbers are comparable
   across commits *on one machine*; absolute values from different machines
   (or from pre-chunked-min artifacts) are not.
-* **identical work** -- the indexed and rebuild variants replay the *same*
-  deterministic event stream (same seed, same points), so the reported
-  speedup isolates the engine, not the workload.
-* **floors are on ratios** -- ``--check`` thresholds the indexed/rebuild
+* **identical work** -- every batch size replays the *same* deterministic
+  event stream (same seed, same points), so the reported speedup isolates
+  the batching, not the workload.
+* **floors are on ratios** -- ``--check`` thresholds the batched
   *speedup*, never an absolute latency, precisely so CI machines of
   different speeds share one floor.
 
@@ -59,13 +61,13 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 __all__ = [
-    "BENCH_SCHEMA",
+    "BENCH_HOTPATH_SCHEMA",
+    "BENCH_E2E_SCHEMA",
     "DEFAULT_WINDOWS",
     "QUICK_WINDOWS",
     "DEFAULT_BATCH_SIZES",
     "steady_state_detector",
     "measure_event_latency",
-    "measure_batched_latency",
     "run_hotpath_bench",
     "render_hotpath_table",
     "render_regression_report",
@@ -78,15 +80,20 @@ __all__ = [
     "render_setup_table",
     "check_setup_floor",
     "write_bench_artifacts",
-    "check_speedup_floor",
     "check_batched_floor",
 ]
 
-#: Bump when the artifact layout changes incompatibly.
+#: Bump when the hotpath artifact layout changes incompatibly.
 #: History: 2 -- batched event application added ``batched_ms`` /
 #: ``batched_speedup`` / ``batch_size`` / ``batch_sweep`` /
-#: ``events_batched`` to every hotpath row.
-BENCH_SCHEMA = 2
+#: ``events_batched`` to every hotpath row.  3 -- the brute-force detector
+#: left the library: ``rebuild_ms`` / ``speedup`` / ``events_rebuild`` are
+#: gone, and ``indexed_ms`` is the sweep's batch-size-1 entry, the baseline
+#: of every ``speedup`` in the sweep.
+BENCH_HOTPATH_SCHEMA = 3
+
+#: Bump when the e2e artifact layout changes incompatibly.
+BENCH_E2E_SCHEMA = 2
 
 #: Window sizes of the full hotpath sweep (matches ``results/hotpath.txt``).
 DEFAULT_WINDOWS: Tuple[int, ...] = (64, 256, 1024)
@@ -95,9 +102,9 @@ DEFAULT_WINDOWS: Tuple[int, ...] = (64, 256, 1024)
 #: because the perf-smoke regression floor is evaluated there.
 QUICK_WINDOWS: Tuple[int, ...] = (64, 256)
 
-#: Events-per-tick sweep of the batched path (1 mirrors the steady-state
-#: tick; 64 is the headline amortization, roughly a received message or a
-#: coarse sampling tick).  Sizes larger than the window are skipped per
+#: Events-per-tick sweep (1 is the per-event baseline and is always
+#: measured; 64 is the headline amortization, roughly a received message or
+#: a coarse sampling tick).  Sizes larger than the window are skipped per
 #: window so the sliding-window workload stays well formed.
 DEFAULT_BATCH_SIZES: Tuple[int, ...] = (1, 4, 16, 64)
 
@@ -119,34 +126,25 @@ QUICK_SETUP_NODES: Tuple[int, ...] = (512, 2048)
 #: the whole bench for a number nobody thresholds.
 _SETUP_BRUTE_CAP = 4096
 
-#: Measured events per (indexed, window).  The brute path at n=1024 runs
-#: ~100 ms per event, so the counts are asymmetric to bound runtime.
-_EVENTS = {
-    True: {64: 60, 256: 30, 1024: 15},
-    False: {64: 20, 256: 10, 1024: 4},
-}
+#: Measured events per window at batch size 1 (larger batch sizes measure
+#: at least four whole ticks).
+_EVENTS = {64: 60, 256: 30, 1024: 15}
 
 
-def _events_for(window: int, indexed: bool, events: Optional[int]) -> int:
+def _events_for(window: int, events: Optional[int]) -> int:
     if events is not None:
         return max(1, events)
-    table = _EVENTS[indexed]
-    if window in table:
-        return table[window]
+    if window in _EVENTS:
+        return _EVENTS[window]
     # Unlisted window sizes (tests use tiny ones): scale inversely, keeping
     # at least a handful of events.
     return max(4, min(60, 4096 // max(window, 1)))
 
 
-def steady_state_detector(window: int, indexed: bool, events: int, batched: bool = False):
+def steady_state_detector(window: int, events: int):
     """A detector holding ``window`` points plus the stream that keeps it
     there: the shared harness of the hotpath benchmark and the pytest
-    micro-benchmark (``benchmarks/test_bench_hotpath.py``).
-
-    ``batched`` defaults to ``False`` so the per-event measurements keep
-    pinning the established per-point index path; the batched measurements
-    opt in explicitly.
-    """
+    micro-benchmark (``benchmarks/test_bench_hotpath.py``)."""
     from .core import (
         AverageKNNDistance,
         GlobalOutlierDetector,
@@ -156,9 +154,7 @@ def steady_state_detector(window: int, indexed: bool, events: int, batched: bool
 
     rng = random.Random(1234)
     query = OutlierQuery(AverageKNNDistance(k=4), n=4)
-    detector = GlobalOutlierDetector(
-        0, query, neighbors=[1, 2], indexed=indexed, batched=batched
-    )
+    detector = GlobalOutlierDetector(0, query, neighbors=[1, 2])
     stream = [
         make_point(
             [rng.gauss(20.0, 1.0), rng.uniform(0, 50), rng.uniform(0, 50)],
@@ -173,51 +169,28 @@ def steady_state_detector(window: int, indexed: bool, events: int, batched: bool
 
 
 def measure_event_latency(
-    window: int, indexed: bool, events: Optional[int] = None
+    window: int, events: Optional[int] = None, batch_size: int = 1
 ) -> Tuple[float, int]:
-    """Per-event latency in seconds of the steady-state loop, plus the
-    number of measured events.
+    """Amortized per-event latency in seconds of the steady-state loop,
+    plus the number of measured events.
 
-    The events are timed in a few equal chunks and the *fastest* chunk is
-    reported (the ``timeit`` convention): every steady-state event performs
-    the same protocol work, so slower chunks measure scheduler and
-    frequency-scaling interference, not the code under test.
-    """
-    count = _events_for(window, indexed, events)
-    detector, stream = steady_state_detector(window, indexed, count)
-    chunk = max(1, count // 4)
-    best = float("inf")
-    processed = 0
-    while processed < count:
-        size = min(chunk, count - processed)
-        started = time.perf_counter()
-        for i in range(processed, processed + size):
-            detector.update_local_data([stream[window + i]], [stream[i]])
-        best = min(best, (time.perf_counter() - started) / size)
-        processed += size
-    return best, count
-
-
-def measure_batched_latency(
-    window: int, batch_size: int, events: Optional[int] = None
-) -> Tuple[float, int]:
-    """Amortized per-event latency in seconds of the *batched* steady-state
-    loop, plus the number of measured events.
-
-    Same workload and chunked-min convention as
-    :func:`measure_event_latency`, but the stream is applied ``batch_size``
-    events per ``update_local_data`` call (one tick expiring ``batch_size``
-    points while adding ``batch_size`` fresh ones), so one
+    The stream is applied ``batch_size`` events per ``update_local_data``
+    call (one tick expiring ``batch_size`` points while adding
+    ``batch_size`` fresh ones), so one
     :class:`~repro.core.batch.EventBatch` and one rescoring pass cover the
-    whole group.  The reported latency is per *event*, so it is directly
-    comparable to the per-event numbers.
+    whole tick; batch size 1 is the per-event latency.  The ticks are timed
+    in a few equal chunks and the *fastest* chunk is reported (the
+    ``timeit`` convention): every steady-state tick performs the same
+    protocol work, so slower chunks measure scheduler and frequency-scaling
+    interference, not the code under test.  The reported latency is per
+    *event*, so every batch size is directly comparable.
     """
     batch_size = max(1, min(int(batch_size), window))
-    count = _events_for(window, True, events)
+    count = _events_for(window, events)
     # Enough events for several whole batches, whatever the tick size.
     count = max(count, batch_size * 4)
     count -= count % batch_size
-    detector, stream = steady_state_detector(window, True, count, batched=True)
+    detector, stream = steady_state_detector(window, count)
     batches = count // batch_size
     chunk = max(1, batches // 4)
     best = float("inf")
@@ -244,50 +217,42 @@ def run_hotpath_bench(
 ) -> Dict:
     """Measure the hotpath sweep and return the ``BENCH_hotpath`` payload.
 
-    Each window row carries the per-event indexed/rebuild pair plus a
-    ``batch_sweep`` over ``batch_sizes`` (sizes larger than the window are
-    skipped); the headline ``batched_ms`` is the largest swept batch size,
-    and ``batched_speedup`` compares it against the per-event indexed path
-    (the PR it replaced), not against the brute-force rebuild.
+    Each window row carries a ``batch_sweep`` over batch size 1 plus
+    ``batch_sizes`` (sizes larger than the window are skipped).  Batch size
+    1 is the per-event latency (``indexed_ms``) and the baseline of every
+    ``speedup``; the headline ``batched_ms`` / ``batched_speedup`` are the
+    largest swept size.
     """
     rows: List[Dict] = []
     for window in windows:
-        indexed_s, indexed_events = measure_event_latency(window, True, events)
-        rebuild_s, rebuild_events = measure_event_latency(window, False, events)
-        sweep: List[Dict] = []
-        events_batched = 0
-        for batch_size in batch_sizes:
-            if batch_size > window:
-                continue
-            batched_s, batched_events = measure_batched_latency(
-                window, batch_size, events
-            )
-            events_batched = max(events_batched, batched_events)
-            sweep.append(
-                {
-                    "batch_size": int(batch_size),
-                    "batched_ms": batched_s * 1e3,
-                    "speedup": indexed_s / batched_s,
-                }
-            )
-        headline = sweep[-1] if sweep else None
+        sizes = sorted({1, *(int(b) for b in batch_sizes if b <= window)})
+        timings = [
+            (size, *measure_event_latency(window, events, size)) for size in sizes
+        ]
+        per_event_s, per_event_count = timings[0][1], timings[0][2]
+        sweep = [
+            {
+                "batch_size": size,
+                "batched_ms": seconds * 1e3,
+                "speedup": per_event_s / seconds,
+            }
+            for size, seconds, _ in timings
+        ]
+        headline = sweep[-1]
         rows.append(
             {
                 "window": int(window),
-                "indexed_ms": indexed_s * 1e3,
-                "rebuild_ms": rebuild_s * 1e3,
-                "speedup": rebuild_s / indexed_s,
-                "batched_ms": headline["batched_ms"] if headline else None,
-                "batch_size": headline["batch_size"] if headline else None,
-                "batched_speedup": headline["speedup"] if headline else None,
+                "indexed_ms": per_event_s * 1e3,
+                "batched_ms": headline["batched_ms"],
+                "batch_size": headline["batch_size"],
+                "batched_speedup": headline["speedup"],
                 "batch_sweep": sweep,
-                "events_indexed": indexed_events,
-                "events_rebuild": rebuild_events,
-                "events_batched": events_batched,
+                "events_indexed": per_event_count,
+                "events_batched": max(count for _, _, count in timings),
             }
         )
     return {
-        "schema": BENCH_SCHEMA,
+        "schema": BENCH_HOTPATH_SCHEMA,
         "benchmark": "hotpath",
         "quick": bool(quick),
         "python": platform.python_version(),
@@ -301,35 +266,26 @@ def render_hotpath_table(payload: Dict) -> str:
         "Per-event detector latency (steady window, 1 add + 1 evict; "
         "batched = adds/evicts grouped per tick, amortized per event)",
         "",
-        f"{'window':>8} {'indexed ms':>12} {'rebuild ms':>12} {'speedup':>9} "
-        f"{'batched ms':>12} {'batch x':>9}",
+        f"{'window':>8} {'event ms':>12} {'batched ms':>12} {'batch x':>9}",
     ]
     for row in payload["windows"]:
-        batched_ms = row.get("batched_ms")
-        batched_speedup = row.get("batched_speedup")
-        if batched_ms is None:
-            batched_cell = f"{'-':>12} {'-':>9}"
-        else:
-            batched_cell = f"{batched_ms:>12.3f} {batched_speedup:>8.1f}x"
         lines.append(
             f"{row['window']:>8} {row['indexed_ms']:>12.3f} "
-            f"{row['rebuild_ms']:>12.3f} {row['speedup']:>8.1f}x "
-            + batched_cell
+            f"{row['batched_ms']:>12.3f} {row['batched_speedup']:>8.1f}x"
         )
     sizes = sorted(
         {
             entry["batch_size"]
             for row in payload["windows"]
-            for entry in row.get("batch_sweep", ())
+            for entry in row["batch_sweep"]
         }
     )
-    if sizes:
-        lines += [
-            "",
-            f"batch sweep (events per tick): {', '.join(str(s) for s in sizes)}; "
-            "the batched column reports the largest size swept per window,",
-            "its speedup is relative to the per-event indexed path.",
-        ]
+    lines += [
+        "",
+        f"batch sweep (events per tick): {', '.join(str(s) for s in sizes)}; "
+        "the batched column reports the largest size swept per window,",
+        "its speedup is relative to batch size 1 (the event column).",
+    ]
     return "\n".join(lines) + "\n"
 
 
@@ -355,17 +311,17 @@ def render_regression_report(baseline: Dict, current: Dict) -> str:
     lines = [
         "perf regression report (baseline -> current, per-event ms)",
         "",
-        f"{'window':>8} {'indexed ms':>20} {'batched ms':>20} {'speedup':>18}",
+        f"{'window':>8} {'event ms':>20} {'batched ms':>20} {'batch x':>18}",
     ]
+    columns = (("indexed_ms", ""), ("batched_ms", ""), ("batched_speedup", "x"))
     for window in sorted(set(old_rows) | set(new_rows)):
         old = old_rows.get(window)
         new = new_rows.get(window)
-        lines.append(
-            f"{window:>8} "
-            f"{cell(old, 'indexed_ms') + ' -> ' + cell(new, 'indexed_ms'):>20} "
-            f"{cell(old, 'batched_ms') + ' -> ' + cell(new, 'batched_ms'):>20} "
-            f"{cell(old, 'speedup', 'x') + ' -> ' + cell(new, 'speedup', 'x'):>18}"
+        event, batched, speedup = (
+            f"{cell(old, key, suffix)} -> {cell(new, key, suffix)}"
+            for key, suffix in columns
         )
+        lines.append(f"{window:>8} {event:>20} {batched:>20} {speedup:>18}")
     return "\n".join(lines) + "\n"
 
 
@@ -423,7 +379,7 @@ def run_e2e_bench(quick: bool = False) -> Dict:
             }
         )
     return {
-        "schema": BENCH_SCHEMA,
+        "schema": BENCH_E2E_SCHEMA,
         "benchmark": "e2e",
         "quick": bool(quick),
         "python": platform.python_version(),
@@ -559,7 +515,7 @@ def check_setup_floor(
 ) -> Tuple[bool, str]:
     """Regression guard for scenario setup: the grid-vs-brute build speedup
     at ``floor_nodes`` must be at least ``floor``.  Same never-vacuous
-    contract as :func:`check_speedup_floor` -- a missing size *or* a size
+    contract as :func:`check_batched_floor` -- a missing size *or* a size
     where the brute oracle was not measured fails.
     """
     for row in setup["sizes"]:
@@ -608,37 +564,14 @@ def write_bench_artifacts(
     return written
 
 
-def check_speedup_floor(
-    hotpath: Dict, floor: float, floor_window: int
-) -> Tuple[bool, str]:
-    """Evaluate the regression guard: indexed/rebuild speedup at
-    ``floor_window`` must be at least ``floor``.
-
-    Returns ``(ok, message)``; a missing window is a failure (the guard must
-    never pass vacuously).
-    """
-    for row in hotpath["windows"]:
-        if row["window"] == floor_window:
-            speedup = row["speedup"]
-            ok = speedup >= floor
-            verdict = "ok" if ok else "REGRESSION"
-            return ok, (
-                f"perf guard {verdict}: speedup {speedup:.1f}x at window "
-                f"{floor_window} (floor {floor:.1f}x)"
-            )
-    return False, (
-        f"perf guard error: window {floor_window} not in the measured sweep "
-        f"{[row['window'] for row in hotpath['windows']]}"
-    )
-
-
 def check_batched_floor(
     hotpath: Dict, floor: float, floor_window: int
 ) -> Tuple[bool, str]:
-    """Regression guard for the batch path: the amortized batched speedup
-    over the per-event indexed path at ``floor_window`` must be at least
-    ``floor``.  Same never-vacuous contract as :func:`check_speedup_floor`
-    (a missing window *or* a row without batched measurements fails).
+    """Evaluate the regression guard: the amortized batched speedup over
+    batch size 1 at ``floor_window`` must be at least ``floor``.
+
+    Returns ``(ok, message)``; the guard never passes vacuously, so a
+    missing window *or* a row without batched measurements fails.
     """
     for row in hotpath["windows"]:
         if row["window"] == floor_window:

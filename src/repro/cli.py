@@ -134,20 +134,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="print the scenario and result summary as JSON instead of text",
     )
-    run.add_argument(
-        "--no-index",
-        action="store_true",
-        help="disable the incremental neighborhood index and run the "
-        "full-recompute reference path (same results, slower; for "
-        "cross-checking)",
-    )
-    run.add_argument(
-        "--no-batch",
-        action="store_true",
-        help="disable batched event application and mutate the index one "
-        "point at a time (same results, slower; for cross-checking the "
-        "batch path)",
-    )
 
     figure = sub.add_parser("figure", help="regenerate a figure of the paper")
     figure.add_argument(
@@ -194,14 +180,8 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument(
         "--check",
         action="store_true",
-        help="fail (exit 1) when the indexed/rebuild speedup at "
-        "--floor-window is below --floor",
-    )
-    bench.add_argument(
-        "--floor",
-        type=float,
-        default=5.0,
-        help="minimum acceptable speedup for --check (default: 5.0)",
+        help="fail (exit 1) when the batched speedup at --floor-window is "
+        "below --batch-floor",
     )
     bench.add_argument(
         "--floor-window",
@@ -213,16 +193,16 @@ def build_parser() -> argparse.ArgumentParser:
         "--batch-sizes",
         metavar="CSV",
         default=None,
-        help="comma-separated events-per-tick sweep for the batched path "
-        "(default: 1,4,16,64; sizes above a window are skipped there)",
+        help="comma-separated events-per-tick sweep (default: 1,4,16,64; "
+        "size 1, the per-event baseline, is always measured; sizes above a "
+        "window are skipped there)",
     )
     bench.add_argument(
         "--batch-floor",
         type=float,
-        default=None,
-        help="with --check, also require the amortized batched speedup "
-        "over the per-event indexed path at --floor-window to be at "
-        "least this (default: no batch floor)",
+        default=2.5,
+        help="minimum acceptable amortized speedup of the largest swept "
+        "batch size over batch size 1 for --check (default: 2.5)",
     )
     bench.add_argument(
         "--baseline",
@@ -425,8 +405,6 @@ def _command_run(args: argparse.Namespace) -> int:
             k=args.k,
             window_length=args.window,
             hop_diameter=args.epsilon,
-            indexed=not args.no_index,
-            batched=not args.no_batch,
             metric=args.metric,
             metric_params=metric_params,
         )
@@ -500,7 +478,6 @@ def _command_bench(args: argparse.Namespace) -> int:
         QUICK_WINDOWS,
         check_batched_floor,
         check_setup_floor,
-        check_speedup_floor,
         render_hotpath_table,
         render_regression_report,
         render_setup_table,
@@ -593,13 +570,10 @@ def _command_bench(args: argparse.Namespace) -> int:
         print(f"wrote {path}")
 
     if args.check:
-        ok, message = check_speedup_floor(hotpath, args.floor, args.floor_window)
+        ok, message = check_batched_floor(
+            hotpath, args.batch_floor, args.floor_window
+        )
         print(message)
-        if ok and args.batch_floor is not None:
-            ok, message = check_batched_floor(
-                hotpath, args.batch_floor, args.floor_window
-            )
-            print(message)
         if not ok:
             if args.baseline:
                 try:

@@ -19,12 +19,14 @@ run in-network outlier detection over their own transport:
   :func:`semi_global_reference`;
 * the incremental hot-path engine: :class:`NeighborhoodIndex`, a persistent
   per-sensor structure caching every point's neighbor list sorted by
-  ``(distance, ≺)``.  Detectors update it per event with ``O(Δ·n)``
+  ``(distance, ≺)``.  Every detector and the centralized sink own one and
+  update it once per event (one :class:`EventBatch`) with ``O(Δ·n)``
   distance computations (plus C-level sorted-list maintenance) instead of
-  rebuilding an ``O(n²·d)`` pairwise-distance matrix, and every scoring,
+  rebuilding an ``O(n²·d)`` pairwise-distance matrix.  Every scoring,
   support-set and sufficient-set computation accepts an optional ``index``
-  to run against the cache; results are bit-identical to the brute-force
-  reference paths, which remain available as the testing oracle;
+  to run against the cache; without one it recomputes by brute force, the
+  path :mod:`repro.core.reference` and the test-suite's oracle detectors
+  use, and the two agree bit for bit;
 * the distributed detectors: :class:`GlobalOutlierDetector`,
   :class:`SemiGlobalOutlierDetector` and their shared
   :class:`OutlierMessage` packet type;

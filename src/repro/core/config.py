@@ -7,6 +7,11 @@ number of reported outliers ``n``, the neighbor count ``k``, the sliding
 window length ``w`` and -- for the semi-global algorithm -- the hop diameter
 ``epsilon``.  All values are validated eagerly so that misconfiguration fails
 fast rather than deep inside a simulation run.
+
+No field selects an execution engine: every detector and the centralized
+sink run the incremental, event-batched
+:class:`~repro.core.index.NeighborhoodIndex`.  The brute-force recompute
+they are checked against lives in the test-suite.
 """
 
 from __future__ import annotations
@@ -103,23 +108,6 @@ class DetectionConfig:
     semiglobal_variant:
         ``"refined"`` or ``"paper"`` -- see
         :class:`~repro.core.semiglobal_detector.SemiGlobalOutlierDetector`.
-    indexed:
-        When ``True`` (default) every detector and the centralized sink
-        maintain an incremental
-        :class:`~repro.core.index.NeighborhoodIndex` (the hot-path engine);
-        ``False`` runs the full-recompute reference implementations.  The
-        two settings produce identical results -- the flag only trades CPU
-        for the ability to cross-check against the oracle.
-    batched:
-        When ``True`` (default) each protocol event's additions, evictions
-        and hop relabels are applied to the index as one
-        :class:`~repro.core.batch.EventBatch`
-        (:meth:`~repro.core.index.NeighborhoodIndex.apply_batch`), which
-        amortizes the distance-kernel and dirty-marking dispatch over the
-        event; ``False`` keeps the per-point index mutations as the
-        selectable oracle.  Ignored when ``indexed`` is ``False``.  Like
-        ``indexed``, the flag changes no result -- transcripts are
-        byte-identical either way.
     """
 
     algorithm: str = Algorithm.GLOBAL
@@ -130,8 +118,6 @@ class DetectionConfig:
     window_length: int = 20
     hop_diameter: int = 1
     semiglobal_variant: str = "refined"
-    indexed: bool = True
-    batched: bool = True
     metric: str = "euclidean"
     metric_params: MetricParams = ()
 
@@ -204,14 +190,6 @@ class DetectionConfig:
     def with_hop_diameter(self, hop_diameter: int) -> "DetectionConfig":
         """Copy of this configuration with a different ``epsilon``."""
         return replace(self, hop_diameter=hop_diameter)
-
-    def with_indexed(self, indexed: bool) -> "DetectionConfig":
-        """Copy of this configuration toggling the incremental index."""
-        return replace(self, indexed=indexed)
-
-    def with_batched(self, batched: bool) -> "DetectionConfig":
-        """Copy of this configuration toggling batched event application."""
-        return replace(self, batched=batched)
 
     def with_metric(self, metric: str, **metric_params: Any) -> "DetectionConfig":
         """Copy of this configuration under a different metric space."""

@@ -49,23 +49,13 @@ class GlobalOutlierDetector(OutlierDetector):
         The ``(R, n)`` outlier query, shared by every sensor in the network.
     neighbors:
         Initial immediate neighborhood ``Γ_i``.
-    indexed:
-        When ``True`` (default) the detector owns a
-        :class:`~repro.core.index.NeighborhoodIndex` over ``P_i``, updated
-        incrementally on every addition/eviction, and every estimate,
-        support-set and sufficient-set computation runs against the cached
-        sorted-neighbor lists.  ``False`` selects the full-recompute
-        brute-force path (the reference oracle); both produce identical
-        protocol transcripts.
-    batched:
-        When ``True`` (default) each protocol event's additions and
-        evictions are applied to the index as one
-        :class:`~repro.core.batch.EventBatch` via
-        :meth:`~repro.core.index.NeighborhoodIndex.apply_batch`, amortizing
-        the distance-kernel and dirty-marking dispatch over the whole
-        event.  ``False`` keeps the per-point mutations (the established
-        oracle for the batch path).  Ignored when ``indexed`` is ``False``;
-        transcripts are identical either way.
+
+    The detector owns a :class:`~repro.core.index.NeighborhoodIndex` over
+    ``P_i``.  Each protocol event's additions and evictions reach it as one
+    :class:`~repro.core.batch.EventBatch`
+    (:meth:`~repro.core.index.NeighborhoodIndex.apply_batch`), and every
+    estimate, support-set and sufficient-set computation runs against its
+    cached sorted-neighbor lists.
 
     Examples
     --------
@@ -85,8 +75,6 @@ class GlobalOutlierDetector(OutlierDetector):
         sensor_id: int,
         query: OutlierQuery,
         neighbors: Iterable[int] = (),
-        indexed: bool = True,
-        batched: bool = True,
     ) -> None:
         super().__init__(sensor_id, query, neighbors)
         self._local: Set[DataPoint] = set()
@@ -95,20 +83,15 @@ class GlobalOutlierDetector(OutlierDetector):
         self._received: Dict[int, Set[DataPoint]] = {j: set() for j in self._neighbors}
         # The index must sort its neighbor lists under the same metric the
         # query's ranking function scores in.
-        self._index = (
-            NeighborhoodIndex(metric=query.ranking.metric) if indexed else None
-        )
+        self._index = NeighborhoodIndex(metric=query.ranking.metric)
         # Dirty-set rescoring over the whole index: P_i mirrors the index
         # exactly, so the per-event estimate is a tail read of the cache's
         # maintained (score, ≺) order instead of a full rescore.  Rankings
         # without a frontier structure leave the cache unsupported and the
         # legacy full path is used.
-        self._cache: Optional[ScoreCache] = (
-            ScoreCache.if_supported(self._index, query.ranking)
-            if self._index is not None
-            else None
+        self._cache: Optional[ScoreCache] = ScoreCache.if_supported(
+            self._index, query.ranking
         )
-        self._batched = bool(batched) and self._index is not None
 
     # ------------------------------------------------------------------
     # Read-only views
@@ -143,7 +126,7 @@ class GlobalOutlierDetector(OutlierDetector):
     def add_local_points(
         self, points: Iterable[DataPoint]
     ) -> Optional[OutlierMessage]:
-        batch = self._new_batch()
+        batch = EventBatch()
         changed = self._apply_local_additions(points, batch)
         self._commit_batch(batch)
         if not changed:
@@ -152,7 +135,7 @@ class GlobalOutlierDetector(OutlierDetector):
         return self._process()
 
     def evict_points(self, points: Iterable[DataPoint]) -> Optional[OutlierMessage]:
-        batch = self._new_batch()
+        batch = EventBatch()
         changed = self._apply_evictions(points, batch)
         self._commit_batch(batch)
         if not changed:
@@ -168,7 +151,7 @@ class GlobalOutlierDetector(OutlierDetector):
         # One batch for the whole tick: evictions and arrivals share a
         # single index application (apply_batch evicts first, exactly like
         # the sequential order below).
-        batch = self._new_batch()
+        batch = EventBatch()
         changed_evict = self._apply_evictions(evicted, batch)
         changed_add = self._apply_local_additions(added, batch)
         self._commit_batch(batch)
@@ -177,18 +160,12 @@ class GlobalOutlierDetector(OutlierDetector):
         self.stats.events_processed += 1
         return self._process()
 
-    def _new_batch(self) -> Optional[EventBatch]:
-        """A fresh per-event batch on the batched path, else ``None`` (the
-        appliers then mutate the index point by point, preserving the
-        per-event oracle verbatim)."""
-        return EventBatch() if self._batched else None
-
-    def _commit_batch(self, batch: Optional[EventBatch]) -> None:
+    def _commit_batch(self, batch: EventBatch) -> None:
         if batch:
             self._index.apply_batch(batch)
 
     def _apply_local_additions(
-        self, points: Iterable[DataPoint], batch: Optional[EventBatch] = None
+        self, points: Iterable[DataPoint], batch: EventBatch
     ) -> bool:
         added = False
         for point in points:
@@ -199,16 +176,13 @@ class GlobalOutlierDetector(OutlierDetector):
             if point not in self._holdings:
                 self._local.add(point)
                 self._holdings.add(point)
-                if batch is not None:
-                    batch.adds.append(point)
-                elif self._index is not None:
-                    self._index.add(point)
+                batch.adds.append(point)
                 self.stats.local_points_added += 1
                 added = True
         return added
 
     def _apply_evictions(
-        self, points: Iterable[DataPoint], batch: Optional[EventBatch] = None
+        self, points: Iterable[DataPoint], batch: EventBatch
     ) -> bool:
         removal = set(points)
         if not removal:
@@ -216,11 +190,7 @@ class GlobalOutlierDetector(OutlierDetector):
         evicted = removal & self._holdings
         self._holdings -= evicted
         self._local -= evicted
-        if batch is not None:
-            batch.evicts.extend(evicted)
-        elif self._index is not None:
-            for point in evicted:
-                self._index.discard(point)
+        batch.evicts.extend(evicted)
         # Bookkeeping entries for departed points are dropped from every
         # per-neighbor bucket in one batched set difference per bucket.
         for bucket in self._sent.values():
@@ -243,31 +213,28 @@ class GlobalOutlierDetector(OutlierDetector):
             return None
         # Only points not already in P_i are added to D_{j,i}; duplicates are
         # ignored exactly as in the paper's update step.
-        batch = self._new_batch()
+        batch = EventBatch()
         added = False
         for point in delivered:
             if point in self._holdings:
                 self.stats.points_ignored += 1
                 continue
             self._holdings.add(point)
-            if batch is not None:
-                batch.adds.append(point)
-            elif self._index is not None:
-                self._index.add(point)
+            batch.adds.append(point)
             self._received[sender].add(point)
             self.stats.points_received += 1
             added = True
         self._commit_batch(batch)
         self.stats.events_processed += 1
-        if not added and self._index is not None:
+        if not added:
             # A delivery of points already held changes no state, and every
             # state change is followed by ``_process``.  That call left each
             # neighbor's shared set at S = S0 ∪ Z, where Z contains
             # Z0 = O_n(P) ∪ [P|O_n(P)] and [P|O_n(S0 ∪ Z)] ⊆ Z.  Rerun now,
             # the fixpoint starts from Z0 ⊆ S, so every iteration scores S
             # itself and adds only points of Z: it ends inside S and sends
-            # nothing.  The brute-force oracle still reruns ``_process``, so
-            # the transcript suites check this skip.
+            # nothing.  The test-suite's brute-force oracle still reruns the
+            # fixpoint, so the transcript suites check this skip.
             return None
         return self._process()
 
@@ -321,12 +288,10 @@ class GlobalOutlierDetector(OutlierDetector):
             estimate_support = support_of_set(
                 self.query.ranking, estimate, holdings, index=index
             )
-        outlier_memo = support_memo = None
-        if index is not None:
-            # Scores and supports shared by every neighbor's fixpoint in this
-            # event; P_i itself is already scored.
-            outlier_memo = {frozenset(self._holdings): estimate}
-            support_memo = {}
+        # Scores and supports shared by every neighbor's fixpoint in this
+        # event; P_i itself is already scored.
+        outlier_memo = {frozenset(self._holdings): estimate}
+        support_memo = {}
         for neighbor in sorted(self._neighbors):
             shared = self._sent[neighbor] | self._received[neighbor]
             sufficient = compute_sufficient_set(

@@ -60,9 +60,10 @@ class DetectorStatistics:
 class OutlierDetector(ABC):
     """Common API of the global and semi-global detectors."""
 
-    #: Optional :class:`~repro.core.index.NeighborhoodIndex` over ``P_i``;
-    #: concrete detectors that maintain one set this in their constructor so
-    #: the shared query helpers below can use the incremental fast path.
+    #: :class:`~repro.core.index.NeighborhoodIndex` over ``P_i``, which the
+    #: shared query helpers below score against.  Both detectors set one in
+    #: their constructor; ``None`` makes :meth:`estimate` a brute-force
+    #: recompute.
     _index = None
 
     def __init__(
@@ -99,12 +100,6 @@ class OutlierDetector(ABC):
     @abstractmethod
     def local_data(self) -> Set[DataPoint]:
         """``D_i``: the points that originated at this sensor."""
-
-    @property
-    def indexed(self) -> bool:
-        """Whether this detector maintains an incremental neighborhood
-        index (the hot path) or recomputes from scratch (the oracle)."""
-        return self._index is not None
 
     def estimate(self) -> List[DataPoint]:
         """The sensor's current outlier estimate ``O_n(P_i)`` (ordered)."""

@@ -76,23 +76,17 @@ class SemiGlobalOutlierDetector(OutlierDetector):
         lets the fixpoint see the whole shared set, which restores the
         refutation path and markedly improves accuracy at no change in
         message complexity.  ``"paper"`` reproduces the literal pseudo-code.
-    indexed:
-        When ``True`` (default) the detector maintains an incremental
-        :class:`~repro.core.index.NeighborhoodIndex` over its holdings.  The
-        ``[·]^min`` merge is index-aware: replacing a held copy by a
-        smaller-hop copy of the same observation relabels the index slot in
-        ``O(1)`` without invalidating any cached distance (the geometry only
-        depends on the ``rest`` fields), and the per-hop-level estimates of
-        Algorithm 2 become masked walks over the cached sorted-neighbor
-        lists.  ``False`` selects the brute-force reference path.
-    batched:
-        When ``True`` (default) each protocol event's additions, evictions
-        and hop relabels are applied to the index as one
-        :class:`~repro.core.batch.EventBatch`; the per-hop-level rescoring
-        caches then see one batch mark per event instead of one per point.
-        ``False`` keeps the per-point mutations (the batch path's oracle).
-        Ignored when ``indexed`` is ``False``; transcripts are identical
-        either way.
+
+    The detector maintains an incremental
+    :class:`~repro.core.index.NeighborhoodIndex` over its holdings.  The
+    ``[·]^min`` merge is index-aware: replacing a held copy by a smaller-hop
+    copy of the same observation relabels the index slot in ``O(1)`` without
+    invalidating any cached distance (the geometry only depends on the
+    ``rest`` fields), and the per-hop-level estimates of Algorithm 2 become
+    masked walks over the cached sorted-neighbor lists.  Each protocol
+    event's additions, evictions and hop relabels reach the index as one
+    :class:`~repro.core.batch.EventBatch`, so the per-hop-level rescoring
+    caches see one batch mark per event instead of one per point.
     """
 
     VARIANTS = ("refined", "paper")
@@ -104,8 +98,6 @@ class SemiGlobalOutlierDetector(OutlierDetector):
         hop_diameter: int,
         neighbors: Iterable[int] = (),
         variant: str = "refined",
-        indexed: bool = True,
-        batched: bool = True,
     ) -> None:
         super().__init__(sensor_id, query, neighbors)
         if hop_diameter < 1:
@@ -130,54 +122,21 @@ class SemiGlobalOutlierDetector(OutlierDetector):
         }
         # The index must sort its neighbor lists under the same metric the
         # query's ranking function scores in.
-        self._index = (
-            NeighborhoodIndex(metric=query.ranking.metric) if indexed else None
-        )
+        self._index = NeighborhoodIndex(metric=query.ranking.metric)
         # One dirty-set rescoring cache per hop level: level ``h`` maintains
         # the (score, ≺) order over the sub-population with ``hop <= h``
         # together with its membership mask, so each per-level estimate of
         # Algorithm 2 is a tail read and the sufficient-set fixpoints reuse
         # the mask instead of rebuilding it per neighbor via try_subset.
         self._caches: Optional[List[ScoreCache]] = None
-        if self._index is not None:
-            caches = [
-                ScoreCache.if_supported(self._index, query.ranking, max_hop=level)
-                for level in range(self.hop_diameter)
-            ]
-            if None not in caches:
-                self._caches = caches
-        self._batched = bool(batched) and self._index is not None
+        caches = [
+            ScoreCache.if_supported(self._index, query.ranking, max_hop=level)
+            for level in range(self.hop_diameter)
+        ]
+        if None not in caches:
+            self._caches = caches
 
-    # ------------------------------------------------------------------
-    # Index maintenance (min-hop-merge aware)
-    # ------------------------------------------------------------------
-    def _index_put(
-        self,
-        previous: Optional[DataPoint],
-        point: DataPoint,
-        batch: Optional[EventBatch] = None,
-    ) -> None:
-        """Record that ``holdings[point.rest]`` changed from ``previous`` to
-        ``point``.  A hop-only change relabels the slot in O(1); a genuinely
-        new observation is inserted incrementally.  With ``batch`` the
-        change is staged instead of applied (``stage_put`` keeps the
-        add-vs-relabel distinction)."""
-        if self._index is None:
-            return
-        if batch is not None:
-            batch.stage_put(previous, point)
-        elif previous is None:
-            self._index.add(point)
-        else:
-            self._index.replace(previous, point)
-
-    def _new_batch(self) -> Optional[EventBatch]:
-        """A fresh per-event batch on the batched path, else ``None`` (the
-        appliers then mutate the index point by point, preserving the
-        per-event oracle verbatim)."""
-        return EventBatch() if self._batched else None
-
-    def _commit_batch(self, batch: Optional[EventBatch]) -> None:
+    def _commit_batch(self, batch: EventBatch) -> None:
         if batch:
             self._index.apply_batch(batch)
 
@@ -211,7 +170,7 @@ class SemiGlobalOutlierDetector(OutlierDetector):
     def add_local_points(
         self, points: Iterable[DataPoint]
     ) -> Optional[OutlierMessage]:
-        batch = self._new_batch()
+        batch = EventBatch()
         changed = self._apply_local_additions(points, batch)
         self._commit_batch(batch)
         if not changed:
@@ -220,7 +179,7 @@ class SemiGlobalOutlierDetector(OutlierDetector):
         return self._process()
 
     def evict_points(self, points: Iterable[DataPoint]) -> Optional[OutlierMessage]:
-        batch = self._new_batch()
+        batch = EventBatch()
         changed = self._apply_evictions(points, batch)
         self._commit_batch(batch)
         if not changed:
@@ -236,7 +195,7 @@ class SemiGlobalOutlierDetector(OutlierDetector):
         # One batch for the whole tick: evictions and arrivals share a
         # single index application (apply_batch evicts first, exactly like
         # the sequential order below).
-        batch = self._new_batch()
+        batch = EventBatch()
         changed_evict = self._apply_evictions(evicted, batch)
         changed_add = self._apply_local_additions(added, batch)
         self._commit_batch(batch)
@@ -246,7 +205,7 @@ class SemiGlobalOutlierDetector(OutlierDetector):
         return self._process()
 
     def _apply_local_additions(
-        self, points: Iterable[DataPoint], batch: Optional[EventBatch] = None
+        self, points: Iterable[DataPoint], batch: EventBatch
     ) -> bool:
         added = False
         for point in points:
@@ -259,13 +218,13 @@ class SemiGlobalOutlierDetector(OutlierDetector):
                 continue
             self._local[point.rest] = point
             self._holdings[point.rest] = point
-            self._index_put(previous, point, batch)
+            batch.stage_put(previous, point)
             self.stats.local_points_added += 1
             added = True
         return added
 
     def _apply_evictions(
-        self, points: Iterable[DataPoint], batch: Optional[EventBatch] = None
+        self, points: Iterable[DataPoint], batch: EventBatch
     ) -> bool:
         keys = {point.rest for point in points}
         if not keys:
@@ -275,10 +234,7 @@ class SemiGlobalOutlierDetector(OutlierDetector):
             previous = self._holdings.pop(key, None)
             if previous is not None:
                 self._local.pop(key, None)
-                if batch is not None:
-                    batch.evicts.append(previous)
-                elif self._index is not None:
-                    self._index.discard(previous)
+                batch.evicts.append(previous)
                 evicted = True
                 self.stats.points_evicted += 1
         # One batched pass per bucket instead of one scan per evicted point.
@@ -299,23 +255,16 @@ class SemiGlobalOutlierDetector(OutlierDetector):
             )
         self.stats.messages_received += 1
         changed = False
-        batch = self._new_batch()
+        batch = EventBatch()
         for point in points:
-            key = point.rest
-            current = self._holdings.get(key)
-            if current is None:
-                self._holdings[key] = point
-                self._index_put(None, point, batch)
-                self._record_received(sender, point)
-                self.stats.points_received += 1
-                changed = True
-            elif point.hop < current.hop:
-                # A shorter path to the same observation: replace the held
-                # copy (it may now influence more distant hop levels).  The
-                # index slot is relabelled in O(1) -- the geometry is
-                # untouched by a hop change.
-                self._holdings[key] = point
-                self._index_put(current, point, batch)
+            current = self._holdings.get(point.rest)
+            if current is None or point.hop < current.hop:
+                # A new observation, or a shorter path to a held one: the
+                # held copy is replaced (it may now influence more distant
+                # hop levels) and its index slot relabelled in O(1) -- the
+                # geometry is untouched by a hop change.
+                self._holdings[point.rest] = point
+                batch.stage_put(current, point)
                 self._record_received(sender, point)
                 self.stats.points_received += 1
                 changed = True
@@ -400,7 +349,7 @@ class SemiGlobalOutlierDetector(OutlierDetector):
         # Per-event fixpoint memos: O_n(C) depends only on C, so one map
         # serves every neighbor and hop level; [P|x] depends on the level's
         # P, so each level keeps its own.
-        outlier_memo = {} if self._index is not None else None
+        outlier_memo = {}
         support_memos = [{} for _ in level_data]
         for neighbor in sorted(self._neighbors):
             outgoing = self._sufficient_for_neighbor(
@@ -448,23 +397,12 @@ class SemiGlobalOutlierDetector(OutlierDetector):
             if not level_holdings:
                 data.append((level_holdings, [], set(), UNRESOLVED_SUBSET))
                 continue
-            subset = UNRESOLVED_SUBSET
-            if index is not None:
-                covered, mask = index.try_subset(level_holdings)
-                if covered:
-                    subset = mask
-            if subset is UNRESOLVED_SUBSET:
-                estimate = self.query.outliers(level_holdings, index=index)
-                estimate_support = support_of_set(
-                    ranking, estimate, level_holdings, index=index
-                )
-            else:
-                estimate = self.query.outliers(
-                    level_holdings, index=index, subset=subset
-                )
-                estimate_support = support_of_set(
-                    ranking, estimate, level_holdings, index=index, subset=subset
-                )
+            covered, mask = index.try_subset(level_holdings)
+            subset = mask if covered else UNRESOLVED_SUBSET
+            estimate = self.query.outliers(level_holdings, index=index, subset=subset)
+            estimate_support = support_of_set(
+                ranking, estimate, level_holdings, index=index, subset=subset
+            )
             data.append((level_holdings, estimate, estimate_support, subset))
         return data
 
@@ -472,7 +410,7 @@ class SemiGlobalOutlierDetector(OutlierDetector):
         self,
         neighbor: int,
         level_data: List[tuple],
-        outlier_memo: Optional[dict],
+        outlier_memo: dict,
         support_memos: List[dict],
     ) -> List[DataPoint]:
         sent_bucket = self._sent[neighbor]

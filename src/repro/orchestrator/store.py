@@ -87,7 +87,11 @@ logger = logging.getLogger("repro.orchestrator")
 #: :class:`~repro.core.config.DetectionConfig`.  The flag never changes a
 #: transcript, but it changes the canonical scenario encoding (and hence
 #: the cache key), so schema-3 entries are recomputed rather than mis-hit
-#: against a scenario that no longer decodes field-for-field.
+#: against a scenario that no longer decodes field-for-field.  The
+#: ``indexed`` and ``batched`` fields have since been deleted (one engine
+#: runs every scenario); their keys stay in the schema-4 encoding, frozen
+#: at ``true`` (:data:`~repro.wsn.scenario.FROZEN_DETECTION_KEYS`), so
+#: every key and stored entry is unchanged and no bump was needed.
 STORE_SCHEMA_VERSION = 4
 
 

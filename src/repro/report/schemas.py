@@ -42,7 +42,7 @@ __all__ = [
 
 #: ``benchmark`` field -> current schema version, for every artifact kind.
 SCHEMA_VERSIONS: Dict[str, int] = {
-    "hotpath": 2,
+    "hotpath": 3,
     "e2e": 2,
     "setup": 1,
     "trajectory": 1,
@@ -113,10 +113,8 @@ def _validate_hotpath(payload: Mapping[str, Any]) -> None:
         window = _positive(row, "window", context)
         _require(window == int(window), f"{context}: 'window' must be integral")
         _positive(row, "indexed_ms", context)
-        _positive(row, "rebuild_ms", context)
-        _positive(row, "speedup", context)
         # The batched columns are load-bearing: CI's batch floor reads them,
-        # and an artifact without them means the batched path never ran.
+        # and an artifact without them means the batch sweep never ran.
         _positive(row, "batched_ms", context)
         _positive(row, "batched_speedup", context)
         sweep = _rows(row, "batch_sweep", context)

@@ -8,7 +8,7 @@ PR so the perf story of the repo is a diffable artifact instead of
 archaeology over git history.
 
 Metric keys are parameterised by the configuration that produced them --
-``hotpath.speedup.w256``, ``setup.grid_ms.n4096`` -- because a number
+``hotpath.batched_speedup.w256``, ``setup.grid_ms.n4096`` -- because a number
 measured at a different window/network size is a *different metric*, not a
 comparable one.  A diff therefore only compares the **intersection** of two
 entries' keys: a quick CI run (windows 64/256, setup at 512/2048 nodes)
@@ -21,8 +21,8 @@ ratios**, with generous per-metric thresholds: raw latencies and
 wall-clocks vary several-fold between a dev box and a shared CI runner, so
 they are tracked and rendered but never gated -- the absolute floors in
 CI's perf-smoke job already guard them at fixed configurations.  The gate
-here exists to catch the order-of-magnitude regressions (an index
-silently falling back to rebuilds, a batched path that stopped batching)
+here exists to catch the order-of-magnitude regressions (a batched path
+that stopped batching, a grid topology build that fell back to all-pairs)
 that a same-machine floor can miss when the floor itself is conservative.
 """
 
@@ -85,7 +85,6 @@ def extract_metrics(
         for row in hotpath["windows"]:
             w = int(row["window"])
             metrics[f"hotpath.indexed_ms.w{w}"] = float(row["indexed_ms"])
-            metrics[f"hotpath.speedup.w{w}"] = float(row["speedup"])
             metrics[f"hotpath.batched_ms.w{w}"] = float(row["batched_ms"])
             metrics[f"hotpath.batched_speedup.w{w}"] = float(
                 row["batched_speedup"]
@@ -135,10 +134,9 @@ class MetricGate:
 #: Gated prefixes, first match wins.  Thresholds are calibrated so a quick
 #: CI run diffing against a committed full-profile artifact stays clean on
 #: any plausible runner while an order-of-magnitude regression still trips:
-#: e.g. the committed window-256 indexed speedup is ~19x, so the 0.25 gate
-#: fires below ~4.7x -- right where perf-smoke's absolute floor (5x) sits.
+#: e.g. the committed window-256 batched speedup is ~5x, so the 0.2 gate
+#: fires near 1x -- batching that no longer amortizes anything.
 GATES: Tuple[MetricGate, ...] = (
-    MetricGate("hotpath.speedup.", ratio=0.25),
     MetricGate("hotpath.batched_speedup.", ratio=0.2),
     MetricGate("setup.speedup.", ratio=0.25),
 )

@@ -171,15 +171,11 @@ class CentralizedSinkApp:
         routing: RoutingAgent,
         query: OutlierQuery,
         window_length: float,
-        indexed: bool = True,
-        batched: bool = True,
     ) -> None:
         self.node = node
         self.routing = routing
         self.query = query
-        self.aggregator = CentralizedAggregator(
-            query, indexed=indexed, batched=batched
-        )
+        self.aggregator = CentralizedAggregator(query)
         self.window = SlidingWindow(window_length)
         self.round_index = -1
         self.last_outliers: List[DataPoint] = []

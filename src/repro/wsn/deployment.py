@@ -97,8 +97,6 @@ def build_deployment(scenario: ScenarioConfig, dataset: SensorDataset) -> Deploy
                 node_id,
                 query,
                 neighbors=topology.neighbors(node_id),
-                indexed=scenario.detection.indexed,
-                batched=scenario.detection.batched,
             )
             deployment.detectors[node_id] = detector
             deployment.apps[node_id] = DistributedDetectorApp(
@@ -115,8 +113,6 @@ def build_deployment(scenario: ScenarioConfig, dataset: SensorDataset) -> Deploy
                 hop_diameter=scenario.detection.hop_diameter,
                 neighbors=topology.neighbors(node_id),
                 variant=scenario.detection.semiglobal_variant,
-                indexed=scenario.detection.indexed,
-                batched=scenario.detection.batched,
             )
             deployment.detectors[node_id] = detector
             deployment.apps[node_id] = DistributedDetectorApp(
@@ -138,8 +134,6 @@ def build_deployment(scenario: ScenarioConfig, dataset: SensorDataset) -> Deploy
                     routing,
                     query,
                     window_length=scenario.detection.window_length,
-                    indexed=scenario.detection.indexed,
-                    batched=scenario.detection.batched,
                 )
             else:
                 deployment.apps[node_id] = CentralizedClientApp(

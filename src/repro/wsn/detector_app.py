@@ -10,10 +10,10 @@ simultaneously), and feeds received packets back into the detector.
 Each sampling tick is delivered to the detector as *one* data-change event
 (``update_local_data(added, expired)`` -- all of the tick's expirations plus
 the fresh reading together), which is exactly the grouping the detectors
-turn into a per-event :class:`~repro.core.batch.EventBatch` on the batched
-index path: a steady-state tick is a tiny batch, while crash resets (whole
-window evicted at once) and received messages (many points per packet) form
-the large batches the block path amortizes.
+turn into one :class:`~repro.core.batch.EventBatch` per event: a
+steady-state tick is a tiny batch, while crash resets (whole window evicted
+at once) and received messages (many points per packet) form the large
+batches the index's block path amortizes.
 """
 
 from __future__ import annotations

@@ -27,6 +27,13 @@ from .faults import FaultConfig
 
 __all__ = ["ScenarioConfig"]
 
+#: Keys of the schema-4 ``detection`` encoding that no longer name a field.
+#: They once selected the brute-force and per-point engines; every scenario
+#: now runs the indexed, event-batched one.  The encoding keeps writing them
+#: as ``true`` so that store keys and stored entries stay byte-identical,
+#: and decoding rejects any other value.
+FROZEN_DETECTION_KEYS = ("indexed", "batched")
+
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -153,20 +160,32 @@ class ScenarioConfig:
         added to this class (or to the nested :class:`DetectionConfig` /
         :class:`InjectionConfig`) is automatically part of the encoding --
         new scenario knobs can never be silently ignored by the result
-        store's cache key.
+        store's cache key.  The ``detection`` section also carries each of
+        :data:`FROZEN_DETECTION_KEYS` as ``true``.
         """
-        return asdict(self)
+        payload = asdict(self)
+        payload["detection"].update(dict.fromkeys(FROZEN_DETECTION_KEYS, True))
+        return payload
 
     @classmethod
     def from_json_dict(cls, data: Mapping[str, Any]) -> "ScenarioConfig":
         """Rebuild a scenario from :meth:`to_json_dict` output.
 
         Unknown fields raise ``TypeError`` (the constructors reject them),
-        so a stale or corrupted encoding fails loudly instead of decoding
-        to a subtly different scenario.
+        and a frozen detection key holding anything but ``true`` raises
+        :class:`~repro.core.errors.ConfigurationError`, so a stale or
+        corrupted encoding fails loudly instead of decoding to a subtly
+        different scenario.
         """
         payload = dict(data)
-        detection = DetectionConfig(**payload.pop("detection"))
+        detection_fields = dict(payload.pop("detection"))
+        for key in FROZEN_DETECTION_KEYS:
+            value = detection_fields.pop(key, True)
+            if value is not True:
+                raise ConfigurationError(
+                    f"detection.{key} must be true, got {value!r}"
+                )
+        detection = DetectionConfig(**detection_fields)
         injection = InjectionConfig(**payload.pop("injection"))
         faults = FaultConfig(**payload.pop("faults"))
         return cls(detection=detection, injection=injection, faults=faults, **payload)

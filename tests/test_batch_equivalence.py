@@ -1,15 +1,17 @@
-"""Batched-vs-sequential equivalence: the block event path is an exact
+"""Block-vs-scalar equivalence: the block event path is an exact
 re-implementation, not an approximation.
 
 The batched tick machinery -- ``NeighborhoodIndex.apply_batch`` block
-evictions/insertions, the ``ScoreCache`` batch dirty-marking and bulk
-rescore, and the detectors' per-tick ``EventBatch`` staging -- must be
-*byte-identical* to applying the same events one at a time through the
-established per-event path.  These tests force the block machinery on at
-degenerate sizes (``BATCH_BLOCK_THRESHOLD = -1``), sweep the splice chunk
-width across its boundary cases, and drive randomized tie-heavy streams
-through every registered metric, comparing full structural snapshots and
-detector transcripts against the sequential oracle.
+evictions/insertions and the ``ScoreCache`` batch dirty-marking and bulk
+rescore -- must be *byte-identical* to applying the same events one at a
+time through the per-point mutations.  These tests force the block
+machinery on at degenerate sizes (``BATCH_BLOCK_THRESHOLD = -1``), sweep
+the splice chunk width across its boundary cases, and drive randomized
+tie-heavy streams through every registered metric, comparing full
+structural snapshots against the sequential oracle.  At the detector and
+sink level, the one batched path runs twice on the same stream: once with
+every batch forced onto the block path and once with every batch forced
+onto the scalar path (a threshold above any batch size).
 """
 
 from __future__ import annotations
@@ -227,6 +229,11 @@ def test_scorecache_bulk_rescore_matches_scalar(ranking_factory, monkeypatch):
         assert cache_state(bulk) == cache_state(scalar), f"trial {trial}"
 
 
+#: ``BATCH_BLOCK_THRESHOLD`` values forcing every batch onto the block path
+#: and onto the scalar path, respectively.
+FORCED_PATHS = (-1, 10**9)
+
+
 def _transcript(detector, ticks):
     out = []
     for adds, evicts in ticks:
@@ -262,22 +269,18 @@ def _make_ticks(rng, warm, count):
 
 @pytest.mark.parametrize("metric_name,params", METRICS)
 def test_global_detector_transcripts_identical(metric_name, params, monkeypatch):
-    """Same tick sequence, batched on vs off: every emitted message, the
-    holdings and the estimate must be identical."""
-    monkeypatch.setattr(index_mod, "BATCH_BLOCK_THRESHOLD", -1)
+    """Same tick sequence, block path vs scalar path: every emitted
+    message, the holdings and the estimate must be identical."""
     rng = random.Random(31)
     ranking = AverageKNNDistance(3, metric=metric_from_name(metric_name, **params))
     warm = [_make_point(rng, e) for e in range(24)]
     ticks = _make_ticks(rng, warm, 8)
     transcripts = []
     states = []
-    for batched in (True, False):
+    for threshold in FORCED_PATHS:
+        monkeypatch.setattr(index_mod, "BATCH_BLOCK_THRESHOLD", threshold)
         detector = GlobalOutlierDetector(
-            0,
-            OutlierQuery(ranking, n=3),
-            neighbors=[1, 2],
-            indexed=True,
-            batched=batched,
+            0, OutlierQuery(ranking, n=3), neighbors=[1, 2]
         )
         detector.add_local_points(warm)
         detector.initialize()
@@ -288,7 +291,6 @@ def test_global_detector_transcripts_identical(metric_name, params, monkeypatch)
 
 
 def test_semiglobal_detector_transcripts_identical(monkeypatch):
-    monkeypatch.setattr(index_mod, "BATCH_BLOCK_THRESHOLD", -1)
     for metric_name, params in (("euclidean", {}), ("manhattan", {})):
         rng = random.Random(37)
         ranking = AverageKNNDistance(
@@ -298,14 +300,10 @@ def test_semiglobal_detector_transcripts_identical(monkeypatch):
         ticks = _make_ticks(rng, warm, 8)
         transcripts = []
         states = []
-        for batched in (True, False):
+        for threshold in FORCED_PATHS:
+            monkeypatch.setattr(index_mod, "BATCH_BLOCK_THRESHOLD", threshold)
             detector = SemiGlobalOutlierDetector(
-                0,
-                OutlierQuery(ranking, n=3),
-                hop_diameter=2,
-                neighbors=[1, 2],
-                indexed=True,
-                batched=batched,
+                0, OutlierQuery(ranking, n=3), hop_diameter=2, neighbors=[1, 2]
             )
             detector.add_local_points(warm)
             detector.initialize()
@@ -316,20 +314,26 @@ def test_semiglobal_detector_transcripts_identical(monkeypatch):
 
 
 def test_centralized_aggregator_batched_matches(monkeypatch):
-    """Window replacement and node churn through the aggregator: batched
-    index application must publish the same outliers as sequential."""
-    monkeypatch.setattr(index_mod, "BATCH_BLOCK_THRESHOLD", -1)
+    """Window replacement and node churn through the aggregator: the block
+    path must publish the same outliers as the scalar path."""
     rng = random.Random(41)
     query = OutlierQuery(AverageKNNDistance(3), n=4)
-    batched = CentralizedAggregator(query, indexed=True, batched=True)
-    sequential = CentralizedAggregator(query, indexed=True, batched=False)
+    block = CentralizedAggregator(query)
+    scalar = CentralizedAggregator(query)
+
+    def update(node, points):
+        # Each upload's batch goes through the block path on one sink and
+        # through the scalar path on the other.
+        for aggregator, threshold in zip((block, scalar), FORCED_PATHS):
+            monkeypatch.setattr(index_mod, "BATCH_BLOCK_THRESHOLD", threshold)
+            aggregator.update_window(node, points)
+
     windows = {
         node: [_make_point(rng, node * 100 + e) for e in range(12)]
         for node in range(3)
     }
     for node, points in windows.items():
-        batched.update_window(node, points)
-        sequential.update_window(node, points)
+        update(node, points)
     for round_no in range(5):
         node = rng.randrange(3)
         current = windows[node]
@@ -341,11 +345,11 @@ def test_centralized_aggregator_batched_matches(monkeypatch):
             for e in range(rng.randrange(1, 6))
         ]
         windows[node] = kept + fresh
-        batched.update_window(node, windows[node])
-        sequential.update_window(node, windows[node])
-        assert batched.compute_outliers() == sequential.compute_outliers()
-        assert batched.union() == sequential.union()
-    batched.forget(1)
-    sequential.forget(1)
-    assert batched.compute_outliers() == sequential.compute_outliers()
-    assert batched.union() == sequential.union()
+        update(node, windows[node])
+        assert block.compute_outliers() == scalar.compute_outliers()
+        assert block.union() == scalar.union()
+    for aggregator, threshold in zip((block, scalar), FORCED_PATHS):
+        monkeypatch.setattr(index_mod, "BATCH_BLOCK_THRESHOLD", threshold)
+        aggregator.forget(1)
+    assert block.compute_outliers() == scalar.compute_outliers()
+    assert block.union() == scalar.union()

@@ -12,11 +12,10 @@ import json
 import pytest
 
 from repro.bench import (
-    BENCH_SCHEMA,
+    BENCH_HOTPATH_SCHEMA,
     BENCH_SETUP_SCHEMA,
     check_batched_floor,
     check_setup_floor,
-    check_speedup_floor,
     render_hotpath_table,
     render_regression_report,
     render_setup_table,
@@ -30,36 +29,25 @@ from repro.cli import main
 class TestHotpathHarness:
     def test_payload_schema(self):
         payload = run_hotpath_bench(windows=(12, 20), events=2, quick=True)
-        assert payload["schema"] == BENCH_SCHEMA
+        assert payload["schema"] == BENCH_HOTPATH_SCHEMA
         assert payload["benchmark"] == "hotpath"
         assert payload["quick"] is True
         assert [row["window"] for row in payload["windows"]] == [12, 20]
         for row in payload["windows"]:
-            assert row["indexed_ms"] > 0
-            assert row["rebuild_ms"] > 0
-            assert row["speedup"] == row["rebuild_ms"] / row["indexed_ms"]
-            assert row["events_indexed"] == row["events_rebuild"] == 2
+            # The per-event latency is the sweep's batch-size-1 entry.
+            baseline = row["batch_sweep"][0]
+            assert baseline["batch_size"] == 1
+            assert row["indexed_ms"] == baseline["batched_ms"] > 0
+            assert baseline["speedup"] == 1.0
+            # At least four whole ticks are measured.
+            assert row["events_indexed"] == 4
+            assert "rebuild_ms" not in row and "speedup" not in row
 
     def test_render_table_lists_every_window(self):
         payload = run_hotpath_bench(windows=(12,), events=2)
         table = render_hotpath_table(payload)
         assert "Per-event detector latency" in table
         assert "      12 " in table
-
-    def test_floor_check_semantics(self):
-        payload = {
-            "windows": [
-                {"window": 256, "speedup": 6.0},
-                {"window": 1024, "speedup": 9.0},
-            ]
-        }
-        ok, message = check_speedup_floor(payload, 5.0, 256)
-        assert ok and "6.0x" in message
-        ok, _ = check_speedup_floor(payload, 7.5, 256)
-        assert not ok
-        # A missing window must fail, never pass vacuously.
-        ok, message = check_speedup_floor(payload, 1.0, 64)
-        assert not ok and "not in the measured sweep" in message
 
     def test_payload_batched_fields(self):
         payload = run_hotpath_bench(windows=(12,), events=2, batch_sizes=(1, 4))
@@ -79,7 +67,8 @@ class TestHotpathHarness:
     def test_batch_sizes_larger_than_window_are_skipped(self):
         payload = run_hotpath_bench(windows=(12,), events=2, batch_sizes=(4, 64))
         (row,) = payload["windows"]
-        assert [entry["batch_size"] for entry in row["batch_sweep"]] == [4]
+        # Batch size 1, the per-event baseline, is measured even unrequested.
+        assert [entry["batch_size"] for entry in row["batch_sweep"]] == [1, 4]
         assert row["batch_size"] == 4
 
     def test_batched_floor_check_semantics(self):
@@ -108,7 +97,7 @@ class TestHotpathHarness:
 
     def test_regression_report_compares_old_and_new(self):
         baseline = {
-            "windows": [{"window": 256, "indexed_ms": 2.0, "speedup": 8.0}]
+            "windows": [{"window": 256, "indexed_ms": 2.0, "batched_speedup": 8.0}]
         }
         current = {
             "windows": [
@@ -116,7 +105,7 @@ class TestHotpathHarness:
                     "window": 256,
                     "indexed_ms": 3.0,
                     "batched_ms": 0.6,
-                    "speedup": 5.0,
+                    "batched_speedup": 5.0,
                 }
             ]
         }
@@ -131,7 +120,7 @@ class TestHotpathHarness:
         written = write_bench_artifacts(tmp_path, hotpath=payload)
         assert [p.name for p in written] == ["BENCH_hotpath.json"]
         decoded = json.loads(written[0].read_text())
-        assert decoded["schema"] == BENCH_SCHEMA
+        assert decoded["schema"] == BENCH_HOTPATH_SCHEMA
         assert decoded["windows"][0]["window"] == 12
 
 
@@ -228,15 +217,15 @@ class TestBenchCLI:
                 "--output-dir",
                 str(tmp_path),
                 "--check",
-                "--floor",
-                "0.1",
                 "--floor-window",
                 "20",
+                "--batch-floor",
+                "0.01",
             ]
         )
         assert exit_code == 0
         output = capsys.readouterr().out
-        assert "perf guard ok" in output
+        assert "batch guard ok" in output
         hotpath = json.loads((tmp_path / "BENCH_hotpath.json").read_text())
         e2e = json.loads((tmp_path / "BENCH_e2e.json").read_text())
         assert hotpath["benchmark"] == "hotpath"
@@ -259,10 +248,10 @@ class TestBenchCLI:
                 "--output-dir",
                 str(tmp_path),
                 "--check",
-                "--floor",
-                "1e9",
                 "--floor-window",
                 "12",
+                "--batch-floor",
+                "1e9",
             ]
         )
         assert exit_code == 1
@@ -285,8 +274,6 @@ class TestBenchCLI:
                 "--output-dir",
                 str(tmp_path),
                 "--check",
-                "--floor",
-                "0.01",
                 "--floor-window",
                 "12",
                 "--batch-floor",
@@ -305,7 +292,7 @@ class TestBenchCLI:
         baseline = tmp_path / "baseline.json"
         baseline.write_text(
             json.dumps(
-                {"windows": [{"window": 12, "indexed_ms": 1.0, "speedup": 9.0}]}
+                {"windows": [{"window": 12, "indexed_ms": 1.0, "batched_speedup": 9.0}]}
             )
         )
         exit_code = main(
@@ -321,8 +308,6 @@ class TestBenchCLI:
                 "--output-dir",
                 str(tmp_path),
                 "--check",
-                "--floor",
-                "0.01",
                 "--floor-window",
                 "12",
                 "--batch-floor",

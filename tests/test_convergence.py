@@ -22,8 +22,23 @@ from repro.core import (
     SemiGlobalOutlierDetector,
     global_reference,
     make_point,
+    metric_from_name,
+    registered_metrics,
     semi_global_reference,
 )
+
+
+def _metric_for_3d(name):
+    """A registered metric with parameters sized for ``random_dataset``'s
+    (reading, x, y) points: readings span ~20-100, coordinates 0-50."""
+    if name == "weighted-euclidean":
+        return metric_from_name(name, weights=(1.0, 0.5, 0.25))
+    if name == "mahalanobis":
+        return metric_from_name(
+            name,
+            cov=((4.0, 0.5, 0.0), (0.5, 100.0, 10.0), (0.0, 10.0, 100.0)),
+        )
+    return metric_from_name(name)
 
 
 def _run_global(query, adjacency, datasets, seed=None):
@@ -66,6 +81,46 @@ class TestGlobalConvergence:
         assert network.estimates_agree()
         for det in detectors.values():
             assert {p.rest for p in det.estimate()} == reference
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_theorems_1_and_2_under_every_metric_after_evictions(self, data):
+        """Exactness holds in every registered metric space, and again once
+        a random subset of the points has been evicted network-wide."""
+        rng = random.Random(data.draw(st.integers(min_value=0, max_value=10_000)))
+        metric = _metric_for_3d(data.draw(st.sampled_from(registered_metrics())))
+        sensors = data.draw(st.integers(min_value=2, max_value=6))
+        n = data.draw(st.integers(min_value=1, max_value=3))
+        if data.draw(st.booleans()):
+            ranking = AverageKNNDistance(k=2, metric=metric)
+        else:
+            ranking = NearestNeighborDistance(metric=metric)
+        query = OutlierQuery(ranking, n=n)
+        adjacency = random_connected_adjacency(rng, sensors)
+        datasets = random_dataset(rng, sensors, per_sensor=rng.randint(2, 6))
+        delivery_seed = data.draw(st.integers(min_value=0, max_value=10_000))
+
+        detectors, network = _run_global(query, adjacency, datasets, seed=delivery_seed)
+
+        def assert_exact(data_now):
+            # global_reference scores by brute force under the query's metric.
+            reference = {p.rest for p in global_reference(query, data_now)}
+            assert network.estimates_agree()
+            for det in detectors.values():
+                assert {p.rest for p in det.estimate()} == reference
+
+        assert_exact(datasets)
+        everything = [p for points in datasets.values() for p in points]
+        evicted = set(rng.sample(everything, rng.randint(1, len(everything) - 1)))
+        # Sliding-window rule: every sensor deletes an expired point.
+        network.evict({i: evicted for i in adjacency})
+        network.run_to_quiescence()
+        assert_exact(
+            {
+                i: [p for p in points if p not in evicted]
+                for i, points in datasets.items()
+            }
+        )
 
     def test_dynamic_updates_reconverge(self):
         rng = random.Random(3)

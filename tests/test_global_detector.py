@@ -11,6 +11,8 @@ from repro.core import (
 )
 from repro.core.errors import ProtocolError
 
+from brute_oracle import BruteGlobalDetector
+
 
 def _detector(sensor_id=0, neighbors=(1,), n=1):
     query = OutlierQuery(NearestNeighborDistance(), n=n)
@@ -87,23 +89,32 @@ class TestMessaging:
 
     @pytest.mark.parametrize("indexed", [True, False])
     def test_duplicate_only_delivery_sends_nothing(self, indexed):
+        """The indexed detector skips the fixpoint on a delivery of points
+        it already holds; the brute-force oracle (``indexed=False``) reruns
+        it.  Both run in lockstep, and the one under test must find nothing
+        to send and leave its bookkeeping unchanged."""
         query = OutlierQuery(NearestNeighborDistance(), n=2)
-        det = GlobalOutlierDetector(0, query, neighbors=[1, 2], indexed=indexed)
+        production = GlobalOutlierDetector(0, query, neighbors=[1, 2])
+        oracle = BruteGlobalDetector(0, query, neighbors=[1, 2])
+        det = production if indexed else oracle
         local = _points([1.0, 2.0, 4.0, 40.0])
         remote = _points([3.0, 9.0, 70.0], origin=1)
-        det.add_local_points(local)
-        det.handle_message(1, remote)
+        assert production.add_local_points(local) == oracle.add_local_points(local)
+        assert production.handle_message(1, remote) == oracle.handle_message(1, remote)
         sent = {j: det.sent_to(j) for j in (1, 2)}
         received = {j: det.received_from(j) for j in (1, 2)}
-        events = det.stats.events_processed
+        events = production.stats.events_processed
 
-        assert det.handle_message(2, [local[3], remote[0], remote[2]]) is None
-        # Still an event (events_processed is part of the transcript), and a
-        # rerun of the protocol step has nothing to send either.
-        assert det.stats.events_processed == events + 1
+        echo = [local[3], remote[0], remote[2]]
+        assert production.handle_message(2, echo) is None
+        assert oracle.handle_message(2, echo) is None
+        # Still an event for the detector (events_processed is part of the
+        # transcript), and a rerun of the protocol step has nothing to send.
+        assert production.stats.events_processed == events + 1
         assert det._process() is None
         assert {j: det.sent_to(j) for j in (1, 2)} == sent
         assert {j: det.received_from(j) for j in (1, 2)} == received
+        assert production.estimate() == oracle.estimate()
 
     def test_message_from_non_neighbor_rejected(self):
         det = _detector(neighbors=(1,))

@@ -9,6 +9,8 @@ randomized workloads -- scores, minimal support sets, sufficient-set
 fixpoints and complete detector protocol transcripts -- across all four
 ranking functions and arbitrary add/evict/message/neighborhood-change
 interleavings, asserting set-level identity (not approximate closeness).
+The protocol-level oracles (brute-force detectors and sink) live in
+``tests/brute_oracle.py``.
 
 Two data regimes are exercised:
 
@@ -55,6 +57,8 @@ from repro.core import (
 )
 from repro.core.errors import RankingError
 from repro.core.metrics import metric_from_name, registered_metrics
+
+from brute_oracle import BruteAggregator, BruteGlobalDetector, BruteSemiGlobalDetector
 
 
 def random_connected_adjacency(rng: random.Random, sensors: int):
@@ -348,14 +352,13 @@ def test_sufficient_sets_match_oracle(ranking, grid):
 
 
 # ----------------------------------------------------------------------
-# Full protocol transcripts: indexed and oracle detectors in lockstep
+# Full protocol transcripts: production and oracle detectors in lockstep
 # ----------------------------------------------------------------------
 def _twin_global_networks(query, adjacency, seed):
     nets = []
-    for indexed in (True, False):
+    for detector_class in (GlobalOutlierDetector, BruteGlobalDetector):
         detectors = {
-            i: GlobalOutlierDetector(i, query, neighbors=adjacency[i], indexed=indexed)
-            for i in adjacency
+            i: detector_class(i, query, neighbors=adjacency[i]) for i in adjacency
         }
         nets.append(InMemoryNetwork(detectors, adjacency, seed=seed))
     return nets
@@ -450,11 +453,10 @@ def test_semiglobal_detector_transcripts_match_oracle(ranking, variant):
                  for i in range(sensors)}
     query = OutlierQuery(ranking, n=2)
     nets = []
-    for indexed in (True, False):
+    for detector_class in (SemiGlobalOutlierDetector, BruteSemiGlobalDetector):
         detectors = {
-            i: SemiGlobalOutlierDetector(
-                i, query, hop_diameter=2, neighbors=adjacency[i],
-                variant=variant, indexed=indexed,
+            i: detector_class(
+                i, query, hop_diameter=2, neighbors=adjacency[i], variant=variant
             )
             for i in range(sensors)
         }
@@ -492,12 +494,17 @@ def test_semiglobal_detector_transcripts_match_oracle(ranking, variant):
 # ----------------------------------------------------------------------
 def test_centralized_aggregator_matches_oracle(knn_query):
     rng = random.Random(31)
-    fast = CentralizedAggregator(knn_query, indexed=True)
-    slow = CentralizedAggregator(knn_query, indexed=False)
+    fast = CentralizedAggregator(knn_query)
+    slow = BruteAggregator(knn_query)
     streams = {i: _cloud(rng, 30, origin=i) for i in range(4)}
     for round_index in range(12):
         for node in range(4):
-            window = streams[node][round_index: round_index + 8]
+            # Windows overlap (a point reported by two sensors), so the
+            # sink's reference counting is exercised.
+            window = (
+                streams[node][round_index: round_index + 8]
+                + streams[(node + 1) % 4][round_index: round_index + 2]
+            )
             fast.update_window(node, window)
             slow.update_window(node, window)
         assert fast.union() == slow.union()
@@ -594,9 +601,9 @@ def test_sufficient_sets_match_oracle_under_every_metric(metric_name):
     "metric_name", [name for name in registered_metrics() if name != "euclidean"]
 )
 def test_global_detector_transcripts_match_oracle_under_metric(metric_name):
-    """Whole-protocol equivalence under non-Euclidean geometry: the indexed
-    and brute-force detectors (both constructing their state from a
-    metric-carrying query) must emit identical transcripts."""
+    """Whole-protocol equivalence under non-Euclidean geometry: the
+    production and brute-force detectors (both constructing their state
+    from a metric-carrying query) must emit identical transcripts."""
     metric = _metric_for(metric_name)
     rng = random.Random(f"{metric_name}-transcripts")
     sensors = 4
@@ -681,23 +688,22 @@ KNN_FAMILIES = (AverageKNNDistance, KthNearestNeighborDistance)
 
 @pytest.fixture
 def fixpoint_oracle(monkeypatch):
-    """Check every detector fixpoint against a fresh one on the same
-    arguments -- without the per-event memos, the precomputed estimate or
-    the index -- and against eq. 2 itself.  Returns the sets checked on the
-    indexed path, so a test can assert that there were some."""
-    indexed_results = []
+    """Check every production detector fixpoint against a fresh one on the
+    same arguments -- without the per-event memos, the precomputed estimate
+    or the index -- and against eq. 2 itself.  Returns the checked sets, so
+    a test can assert that there were some."""
+    checked_results = []
 
     def checked(query, holdings, known_shared, **kwargs):
         Z = compute_sufficient_set(query, holdings, known_shared, **kwargs)
         assert Z == compute_sufficient_set(query, holdings, known_shared)
         assert satisfies_sufficiency(query, Z, holdings, known_shared)
-        if kwargs.get("index") is not None:
-            indexed_results.append(Z)
+        checked_results.append(Z)
         return Z
 
     for module in (global_detector_module, semiglobal_detector_module):
         monkeypatch.setattr(module, "compute_sufficient_set", checked)
-    return indexed_results
+    return checked_results
 
 
 def _assert_event_equal(fast, slow, fast_msg, slow_msg, query):
@@ -723,8 +729,8 @@ def test_global_dirty_rescoring_event_stream_matches_oracle(
 
 
 def _replay_global_stream(rng, query):
-    fast = GlobalOutlierDetector(0, query, neighbors=[1, 2], indexed=True)
-    slow = GlobalOutlierDetector(0, query, neighbors=[1, 2], indexed=False)
+    fast = GlobalOutlierDetector(0, query, neighbors=[1, 2])
+    slow = BruteGlobalDetector(0, query, neighbors=[1, 2])
     assert fast._cache is not None  # the built-in rankings support caching
 
     pool = []
@@ -743,7 +749,7 @@ def _replay_global_stream(rng, query):
             events = [d.evict_points(victims) for d in (fast, slow)]
         elif roll < 0.70 and fast.neighbors:
             sender = rng.choice(sorted(fast.neighbors))
-            # Echo back points already held, sometimes alone: the indexed
+            # Echo back points already held, sometimes alone: the production
             # detector skips a duplicate-only delivery, the oracle reruns it.
             echoed = rng.sample(pool, rng.randint(0, min(2, len(pool))))
             delivered = _cloud(
@@ -787,12 +793,8 @@ def test_semiglobal_dirty_rescoring_event_stream_matches_oracle(
 
 
 def _replay_semiglobal_stream(rng, query):
-    fast = SemiGlobalOutlierDetector(
-        0, query, hop_diameter=2, neighbors=[1, 2], indexed=True
-    )
-    slow = SemiGlobalOutlierDetector(
-        0, query, hop_diameter=2, neighbors=[1, 2], indexed=False
-    )
+    fast = SemiGlobalOutlierDetector(0, query, hop_diameter=2, neighbors=[1, 2])
+    slow = BruteSemiGlobalDetector(0, query, hop_diameter=2, neighbors=[1, 2])
     assert fast._caches is not None and len(fast._caches) == 2
 
     pool = []
@@ -885,8 +887,8 @@ def test_score_cache_unsupported_without_frontier_spec():
     assert cache.top_n(3) == []
 
     query = OutlierQuery(OpaqueRanking(k=2), n=2)
-    fast = GlobalOutlierDetector(0, query, neighbors=[1], indexed=True)
-    slow = GlobalOutlierDetector(0, query, neighbors=[1], indexed=False)
+    fast = GlobalOutlierDetector(0, query, neighbors=[1])
+    slow = BruteGlobalDetector(0, query, neighbors=[1])
     assert fast._cache is None
     epoch = 0
     for _ in range(10):
@@ -905,8 +907,8 @@ def test_centralized_aggregator_matches_oracle_under_metric(metric_name):
     metric = _metric_for(metric_name)
     rng = random.Random(f"{metric_name}-sink")
     query = OutlierQuery(KthNearestNeighborDistance(k=2, metric=metric), n=3)
-    fast = CentralizedAggregator(query, indexed=True)
-    slow = CentralizedAggregator(query, indexed=False)
+    fast = CentralizedAggregator(query)
+    slow = BruteAggregator(query)
     streams = {i: _cloud(rng, 18, origin=i) for i in range(3)}
     for round_index in range(8):
         for node in range(3):

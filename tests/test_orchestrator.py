@@ -19,6 +19,7 @@ import pytest
 
 import repro.experiments  # noqa: F401  (importing registers the sweep families)
 from repro.core.config import Algorithm, DetectionConfig
+from repro.core.errors import ConfigurationError
 from repro.orchestrator import (
     ResultStore,
     all_families,
@@ -117,7 +118,9 @@ class TestStoreKeys:
             tiny_scenario(broadcast_jitter=0.1),
             base.with_detection(DetectionConfig(window_length=4)),
             base.with_detection(DetectionConfig(window_length=3, ranking="knn")),
-            base.with_detection(DetectionConfig(window_length=3, indexed=False)),
+            base.with_detection(
+                DetectionConfig(window_length=3, semiglobal_variant="paper")
+            ),
             base.with_detection(
                 DetectionConfig(
                     window_length=3, algorithm=Algorithm.SEMI_GLOBAL, hop_diameter=2
@@ -162,6 +165,21 @@ class TestStoreKeys:
         payload = json.loads(canonical_scenario_json(tiny_scenario()))
         payload["brand_new_knob"] = 42
         with pytest.raises(TypeError):
+            ScenarioConfig.from_json_dict(payload)
+
+    def test_frozen_detection_keys_are_encoded_true(self):
+        """The deleted engine knobs stay in the schema-4 encoding, always
+        ``true``, so existing store keys and entries are unchanged."""
+        detection = tiny_scenario().to_json_dict()["detection"]
+        assert detection["indexed"] is True
+        assert detection["batched"] is True
+
+    @pytest.mark.parametrize("value", [False, None, 0, 1, "true"])
+    @pytest.mark.parametrize("key", ["indexed", "batched"])
+    def test_frozen_detection_keys_reject_other_values(self, key, value):
+        payload = json.loads(canonical_scenario_json(tiny_scenario()))
+        payload["detection"][key] = value
+        with pytest.raises(ConfigurationError, match=f"detection.{key}"):
             ScenarioConfig.from_json_dict(payload)
 
     @pytest.mark.parametrize(

@@ -196,13 +196,11 @@ def fixture_store(tmp_path, scratch_families):
 #: payloads would churn the goldens every PR, these never change.
 FIXTURE_HOTPATH = {
     "benchmark": "hotpath",
-    "schema": 2,
+    "schema": 3,
     "windows": [
         {
             "window": 64,
             "indexed_ms": 0.5,
-            "rebuild_ms": 5.0,
-            "speedup": 10.0,
             "batched_ms": 0.1,
             "batched_speedup": 5.0,
             "batch_sweep": [
@@ -212,8 +210,6 @@ FIXTURE_HOTPATH = {
         {
             "window": 256,
             "indexed_ms": 1.0,
-            "rebuild_ms": 20.0,
-            "speedup": 20.0,
             "batched_ms": 0.25,
             "batched_speedup": 4.0,
             "batch_sweep": [
@@ -231,16 +227,16 @@ FIXTURE_TRAJECTORY = {
             "sha": "aaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa",
             "metrics": {
                 "hotpath.indexed_ms.w256": 1.1,
-                "hotpath.speedup.w256": 18.0,
+                "hotpath.batched_speedup.w256": 3.6,
             },
         },
         {
             "sha": "bbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbb",
             "metrics": {
                 "hotpath.indexed_ms.w256": 1.0,
-                "hotpath.speedup.w256": 20.0,
+                "hotpath.batched_speedup.w256": 4.0,
             },
-            "note": "indexed hot path sped up",
+            "note": "per-event hot path sped up",
         },
     ],
 }
@@ -423,8 +419,8 @@ class TestSchemas:
 
     def test_hotpath_rejects_nonpositive_speedup(self):
         payload = self._committed("hotpath")
-        payload["windows"][0]["speedup"] = 0
-        with pytest.raises(SchemaError, match="speedup"):
+        payload["windows"][0]["batched_speedup"] = 0
+        with pytest.raises(SchemaError, match="batched_speedup"):
             validate_bench(payload)
 
     def test_e2e_rejects_out_of_range_accuracy(self):
@@ -441,7 +437,7 @@ class TestSchemas:
 
     def test_trajectory_rejects_non_numeric_metric(self):
         payload = copy.deepcopy(FIXTURE_TRAJECTORY)
-        payload["entries"][0]["metrics"]["hotpath.speedup.w256"] = "fast"
+        payload["entries"][0]["metrics"]["hotpath.batched_speedup.w256"] = "fast"
         with pytest.raises(SchemaError, match="finite number"):
             validate_bench(payload)
 
@@ -599,18 +595,18 @@ class TestRobustnessRollup:
 class TestTrajectory:
     def test_extraction_keys_are_config_parameterised(self):
         metrics = extract_metrics({"hotpath": FIXTURE_HOTPATH})
-        assert metrics["hotpath.speedup.w64"] == 10.0
-        assert metrics["hotpath.speedup.w256"] == 20.0
+        assert metrics["hotpath.indexed_ms.w64"] == 0.5
+        assert metrics["hotpath.batched_speedup.w64"] == 5.0
         assert metrics["hotpath.batched_speedup.w256"] == 4.0
 
     def test_extraction_over_committed_artifacts(self):
         metrics = extract_metrics(load_bench_artifacts(RESULTS_DIR))
-        assert "hotpath.speedup.w256" in metrics
+        assert "hotpath.batched_speedup.w256" in metrics
         assert "setup.speedup.n4096" in metrics
         assert any(key.startswith("e2e.wallclock_s.") for key in metrics)
 
     def test_gates_cover_ratios_but_not_raw_latencies(self):
-        assert gate_for("hotpath.speedup.w256") is not None
+        assert gate_for("hotpath.batched_speedup.w256") is not None
         assert gate_for("setup.speedup.n4096") is not None
         assert gate_for("hotpath.indexed_ms.w256") is None
         assert gate_for("e2e.total_wallclock_s") is None
@@ -645,19 +641,21 @@ class TestTrajectory:
     def test_injected_regression_trips_the_gate(self):
         base = extract_metrics({"hotpath": FIXTURE_HOTPATH})
         current = dict(base)
-        current["hotpath.speedup.w256"] = base["hotpath.speedup.w256"] / 20.0
+        current["hotpath.batched_speedup.w256"] = (
+            base["hotpath.batched_speedup.w256"] / 20.0
+        )
         report = diff_metrics(base, current)
         assert not report.ok
         assert [row.key for row in report.regressions] == [
-            "hotpath.speedup.w256"
+            "hotpath.batched_speedup.w256"
         ]
         assert "REGRESSION" in report.render()
 
     def test_diff_compares_only_the_intersection(self):
-        base = {"hotpath.speedup.w256": 20.0, "setup.speedup.n4096": 9.0}
-        current = {"hotpath.speedup.w256": 19.0, "setup.speedup.n512": 2.0}
+        base = {"hotpath.batched_speedup.w256": 5.0, "setup.speedup.n4096": 9.0}
+        current = {"hotpath.batched_speedup.w256": 4.8, "setup.speedup.n512": 2.0}
         report = diff_metrics(base, current)
-        assert [row.key for row in report.rows] == ["hotpath.speedup.w256"]
+        assert [row.key for row in report.rows] == ["hotpath.batched_speedup.w256"]
         assert report.only_base == ("setup.speedup.n4096",)
         assert report.only_current == ("setup.speedup.n512",)
 
@@ -667,18 +665,18 @@ class TestTrajectory:
 
     def test_append_entry_appends_and_replaces_idempotently(self, tmp_path):
         path = tmp_path / "BENCH_trajectory.json"
-        first = new_entry({"hotpath.speedup.w256": 10.0}, "sha-one")
+        first = new_entry({"hotpath.batched_speedup.w256": 10.0}, "sha-one")
         payload = append_entry(path, first)
         assert [e["sha"] for e in payload["entries"]] == ["sha-one"]
 
-        second = new_entry({"hotpath.speedup.w256": 12.0}, "sha-two")
+        second = new_entry({"hotpath.batched_speedup.w256": 12.0}, "sha-two")
         payload = append_entry(path, second)
         assert [e["sha"] for e in payload["entries"]] == ["sha-one", "sha-two"]
 
-        replaced = new_entry({"hotpath.speedup.w256": 13.0}, "sha-two")
+        replaced = new_entry({"hotpath.batched_speedup.w256": 13.0}, "sha-two")
         payload = append_entry(path, replaced)
         assert [e["sha"] for e in payload["entries"]] == ["sha-one", "sha-two"]
-        assert payload["entries"][-1]["metrics"]["hotpath.speedup.w256"] == 13.0
+        assert payload["entries"][-1]["metrics"]["hotpath.batched_speedup.w256"] == 13.0
         # What landed on disk revalidates.
         assert load_trajectory(path)["entries"] == payload["entries"]
 
@@ -698,7 +696,7 @@ class TestTrajectory:
         )
         label, metrics = baseline_metrics(tmp_path)
         assert label == str(tmp_path)
-        assert metrics["hotpath.speedup.w256"] == 20.0
+        assert metrics["hotpath.batched_speedup.w256"] == 4.0
 
     def test_baseline_metrics_errors(self, tmp_path):
         with pytest.raises(SchemaError):
@@ -762,7 +760,7 @@ class TestReportCli:
     ):
         regressed = copy.deepcopy(FIXTURE_HOTPATH)
         for row in regressed["windows"]:
-            row["speedup"] = row["speedup"] * 100.0  # baseline far above us
+            row["batched_speedup"] *= 100.0  # baseline far above us
         trajectory = tmp_path / "trajectory.json"
         append_entry(
             trajectory,

@@ -155,7 +155,6 @@ class TestAnalysis:
         assert "a" in text and "b" in text and "w" in text
 
 
-@pytest.mark.slow
 class TestEndToEndSimulations:
     """Small but complete simulations of every algorithm."""
 
