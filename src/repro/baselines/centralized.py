@@ -9,12 +9,15 @@ module holds the transport-free aggregation logic so it can also be used as
 an offline reference implementation.
 
 Although each upload *replaces* a sensor's stored window wholesale, the
-windows slide by one or two samples per round, so the aggregator diffs the
-old and new contents and maintains a reference-counted
-:class:`~repro.core.index.NeighborhoodIndex` over the union incrementally:
-per round the sink pays ``O(Δ · N)`` for the few points that actually
-entered or left the union instead of an ``O(N² · d)`` rebuild at every
-outlier computation.
+windows slide by one or two samples per round, so the aggregator keeps a
+reference count per union point and mirrors the union in a
+:class:`~repro.core.index.NeighborhoodIndex` that it brings up to date
+lazily: uploads touch only the counts, and each outlier computation first
+applies the union's net change since the previous one as a single
+:class:`~repro.core.batch.EventBatch`.  Per publication the sink pays one
+block write for the few points that actually entered or left the union
+(about one per sensor) instead of one scalar index write per upload, or an
+``O(N² · d)`` rebuild.
 """
 
 from __future__ import annotations
@@ -36,8 +39,17 @@ class CentralizedAggregator:
 
     The aggregator keeps the most recent window reported by every sensor and
     recomputes the global outlier set on demand.  The union of all windows
-    is mirrored in an incremental neighborhood index, and each window
-    upload's diff reaches it as one :class:`~repro.core.batch.EventBatch`.
+    is mirrored in an incremental neighborhood index, which
+    :meth:`compute_outliers` synchronises with one
+    :class:`~repro.core.batch.EventBatch` per call.
+
+    Deferring the index writes is exact: at query time the index holds
+    exactly the union, as eager per-upload writes would leave it.  Only
+    slot numbers can differ, and they never reach an output -- neighbor
+    rows order by ``(distance, ≺ key, slot)`` and the score cache by
+    ``(score, ≺ key, slot)``, so the slot breaks ties only between hop
+    variants sharing a ``≺`` key, whose presence degrades the cache to the
+    slot-free fallback ranking.
     """
 
     def __init__(self, query: OutlierQuery) -> None:
@@ -62,39 +74,44 @@ class CentralizedAggregator:
         """Replace the stored window of ``node_id`` with ``points``.
 
         Only the symmetric difference against the previously stored window
-        touches the union bookkeeping and the index.
+        touches the union bookkeeping; the index catches up at the next
+        :meth:`compute_outliers`.
         """
         fresh = {p for p in points}
         previous = self._windows.get(int(node_id), set())
         self._windows[int(node_id)] = fresh
-        batch = EventBatch()
         for point in fresh - previous:
             self._multiplicity[point] += 1
-            if self._multiplicity[point] == 1:
-                batch.adds.append(point)
         for point in previous - fresh:
-            self._release(point, batch)
-        if batch:
-            self._index.apply_batch(batch)
+            self._release(point)
         self.updates_received += 1
 
     def forget(self, node_id: int) -> None:
         """Drop a sensor's contribution (e.g. when it leaves the network)."""
-        previous = self._windows.pop(int(node_id), None)
-        if previous:
-            batch = EventBatch()
-            for point in previous:
-                self._release(point, batch)
-            if batch:
-                self._index.apply_batch(batch)
+        for point in self._windows.pop(int(node_id), ()):
+            self._release(point)
 
-    def _release(self, point: DataPoint, batch: EventBatch) -> None:
+    def _release(self, point: DataPoint) -> None:
         remaining = self._multiplicity[point] - 1
         if remaining > 0:
             self._multiplicity[point] = remaining
         else:
             del self._multiplicity[point]
-            batch.evicts.append(point)
+
+    def _sync_index(self) -> None:
+        """Apply the union's net change since the last query as one batch.
+
+        Both scans walk insertion-ordered dicts, so the batch order is
+        deterministic; a point that entered and left the union between two
+        queries never reaches the index.
+        """
+        index = self._index
+        union = self._multiplicity
+        batch = EventBatch()
+        batch.evicts.extend(p for p in index.points() if p not in union)
+        batch.adds.extend(p for p in union if p not in index)
+        if batch:
+            index.apply_batch(batch)
 
     # ------------------------------------------------------------------
     # Queries
@@ -113,6 +130,7 @@ class CentralizedAggregator:
 
     def compute_outliers(self) -> List[DataPoint]:
         """``O_n`` over the union of all reported windows (ordered)."""
+        self._sync_index()
         cache = self._cache
         if cache is not None and not cache.degraded:
             return cache.top_n(self.query.n)

@@ -213,7 +213,8 @@ class NeighborhoodIndex:
         return point in self._slot_of
 
     def points(self) -> Iterator[DataPoint]:
-        """Iterate over the indexed points (insertion order not guaranteed)."""
+        """Iterate over the indexed points, in the order they were indexed
+        (a :meth:`replace` moves the new copy to the end)."""
         return iter(self._slot_of)
 
     @property
@@ -652,8 +653,8 @@ class NeighborhoodIndex:
         inner = self._metric.pairwise(values) if m > 1 else None
 
         # Allocate slots in list order (the sequential path pops the same
-        # LIFO free-list) and label them up front: the tie repair inside
-        # `_ordered_arrays` reads the ``≺`` keys of batch-mates by slot.
+        # LIFO free-list) and label them up front: :meth:`_repair_tie_runs`
+        # reads the ``≺`` keys of batch-mates by slot.
         new_slots: List[int] = []
         for _ in range(m):
             if self._free:
@@ -751,7 +752,7 @@ class NeighborhoodIndex:
         # ``side='right'`` lands each new entry after any equal-distance
         # run, exactly where the sequential splice starts its key-ordered
         # walk-back; the walk-back itself is replayed by
-        # :meth:`_repair_tie_runs` on the (rare) arrays containing a tie.
+        # :meth:`_repair_tie_runs`, which re-sorts only the tied runs.
         if base_count:
             col_excl: Dict[int, List[int]] = {}
             for j, positions in excl_base.items():
@@ -821,8 +822,7 @@ class NeighborhoodIndex:
                 gaps[targets] = False
                 out_d[gaps] = old_d
                 out_n[gaps] = old_n
-                if total > 1 and (out_d[1:] == out_d[:-1]).any():
-                    out_d, out_n = self._repair_tie_runs(out_d, out_n)
+                self._repair_tie_runs(out_d, out_n)
                 new_dists = array("d")
                 new_dists.frombytes(out_d.tobytes())
                 new_nbrs = array(SLOT_TYPECODE)
@@ -933,13 +933,7 @@ class NeighborhoodIndex:
         out_n[gaps] = big_n.ravel()
         out_d = out_d.reshape(nrows, total_row)
         out_n = out_n.reshape(nrows, total_row)
-        if total_row > 1:
-            ties = out_d[:, 1:] == out_d[:, :-1]
-            if ties.any():
-                for r in np.nonzero(ties.any(axis=1))[0]:
-                    row_d, row_n = self._repair_tie_runs(out_d[r], out_n[r])
-                    out_d[r] = row_d
-                    out_n[r] = row_n
+        self._repair_tie_runs(out_d, out_n)
         out_d_mv = out_d.data.cast("B")
         out_n_mv = out_n.data.cast("B")
         d_stride = total_row * out_d.itemsize
@@ -953,33 +947,36 @@ class NeighborhoodIndex:
             nbrs_tbl[target] = new_nbrs
         return True
 
-    def _repair_tie_runs(
-        self, dists: np.ndarray, slots: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Re-sort every equal-distance run by ``(≺ key, slot)``.
+    def _repair_tie_runs(self, dists: np.ndarray, slots: np.ndarray) -> None:
+        """Re-sort every equal-distance run's slots by ``(≺ key, slot)``,
+        in place.
 
+        ``dists``/``slots`` are one row or a C-contiguous ``(rows, width)``
+        block whose rows are sorted by distance.  One vectorized compare
+        finds the tied adjacent pairs; pairs at consecutive flat positions
+        chain into one run, and a jump of two or more (a row break is
+        always one) starts the next.  Only the runs' slots are re-sorted:
+        their distances are equal, and entries outside a run stay put.
         Runs that predate a merge already satisfy the invariant, so the
-        re-sort is idempotent there; runs containing freshly spliced
-        entries are where the repair matters.
+        re-sort is idempotent there.
         """
+        width = dists.shape[-1]
+        if width < 2:
+            return
+        pairs = np.flatnonzero(dists[..., 1:] == dists[..., :-1])
+        if not len(pairs):
+            return
+        # Positions in the (rows, width - 1) comparison -> flat positions.
+        pairs += pairs // (width - 1)
+        breaks = np.flatnonzero(np.diff(pairs) != 1)
+        starts = np.concatenate((pairs[:1], pairs[breaks + 1]))
+        ends = np.concatenate((pairs[breaks], pairs[-1:])) + 2
         keys = self._keys
-        pairs = list(zip(dists.tolist(), slots.tolist()))
-        i, count = 0, len(pairs)
-        while i < count - 1:
-            if pairs[i][0] == pairs[i + 1][0]:
-                tied = pairs[i][0]
-                j = i + 2
-                while j < count and pairs[j][0] == tied:
-                    j += 1
-                run = pairs[i:j]
-                run.sort(key=lambda p: (keys[p[1]], p[1]))
-                pairs[i:j] = run
-                i = j
-            else:
-                i += 1
-        out_d = np.fromiter((p[0] for p in pairs), dtype=float, count=count)
-        out_n = np.fromiter((p[1] for p in pairs), dtype=SLOT_DTYPE, count=count)
-        return out_d, out_n
+        flat = slots.reshape(-1)
+        for start, end in zip(starts.tolist(), ends.tolist()):
+            run = flat[start:end].tolist()
+            run.sort(key=lambda s: (keys[s], s))
+            flat[start:end] = run
 
     def _ordered_arrays(
         self, row: np.ndarray, slot_row: np.ndarray
@@ -988,42 +985,23 @@ class NeighborhoodIndex:
 
         Distance-first order; ties (equal doubles) must then be re-ordered
         by ``(≺ key, slot)`` so the arrays match the brute-force
-        ``(distance, ≺)`` order exactly -- ties are rare on continuous
-        data, so the common case is a pure C argsort.  Shared by
-        :meth:`add` and the batched insertion path.
+        ``(distance, ≺)`` order exactly -- :meth:`_repair_tie_runs` re-sorts
+        just the tied runs, so a row without ties is a pure C argsort.
+        Shared by :meth:`add` and the batched insertion path.
         """
         own_dists = array("d")
         own_nbrs = array(SLOT_TYPECODE)
         if not len(row):
             return own_dists, own_nbrs
         # Introsort, not a stable sort: without ties the order is unique
-        # anyway, and with ties the pairs-based repair below rebuilds the
-        # arrays from scratch -- so sort stability buys nothing at ~2x the
-        # sort cost.
+        # anyway, and the repair re-sorts every tied run by (≺ key, slot)
+        # -- so sort stability buys nothing at ~2x the sort cost.
         order = row.argsort()
         sorted_dists = row[order]
         sorted_slots = slot_row[order]
-        if len(row) > 1 and bool((sorted_dists[1:] == sorted_dists[:-1]).any()):
-            keys = self._keys
-            pairs = sorted(zip(row.tolist(), slot_row.tolist()))
-            i, count = 0, len(pairs)
-            while i < count - 1:
-                if pairs[i][0] == pairs[i + 1][0]:
-                    tied = pairs[i][0]
-                    j = i + 2
-                    while j < count and pairs[j][0] == tied:
-                        j += 1
-                    run = pairs[i:j]
-                    run.sort(key=lambda p: (keys[p[1]], p[1]))
-                    pairs[i:j] = run
-                    i = j
-                else:
-                    i += 1
-            own_dists.extend(p[0] for p in pairs)
-            own_nbrs.extend(p[1] for p in pairs)
-        else:
-            own_dists.frombytes(sorted_dists.tobytes())
-            own_nbrs.frombytes(np.ascontiguousarray(sorted_slots).tobytes())
+        self._repair_tie_runs(sorted_dists, sorted_slots)
+        own_dists.frombytes(sorted_dists.tobytes())
+        own_nbrs.frombytes(sorted_slots.tobytes())
         return own_dists, own_nbrs
 
     def _ordered_arrays_block(
@@ -1031,31 +1009,21 @@ class NeighborhoodIndex:
     ) -> List[Tuple[array, array]]:
         """:meth:`_ordered_arrays` for a whole ``(m, width)`` block at once.
 
-        One axis-1 argsort/gather/serialize for the block instead of ``m``
-        dispatch rounds.  Rows with no equal-distance pair have a unique
-        order, so the row-wise introsort matches the per-row sort exactly;
-        rows containing a tie (detected the same way the scalar path does)
-        are handed back to :meth:`_ordered_arrays`, whose pairs-based
-        repair rebuilds them -- byte-identical either way.
+        One axis-1 argsort/gather, one tie repair and one serialize pass
+        for the block instead of ``m`` dispatch rounds -- byte-identical to
+        sorting each row on its own.
         """
         m, width = rows.shape
         order = rows.argsort(axis=1)
         sorted_dists = np.take_along_axis(rows, order, axis=1)
         sorted_slots = np.take_along_axis(slot_rows, order, axis=1)
-        tie_rows = None
-        if width > 1:
-            ties = sorted_dists[:, 1:] == sorted_dists[:, :-1]
-            if ties.any():
-                tie_rows = ties.any(axis=1)
+        self._repair_tie_runs(sorted_dists, sorted_slots)
         dists_mv = sorted_dists.data.cast("B")
         slots_mv = sorted_slots.data.cast("B")
         d_stride = width * sorted_dists.itemsize
         n_stride = width * sorted_slots.itemsize
         out: List[Tuple[array, array]] = []
         for j in range(m):
-            if tie_rows is not None and tie_rows[j]:
-                out.append(self._ordered_arrays(rows[j], slot_rows[j]))
-                continue
             own_dists = array("d")
             own_dists.frombytes(dists_mv[j * d_stride : (j + 1) * d_stride])
             own_nbrs = array(SLOT_TYPECODE)

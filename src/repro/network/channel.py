@@ -215,12 +215,7 @@ class WirelessChannel:
                 self.stats.losses += 1
                 continue
             self.stats.deliveries += 1
-            self.simulator.schedule(
-                delay,
-                receiver.deliver,
-                packet,
-                name=f"deliver#{packet.packet_id}->{neighbor_id}",
-            )
+            self.simulator.schedule(delay, receiver.deliver, packet)
 
     def _lost(self, sender_id: int, receiver_id: int) -> bool:
         """One loss decision for this delivery attempt.

@@ -10,13 +10,15 @@ Determinism rests on the event total order ``(time, priority, sequence)``
 documented in :mod:`repro.simulator.events`: the heap pops events in exactly
 that order, :meth:`Simulator.step` asserts the clock never runs backwards,
 and replaying an identical sequence of ``schedule`` calls replays an
-identical execution.
+identical execution.  The heap holds ``(time, priority, sequence, event)``
+tuples, so ``heapq`` compares plain tuples in C; ``sequence`` is unique, so
+the event itself is never compared.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, List, Optional, Tuple
 
 from ..core.errors import SimulationError
 from .events import Event, EventPriority
@@ -42,7 +44,7 @@ class Simulator:
 
     def __init__(self) -> None:
         self._now = 0.0
-        self._queue: List[Event] = []
+        self._queue: List[Tuple[float, int, int, Event]] = []
         self._running = False
         self.events_executed = 0
         self.events_scheduled = 0
@@ -87,7 +89,7 @@ class Simulator:
         event = Event(
             time=time, priority=priority, callback=callback, args=args, name=name
         )
-        heapq.heappush(self._queue, event)
+        heapq.heappush(self._queue, (time, priority, event.sequence, event))
         self.events_scheduled += 1
         return event
 
@@ -125,7 +127,7 @@ class Simulator:
     def step(self) -> bool:
         """Execute the next pending event.  Returns ``False`` when idle."""
         while self._queue:
-            event = heapq.heappop(self._queue)
+            event = heapq.heappop(self._queue)[3]
             if event.cancelled:
                 continue
             # The (time, priority, sequence) total order forbids the clock
@@ -152,15 +154,15 @@ class Simulator:
                 if max_events is not None and executed >= max_events:
                     break
                 head = self._queue[0]
-                if head.cancelled:
+                if head[3].cancelled:
                     heapq.heappop(self._queue)
                     continue
-                if until is not None and head.time > until:
+                if until is not None and head[0] > until:
                     break
                 self.step()
                 executed += 1
             if until is not None and self._now < until and (
-                not self._queue or self._queue[0].time > until
+                not self._queue or self._queue[0][0] > until
             ):
                 # Advance the clock to the end of the observation window so
                 # that idle-energy accounting covers the full interval.
@@ -174,7 +176,7 @@ class Simulator:
     @property
     def pending(self) -> int:
         """Number of not-yet-cancelled events still queued."""
-        return sum(1 for e in self._queue if not e.cancelled)
+        return sum(1 for entry in self._queue if not entry[3].cancelled)
 
     def peek_time(self) -> Optional[float]:
         """Time of the next pending event, or ``None`` when idle.
@@ -185,8 +187,8 @@ class Simulator:
         """
         while self._queue:
             head = self._queue[0]
-            if head.cancelled:
+            if head[3].cancelled:
                 heapq.heappop(self._queue)
                 continue
-            return head.time
+            return head[0]
         return None

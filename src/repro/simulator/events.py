@@ -50,12 +50,14 @@ class EventPriority:
 _sequence = itertools.count()
 
 
-@dataclass(order=True)
+@dataclass(order=True, slots=True)
 class Event:
     """A scheduled callback.
 
     Only ``time``, ``priority`` and ``sequence`` participate in ordering;
-    the callback and its arguments are compared by identity never.
+    the callback and its arguments are compared by identity never.  The
+    engine's heap orders ``(time, priority, sequence, event)`` tuples
+    instead of calling the generated comparisons, which is the same order.
     """
 
     time: float

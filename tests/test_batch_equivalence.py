@@ -315,18 +315,36 @@ def test_semiglobal_detector_transcripts_identical(monkeypatch):
 
 def test_centralized_aggregator_batched_matches(monkeypatch):
     """Window replacement and node churn through the aggregator: the block
-    path must publish the same outliers as the scalar path."""
+    path must publish the same outliers as the scalar path.  The sink
+    writes its index when it is queried, so the forced threshold wraps
+    each sink's ``compute_outliers``."""
     rng = random.Random(41)
     query = OutlierQuery(AverageKNNDistance(3), n=4)
     block = CentralizedAggregator(query)
     scalar = CentralizedAggregator(query)
+    block_writes = []
+    for name in ("_add_block", "_evict_block"):
+        original = getattr(NeighborhoodIndex, name)
+
+        def spy(index, *args, _original=original):
+            block_writes.append(index)
+            return _original(index, *args)
+
+        monkeypatch.setattr(NeighborhoodIndex, name, spy)
 
     def update(node, points):
-        # Each upload's batch goes through the block path on one sink and
-        # through the scalar path on the other.
+        for aggregator in (block, scalar):
+            aggregator.update_window(node, points)
+
+    def assert_same_outliers():
+        # One sink syncs its index through the block path, the other
+        # through the scalar path.
+        published = []
         for aggregator, threshold in zip((block, scalar), FORCED_PATHS):
             monkeypatch.setattr(index_mod, "BATCH_BLOCK_THRESHOLD", threshold)
-            aggregator.update_window(node, points)
+            published.append(aggregator.compute_outliers())
+        assert published[0] == published[1]
+        assert block.union() == scalar.union()
 
     windows = {
         node: [_make_point(rng, node * 100 + e) for e in range(12)]
@@ -346,10 +364,10 @@ def test_centralized_aggregator_batched_matches(monkeypatch):
         ]
         windows[node] = kept + fresh
         update(node, windows[node])
-        assert block.compute_outliers() == scalar.compute_outliers()
-        assert block.union() == scalar.union()
-    for aggregator, threshold in zip((block, scalar), FORCED_PATHS):
-        monkeypatch.setattr(index_mod, "BATCH_BLOCK_THRESHOLD", threshold)
+        assert_same_outliers()
+    for aggregator in (block, scalar):
         aggregator.forget(1)
-    assert block.compute_outliers() == scalar.compute_outliers()
-    assert block.union() == scalar.union()
+    assert_same_outliers()
+    # The comparison is not vacuous: only the block sink took the block path.
+    assert any(index is block._index for index in block_writes)
+    assert not any(index is scalar._index for index in block_writes)

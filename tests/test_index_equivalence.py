@@ -492,7 +492,85 @@ def test_semiglobal_detector_transcripts_match_oracle(ranking, variant):
 # ----------------------------------------------------------------------
 # Centralized baseline and reference computations
 # ----------------------------------------------------------------------
-def test_centralized_aggregator_matches_oracle(knn_query):
+def _replay_sink_with_irregular_queries(query, rng, monkeypatch):
+    """Query the sink at irregular points and check it against the oracle.
+
+    Between two queries come 0-6 uploads or forgets, so the sink's lazily
+    synced index absorbs several uploads' net change in one batch, on
+    either side of the block threshold.  Integer-grid data makes distances
+    tie.  Midway, a point enters and leaves the union between two queries
+    (it must never reach the index), and a sensor is forgotten and then
+    re-uploads the same window (a zero net change: nothing is written).
+    """
+    fast = CentralizedAggregator(query)
+    slow = BruteAggregator(query)
+    added, evicted = [], []
+    apply_batch = NeighborhoodIndex.apply_batch
+
+    def spy(index, batch):
+        if index is fast._index:
+            added.extend(batch.adds)
+            evicted.extend(batch.evicts)
+        return apply_batch(index, batch)
+
+    monkeypatch.setattr(NeighborhoodIndex, "apply_batch", spy)
+    sensors = 4
+    streams = {
+        i: _cloud(rng, 40, origin=i, grid="int-grid") for i in range(sensors)
+    }
+    starts = dict.fromkeys(streams, 0)
+    windows = {}
+
+    def upload(node, window):
+        windows[node] = window
+        fast.update_window(node, window)
+        slow.update_window(node, window)
+
+    def forget(node):
+        windows.pop(node, None)
+        fast.forget(node)
+        slow.forget(node)
+
+    def check():
+        assert fast.union() == slow.union()
+        assert fast.total_points() == slow.total_points()
+        assert fast.compute_outliers() == slow.compute_outliers()
+
+    def irregular_rounds(count):
+        for _ in range(count):
+            for _ in range(rng.randrange(7)):
+                node = rng.randrange(sensors)
+                if node in windows and rng.random() < 0.2:
+                    forget(node)
+                    continue
+                starts[node] = (starts[node] + rng.randrange(1, 4)) % 32
+                start = starts[node]
+                # Overlapping windows exercise the reference counts.
+                upload(
+                    node,
+                    streams[node][start: start + 6]
+                    + streams[(node + 1) % sensors][start: start + 2],
+                )
+            check()
+
+    irregular_rounds(12)
+    held = streams[0][:6]
+    upload(0, held)
+    check()
+    transient = _cloud(rng, 1, origin=sensors, grid="int-grid")[0]
+    upload(0, held + [transient])
+    upload(0, held)
+    check()
+    assert transient not in added
+    writes = len(added) + len(evicted)
+    forget(0)
+    upload(0, held)
+    check()
+    assert len(added) + len(evicted) == writes
+    irregular_rounds(12)
+
+
+def test_centralized_aggregator_matches_oracle(knn_query, monkeypatch):
     rng = random.Random(31)
     fast = CentralizedAggregator(knn_query)
     slow = BruteAggregator(knn_query)
@@ -514,6 +592,7 @@ def test_centralized_aggregator_matches_oracle(knn_query):
     slow.forget(2)
     assert fast.union() == slow.union()
     assert fast.compute_outliers() == slow.compute_outliers()
+    _replay_sink_with_irregular_queries(knn_query, rng, monkeypatch)
 
 
 def test_semi_global_reference_shared_index_matches_oracle(nn_query):
@@ -903,7 +982,9 @@ def test_score_cache_unsupported_without_frontier_spec():
 @pytest.mark.parametrize(
     "metric_name", [name for name in registered_metrics() if name != "euclidean"]
 )
-def test_centralized_aggregator_matches_oracle_under_metric(metric_name):
+def test_centralized_aggregator_matches_oracle_under_metric(
+    metric_name, monkeypatch
+):
     metric = _metric_for(metric_name)
     rng = random.Random(f"{metric_name}-sink")
     query = OutlierQuery(KthNearestNeighborDistance(k=2, metric=metric), n=3)
@@ -916,3 +997,4 @@ def test_centralized_aggregator_matches_oracle_under_metric(metric_name):
             fast.update_window(node, window)
             slow.update_window(node, window)
         assert fast.compute_outliers() == slow.compute_outliers()
+    _replay_sink_with_irregular_queries(query, rng, monkeypatch)
