@@ -6,7 +6,7 @@ window/network the experiments can simulate, so it is measured the same way
 figures are -- reproducibly, from a CLI entry point, with artifacts a CI
 job can diff and threshold.
 
-Three benchmarks ship:
+Two benchmarks ship, and every ``repro-wsn bench`` call runs both:
 
 * **hotpath** -- per-event latency of the steady-state detector loop (one
   arrival plus one eviction per event at a fixed window size), with the
@@ -14,10 +14,6 @@ Three benchmarks ship:
   size 1 is the per-event latency; larger ticks share one
   :class:`~repro.core.batch.EventBatch` and one rescoring pass.  Emitted as
   ``BENCH_hotpath.json``.
-* **e2e** -- end-to-end wall-clock of complete simulated scenarios through
-  :func:`repro.wsn.runner.run_scenario` (the global and semi-global
-  detectors and the centralized baseline on the synthetic workload).
-  Emitted as ``BENCH_e2e.json``.
 * **setup** -- scenario *construction* cost at scale: layout generation
   plus :class:`~repro.network.topology.Topology` building via the grid
   spatial index versus the brute-force all-pairs oracle, on the same
@@ -26,11 +22,15 @@ Three benchmarks ship:
   bounded), so its speedup is ``null`` there.  Emitted as
   ``BENCH_setup.json``.
 
+Whole scenarios are timed end to end by ``perfbench/`` (declared in
+``BENCHMARK.json``), not by this module.
+
 Every artifact carries a stable ``schema`` number and enough configuration to
 interpret a trajectory of them across commits.  The CLI's ``--check`` mode
-turns the hotpath result into a regression guard: it fails when the
-batched speedup (largest swept batch size over batch size 1) at
-``--floor-window`` drops below ``--batch-floor``.
+turns both results into regression guards: the batched speedup (largest
+swept batch size over batch size 1) at :data:`BATCH_FLOOR_WINDOW` must reach
+:data:`BATCH_FLOOR`, and the grid-vs-brute build speedup at the largest
+size the brute oracle measured must reach :data:`SETUP_FLOOR`.
 
 Methodology invariants (what makes two artifacts comparable):
 
@@ -43,12 +43,12 @@ Methodology invariants (what makes two artifacts comparable):
 * **identical work** -- every batch size replays the *same* deterministic
   event stream (same seed, same points), so the reported speedup isolates
   the batching, not the workload.
-* **floors are on ratios** -- ``--check`` thresholds the batched
-  *speedup*, never an absolute latency, precisely so CI machines of
-  different speeds share one floor.
+* **floors are on ratios** -- ``--check`` thresholds speedups, never an
+  absolute latency, precisely so CI machines of different speeds share one
+  floor.
 
-The module is import-light so ``repro-wsn bench`` stays snappy; the wsn
-stack is imported lazily inside :func:`run_e2e_bench`.
+The module is import-light so ``repro-wsn bench`` stays snappy; the detector
+and topology stacks are imported lazily inside the harness functions.
 """
 
 from __future__ import annotations
@@ -62,19 +62,19 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 __all__ = [
     "BENCH_HOTPATH_SCHEMA",
-    "BENCH_E2E_SCHEMA",
     "DEFAULT_WINDOWS",
     "QUICK_WINDOWS",
     "DEFAULT_BATCH_SIZES",
+    "BATCH_FLOOR",
+    "BATCH_FLOOR_WINDOW",
     "steady_state_detector",
     "measure_event_latency",
     "run_hotpath_bench",
     "render_hotpath_table",
-    "render_regression_report",
-    "run_e2e_bench",
     "BENCH_SETUP_SCHEMA",
     "DEFAULT_SETUP_NODES",
     "QUICK_SETUP_NODES",
+    "SETUP_FLOOR",
     "measure_setup",
     "run_setup_bench",
     "render_setup_table",
@@ -92,14 +92,11 @@ __all__ = [
 #: of every ``speedup`` in the sweep.
 BENCH_HOTPATH_SCHEMA = 3
 
-#: Bump when the e2e artifact layout changes incompatibly.
-BENCH_E2E_SCHEMA = 2
-
 #: Window sizes of the full hotpath sweep (matches ``results/hotpath.txt``).
 DEFAULT_WINDOWS: Tuple[int, ...] = (64, 256, 1024)
 
 #: Window sizes of the CI-friendly ``--quick`` sweep.  256 is included
-#: because the perf-smoke regression floor is evaluated there.
+#: because the batched floor is evaluated there.
 QUICK_WINDOWS: Tuple[int, ...] = (64, 256)
 
 #: Events-per-tick sweep (1 is the per-event baseline and is always
@@ -108,17 +105,28 @@ QUICK_WINDOWS: Tuple[int, ...] = (64, 256)
 #: window so the sliding-window workload stays well formed.
 DEFAULT_BATCH_SIZES: Tuple[int, ...] = (1, 4, 16, 64)
 
-#: Schema of ``BENCH_setup.json`` (independent of the hotpath/e2e schema:
-#: the artifacts evolve separately).  History: 1 -- initial layout.
+#: ``--check`` fails when the batched speedup at :data:`BATCH_FLOOR_WINDOW`
+#: is below :data:`BATCH_FLOOR`.  Conservative, so the guard does not flap
+#: on shared runners, yet a batched path that stopped batching (~1x) fails.
+BATCH_FLOOR = 2.5
+BATCH_FLOOR_WINDOW = 256
+
+#: Schema of ``BENCH_setup.json`` (independent of the hotpath schema: the
+#: artifacts evolve separately).  History: 1 -- initial layout.
 BENCH_SETUP_SCHEMA = 1
 
 #: Node counts of the full setup sweep (matches the ``scaling-nodes``
 #: paper-profile counts).
 DEFAULT_SETUP_NODES: Tuple[int, ...] = (1024, 4096, 16384)
 
-#: Node counts of the CI-friendly ``--setup --quick`` sweep.  2048 is
-#: included because the perf-smoke setup floor is evaluated there.
+#: Node counts of the CI-friendly ``--quick`` sweep.
 QUICK_SETUP_NODES: Tuple[int, ...] = (512, 2048)
+
+#: ``--check`` fails when the grid-vs-brute build speedup at the largest
+#: size the brute oracle measured (2048 nodes under ``--quick``, 4096 on the
+#: full sweep) is below this.  Conservative, yet a fallback to the quadratic
+#: build (~1x) fails.
+SETUP_FLOOR = 4.0
 
 #: Largest node count the brute-force O(n^2) topology build is measured
 #: at.  Beyond it only the grid build runs and ``speedup`` is ``null`` --
@@ -210,19 +218,22 @@ def measure_event_latency(
 
 
 def run_hotpath_bench(
-    windows: Sequence[int] = DEFAULT_WINDOWS,
+    windows: Optional[Sequence[int]] = None,
     events: Optional[int] = None,
     quick: bool = False,
     batch_sizes: Sequence[int] = DEFAULT_BATCH_SIZES,
 ) -> Dict:
     """Measure the hotpath sweep and return the ``BENCH_hotpath`` payload.
 
-    Each window row carries a ``batch_sweep`` over batch size 1 plus
-    ``batch_sizes`` (sizes larger than the window are skipped).  Batch size
-    1 is the per-event latency (``indexed_ms``) and the baseline of every
-    ``speedup``; the headline ``batched_ms`` / ``batched_speedup`` are the
-    largest swept size.
+    ``windows`` defaults to :data:`QUICK_WINDOWS` with ``quick`` and to
+    :data:`DEFAULT_WINDOWS` otherwise.  Each window row carries a
+    ``batch_sweep`` over batch size 1 plus ``batch_sizes`` (sizes larger
+    than the window are skipped).  Batch size 1 is the per-event latency
+    (``indexed_ms``) and the baseline of every ``speedup``; the headline
+    ``batched_ms`` / ``batched_speedup`` are the largest swept size.
     """
+    if windows is None:
+        windows = QUICK_WINDOWS if quick else DEFAULT_WINDOWS
     rows: List[Dict] = []
     for window in windows:
         sizes = sorted({1, *(int(b) for b in batch_sizes if b <= window)})
@@ -287,104 +298,6 @@ def render_hotpath_table(payload: Dict) -> str:
         "its speedup is relative to batch size 1 (the event column).",
     ]
     return "\n".join(lines) + "\n"
-
-
-def render_regression_report(baseline: Dict, current: Dict) -> str:
-    """Readable old-vs-new per-window comparison for a failed perf guard.
-
-    ``baseline`` is a previously committed ``BENCH_hotpath.json`` (any
-    schema -- missing batched fields render as ``-``); ``current`` is the
-    payload that violated the floor.  CI prints this instead of a bare
-    assert so a regression shows *which* window and *which* path moved.
-    """
-
-    def by_window(payload: Dict) -> Dict[int, Dict]:
-        return {row["window"]: row for row in payload.get("windows", ())}
-
-    old_rows = by_window(baseline)
-    new_rows = by_window(current)
-
-    def cell(row: Optional[Dict], key: str, suffix: str = "") -> str:
-        value = row.get(key) if row else None
-        return f"{value:.3f}{suffix}" if value is not None else "-"
-
-    lines = [
-        "perf regression report (baseline -> current, per-event ms)",
-        "",
-        f"{'window':>8} {'event ms':>20} {'batched ms':>20} {'batch x':>18}",
-    ]
-    columns = (("indexed_ms", ""), ("batched_ms", ""), ("batched_speedup", "x"))
-    for window in sorted(set(old_rows) | set(new_rows)):
-        old = old_rows.get(window)
-        new = new_rows.get(window)
-        event, batched, speedup = (
-            f"{cell(old, key, suffix)} -> {cell(new, key, suffix)}"
-            for key, suffix in columns
-        )
-        lines.append(f"{window:>8} {event:>20} {batched:>20} {speedup:>18}")
-    return "\n".join(lines) + "\n"
-
-
-def _e2e_scenarios(quick: bool):
-    """The end-to-end scenario grid: one representative of each algorithm."""
-    from .core.config import Algorithm, DetectionConfig
-    from .wsn.scenario import ScenarioConfig
-
-    nodes = 9 if quick else 16
-    rounds = 6 if quick else 15
-    window = 8 if quick else 10
-    grid = []
-    for algorithm, ranking, hop in (
-        (Algorithm.GLOBAL, "nn", 1),
-        (Algorithm.SEMI_GLOBAL, "knn", 2),
-        (Algorithm.CENTRALIZED, "nn", 1),
-    ):
-        detection = DetectionConfig(
-            algorithm=algorithm,
-            ranking=ranking,
-            n_outliers=4,
-            k=4,
-            window_length=window,
-            hop_diameter=hop,
-        )
-        grid.append(
-            ScenarioConfig(
-                detection=detection,
-                node_count=nodes,
-                rounds=rounds,
-                seed=0,
-            )
-        )
-    return grid
-
-
-def run_e2e_bench(quick: bool = False) -> Dict:
-    """Run the end-to-end scenarios and return the ``BENCH_e2e`` payload."""
-    from .wsn.runner import run_scenario
-
-    rows: List[Dict] = []
-    for scenario in _e2e_scenarios(quick):
-        started = time.perf_counter()
-        result = run_scenario(scenario)
-        wallclock = time.perf_counter() - started
-        rows.append(
-            {
-                "label": scenario.label(),
-                "algorithm": scenario.detection.algorithm,
-                "nodes": scenario.node_count,
-                "rounds": scenario.rounds,
-                "window": scenario.detection.window_length,
-                "wallclock_seconds": wallclock,
-                "accuracy_exact": result.summary().get("accuracy_exact", 0.0),
-            }
-        )
-    return {
-        "schema": BENCH_E2E_SCHEMA,
-        "benchmark": "e2e",
-        "quick": bool(quick),
-        "python": platform.python_version(),
-        "scenarios": rows,
-    }
 
 
 def _best_of(repeats: int, build) -> float:
@@ -510,50 +423,40 @@ def render_setup_table(payload: Dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def check_setup_floor(
-    setup: Dict, floor: float, floor_nodes: int
-) -> Tuple[bool, str]:
+def check_setup_floor(setup: Dict, floor: float) -> Tuple[bool, str]:
     """Regression guard for scenario setup: the grid-vs-brute build speedup
-    at ``floor_nodes`` must be at least ``floor``.  Same never-vacuous
-    contract as :func:`check_batched_floor` -- a missing size *or* a size
-    where the brute oracle was not measured fails.
+    at the largest node count the brute oracle measured must be at least
+    ``floor``.  Same never-vacuous contract as :func:`check_batched_floor`:
+    a sweep where the brute oracle measured no size fails.
     """
-    for row in setup["sizes"]:
-        if row["nodes"] == floor_nodes:
-            speedup = row.get("speedup")
-            if speedup is None:
-                return False, (
-                    f"setup guard error: brute oracle not measured at "
-                    f"{floor_nodes} nodes (above the brute cap "
-                    f"{setup.get('brute_cap')}?)"
-                )
-            ok = speedup >= floor
-            verdict = "ok" if ok else "REGRESSION"
-            return ok, (
-                f"setup guard {verdict}: grid build speedup {speedup:.1f}x "
-                f"at {floor_nodes} nodes (floor {floor:.1f}x)"
-            )
-    return False, (
-        f"setup guard error: {floor_nodes} nodes not in the measured sweep "
-        f"{[row['nodes'] for row in setup['sizes']]}"
+    measured = [row for row in setup["sizes"] if row.get("speedup") is not None]
+    if not measured:
+        return False, (
+            f"setup guard error: the brute oracle measured none of the sizes "
+            f"{[row['nodes'] for row in setup['sizes']]} (brute cap "
+            f"{setup.get('brute_cap')})"
+        )
+    row = max(measured, key=lambda row: row["nodes"])
+    ok = row["speedup"] >= floor
+    verdict = "ok" if ok else "REGRESSION"
+    return ok, (
+        f"setup guard {verdict}: grid build speedup {row['speedup']:.1f}x "
+        f"at {row['nodes']} nodes (floor {floor:.1f}x)"
     )
 
 
 def write_bench_artifacts(
     output_dir,
     hotpath: Optional[Dict] = None,
-    e2e: Optional[Dict] = None,
     setup: Optional[Dict] = None,
 ) -> List[Path]:
-    """Write ``BENCH_hotpath.json`` / ``BENCH_e2e.json`` /
-    ``BENCH_setup.json`` under ``output_dir`` and return the written
-    paths."""
+    """Write ``BENCH_hotpath.json`` / ``BENCH_setup.json`` under
+    ``output_dir`` and return the written paths."""
     root = Path(output_dir)
     root.mkdir(parents=True, exist_ok=True)
     written = []
     for name, payload in (
         ("BENCH_hotpath.json", hotpath),
-        ("BENCH_e2e.json", e2e),
         ("BENCH_setup.json", setup),
     ):
         if payload is None:

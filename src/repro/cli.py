@@ -38,10 +38,10 @@ results persisted (rerunning is free; an interrupted sweep resumes)::
     repro-wsn sweep figure4 --workers 4 --store results/store --profile paper
     repro-wsn sweep metric-sensitivity --workers 4 --store results/store
 
-Measure the per-event detector hot path and the end-to-end scenario
-wall-clock, writing ``BENCH_hotpath.json`` / ``BENCH_e2e.json`` (the CI
-perf-smoke job runs the ``--quick --check`` form and fails on a speedup
-regression)::
+Measure the per-event detector hot path and the scenario-setup cost,
+writing ``BENCH_hotpath.json`` / ``BENCH_setup.json`` (the CI perf-smoke
+job runs the ``--quick --check`` form and fails when either speedup falls
+below its floor)::
 
     repro-wsn bench
     repro-wsn bench --quick --check --output-dir bench-artifacts
@@ -55,7 +55,7 @@ Render the report site from a populated result store (store-only: nothing
 is simulated at report time), and regression-diff the current benchmark
 artifacts against the committed perf trajectory::
 
-    repro-wsn report --store results/store --out site --format both
+    repro-wsn report --store results/store --out site
     repro-wsn report --store results/store --out site \\
         --diff results/BENCH_trajectory.json --bench-dir bench-artifacts
 """
@@ -144,101 +144,27 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser(
         "bench",
-        help="run the performance micro-benchmarks and emit BENCH_*.json",
+        help="run the hotpath and setup micro-benchmarks and emit "
+        "BENCH_hotpath.json / BENCH_setup.json",
     )
     bench.add_argument(
         "--quick",
         action="store_true",
-        help="CI-friendly sweep: windows 64/256 and a scaled-down "
-        "end-to-end grid (the window-256 regression floor still applies)",
-    )
-    bench.add_argument(
-        "--windows",
-        metavar="CSV",
-        default=None,
-        help="comma-separated window sizes (default: 64,256,1024; "
-        "64,256 with --quick)",
-    )
-    bench.add_argument(
-        "--events",
-        type=int,
-        default=None,
-        help="measured events per window (default: per-window schedule)",
+        help="CI-friendly sweeps: windows 64/256 and 512/2048 nodes "
+        "(both floors still apply)",
     )
     bench.add_argument(
         "--output-dir",
         metavar="DIR",
         default="results",
-        help="directory for BENCH_hotpath.json / BENCH_e2e.json "
+        help="directory for BENCH_hotpath.json / BENCH_setup.json "
         "(default: results)",
-    )
-    bench.add_argument(
-        "--skip-e2e",
-        action="store_true",
-        help="only measure the hotpath (skip the end-to-end scenarios)",
     )
     bench.add_argument(
         "--check",
         action="store_true",
-        help="fail (exit 1) when the batched speedup at --floor-window is "
-        "below --batch-floor",
-    )
-    bench.add_argument(
-        "--floor-window",
-        type=int,
-        default=256,
-        help="window size the --check floor is evaluated at (default: 256)",
-    )
-    bench.add_argument(
-        "--batch-sizes",
-        metavar="CSV",
-        default=None,
-        help="comma-separated events-per-tick sweep (default: 1,4,16,64; "
-        "size 1, the per-event baseline, is always measured; sizes above a "
-        "window are skipped there)",
-    )
-    bench.add_argument(
-        "--batch-floor",
-        type=float,
-        default=2.5,
-        help="minimum acceptable amortized speedup of the largest swept "
-        "batch size over batch size 1 for --check (default: 2.5)",
-    )
-    bench.add_argument(
-        "--baseline",
-        metavar="JSON",
-        default=None,
-        help="previously committed BENCH_hotpath.json; on a --check "
-        "failure a readable old-vs-new per-window report is printed "
-        "instead of the bare verdict",
-    )
-    bench.add_argument(
-        "--setup",
-        action="store_true",
-        help="run the scenario-setup benchmark (layout + grid-vs-brute "
-        "topology build, emits BENCH_setup.json) instead of the "
-        "hotpath/e2e suites",
-    )
-    bench.add_argument(
-        "--setup-nodes",
-        metavar="CSV",
-        default=None,
-        help="comma-separated node counts for --setup (default: "
-        "1024,4096,16384; 512,2048 with --quick)",
-    )
-    bench.add_argument(
-        "--setup-floor",
-        type=float,
-        default=4.0,
-        help="with --setup --check, minimum acceptable grid-vs-brute "
-        "build speedup (default: 4.0)",
-    )
-    bench.add_argument(
-        "--setup-floor-nodes",
-        type=int,
-        default=2048,
-        help="node count the --setup-floor is evaluated at "
-        "(default: 2048)",
+        help="fail (exit 1) when the batched speedup or the grid-vs-brute "
+        "build speedup falls below its floor",
     )
     sweep = sub.add_parser(
         "sweep",
@@ -297,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     report = sub.add_parser(
         "report",
-        help="render the markdown/HTML report site from a result store "
+        help="render the markdown report site from a result store "
         "(store-only: nothing is simulated)",
     )
     report.add_argument(
@@ -312,12 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="DIR",
         default="site",
         help="output directory for the site (default: site)",
-    )
-    report.add_argument(
-        "--format",
-        choices=["md", "html", "both"],
-        default="md",
-        help="page format(s) to render (default: md)",
     )
     report.add_argument(
         "--profile",
@@ -472,119 +392,27 @@ def _command_figure(args: argparse.Namespace) -> int:
 
 def _command_bench(args: argparse.Namespace) -> int:
     # Imported lazily so the other subcommands stay snappy.
-    from .bench import (
-        DEFAULT_BATCH_SIZES,
-        DEFAULT_WINDOWS,
-        QUICK_WINDOWS,
-        check_batched_floor,
-        check_setup_floor,
-        render_hotpath_table,
-        render_regression_report,
-        render_setup_table,
-        run_e2e_bench,
-        run_hotpath_bench,
-        run_setup_bench,
-        write_bench_artifacts,
-    )
+    from . import bench
 
-    if args.setup:
-        if args.setup_nodes:
-            try:
-                setup_nodes = tuple(
-                    int(token)
-                    for token in args.setup_nodes.split(",")
-                    if token.strip()
-                )
-            except ValueError:
-                print(f"error: --setup-nodes must be a CSV of integers, got "
-                      f"{args.setup_nodes!r}", file=sys.stderr)
-                return 2
-            if not setup_nodes or any(n < 2 for n in setup_nodes):
-                print("error: --setup-nodes needs at least one count >= 2",
-                      file=sys.stderr)
-                return 2
-        else:
-            setup_nodes = None
-        setup = run_setup_bench(node_counts=setup_nodes, quick=args.quick)
-        print(render_setup_table(setup))
-        written = write_bench_artifacts(args.output_dir, setup=setup)
-        for path in written:
-            print(f"wrote {path}")
-        if args.check:
-            ok, message = check_setup_floor(
-                setup, args.setup_floor, args.setup_floor_nodes
-            )
-            print(message)
-            if not ok:
-                return 1
-        return 0
-
-    if args.windows:
-        try:
-            windows = tuple(
-                int(token) for token in args.windows.split(",") if token.strip()
-            )
-        except ValueError:
-            print(f"error: --windows must be a CSV of integers, got "
-                  f"{args.windows!r}", file=sys.stderr)
-            return 2
-        if not windows or any(w < 8 for w in windows):
-            print("error: --windows needs at least one size >= 8", file=sys.stderr)
-            return 2
-    else:
-        windows = QUICK_WINDOWS if args.quick else DEFAULT_WINDOWS
-
-    if args.batch_sizes:
-        try:
-            batch_sizes = tuple(
-                int(token) for token in args.batch_sizes.split(",") if token.strip()
-            )
-        except ValueError:
-            print(f"error: --batch-sizes must be a CSV of integers, got "
-                  f"{args.batch_sizes!r}", file=sys.stderr)
-            return 2
-        if not batch_sizes or any(b < 1 for b in batch_sizes):
-            print("error: --batch-sizes needs at least one size >= 1",
-                  file=sys.stderr)
-            return 2
-    else:
-        batch_sizes = DEFAULT_BATCH_SIZES
-
-    hotpath = run_hotpath_bench(
-        windows, events=args.events, quick=args.quick, batch_sizes=batch_sizes
-    )
-    print(render_hotpath_table(hotpath))
-    e2e = None
-    if not args.skip_e2e:
-        e2e = run_e2e_bench(quick=args.quick)
-        print("End-to-end scenario wall-clock")
-        print()
-        for row in e2e["scenarios"]:
-            print(
-                f"  {row['label']:40s} {row['wallclock_seconds']:8.2f} s  "
-                f"accuracy={row['accuracy_exact']:.3f}"
-            )
-        print()
-    written = write_bench_artifacts(args.output_dir, hotpath=hotpath, e2e=e2e)
-    for path in written:
+    hotpath = bench.run_hotpath_bench(quick=args.quick)
+    print(bench.render_hotpath_table(hotpath))
+    setup = bench.run_setup_bench(quick=args.quick)
+    print(bench.render_setup_table(setup))
+    for path in bench.write_bench_artifacts(
+        args.output_dir, hotpath=hotpath, setup=setup
+    ):
         print(f"wrote {path}")
-
-    if args.check:
-        ok, message = check_batched_floor(
-            hotpath, args.batch_floor, args.floor_window
-        )
+    if not args.check:
+        return 0
+    verdicts = (
+        bench.check_batched_floor(
+            hotpath, bench.BATCH_FLOOR, bench.BATCH_FLOOR_WINDOW
+        ),
+        bench.check_setup_floor(setup, bench.SETUP_FLOOR),
+    )
+    for _, message in verdicts:
         print(message)
-        if not ok:
-            if args.baseline:
-                try:
-                    baseline = json.loads(Path(args.baseline).read_text())
-                except (OSError, ValueError) as error:
-                    print(f"(baseline {args.baseline!r} unreadable: {error})")
-                else:
-                    print()
-                    print(render_regression_report(baseline, hotpath))
-            return 1
-    return 0
+    return 0 if all(ok for ok, _ in verdicts) else 1
 
 
 def _command_sweep(args: argparse.Namespace) -> int:
@@ -783,7 +611,6 @@ def _command_report(args: argparse.Namespace) -> int:
     # history, not a measurement -- split it out for the trajectory page.
     trajectory = bench.pop("trajectory", None)
     git_sha = resolve_git_sha(args.git_sha)
-    formats = ("md", "html") if args.format == "both" else (args.format,)
 
     if bench_only:
         print(
@@ -797,7 +624,6 @@ def _command_report(args: argparse.Namespace) -> int:
                 profile,
                 families,
                 args.out,
-                formats=formats,
                 git_sha=git_sha,
                 bench=bench or None,
                 trajectory=trajectory,
@@ -809,7 +635,7 @@ def _command_report(args: argparse.Namespace) -> int:
         print(
             f"report: {len(build.pages)} page(s) and "
             f"{len(build.data_files)} data file(s) under {build.out_dir} "
-            f"({', '.join(formats)}; commit {git_sha})"
+            f"(commit {git_sha})"
         )
         print(
             f"store: {health.entries} entries, {health.corrupt} corrupt, "

@@ -13,7 +13,6 @@ from __future__ import annotations
 from collections import deque
 from typing import Dict, Iterable, List, Mapping, Sequence, Set
 
-from .index import NeighborhoodIndex
 from .outliers import OutlierQuery
 from .points import DataPoint
 
@@ -86,43 +85,17 @@ def semi_global_reference_all(
     datasets: Mapping[int, Iterable[DataPoint]],
     adjacency: Mapping[int, Iterable[int]],
     hop_diameter: int,
-    shared_index: bool = False,
 ) -> Dict[int, List[DataPoint]]:
     """``O_n(D_i^{<=d})`` for every sensor, keyed by sensor id.
 
-    The per-sensor relevant datasets overlap heavily (every sensor within
-    ``d`` hops shares most of its neighborhood), so with
-    ``shared_index=True`` one :class:`~repro.core.index.NeighborhoodIndex`
-    is built over the union of all datasets and each sensor's answer is a
-    masked query against it, instead of re-sorting a fresh pairwise-distance
-    matrix per sensor.  The default stays brute-force: this module is the
-    ground truth the accuracy experiments validate the detectors (and their
-    indexes) against, so by default it must not share code with the
+    Each answer is a brute-force :func:`semi_global_reference`: this module
+    is the ground truth the accuracy experiments validate the detectors
+    (and their indexes) against, so it must not share code with the
     subsystem under test.
     """
-    if not shared_index:
-        return {
-            sensor_id: semi_global_reference(
-                query, datasets, adjacency, sensor_id, hop_diameter
-            )
-            for sensor_id in datasets
-        }
-
-    normalized = {
-        sensor_id: [p.with_hop(0) for p in points]
-        for sensor_id, points in datasets.items()
+    return {
+        sensor_id: semi_global_reference(
+            query, datasets, adjacency, sensor_id, hop_diameter
+        )
+        for sensor_id in datasets
     }
-    index = NeighborhoodIndex(metric=query.ranking.metric)
-    for points in normalized.values():
-        for point in points:
-            index.add(point)
-
-    results: Dict[int, List[DataPoint]] = {}
-    for sensor_id in normalized:
-        distances = hop_distances(adjacency, sensor_id)
-        relevant: Set[DataPoint] = set()
-        for other, points in normalized.items():
-            if distances.get(other, float("inf")) <= hop_diameter:
-                relevant.update(points)
-        results[sensor_id] = query.outliers(relevant, index=index)
-    return results

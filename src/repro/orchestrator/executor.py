@@ -84,24 +84,11 @@ def clear_memory() -> None:
 # Environment-driven defaults
 # ----------------------------------------------------------------------
 def default_workers() -> int:
-    """Worker count from the environment (default 1 = in-process).
+    """Worker count from ``REPRO_WORKERS`` (unset or blank: 1, in-process).
 
-    ``REPRO_WSN_WORKERS`` takes precedence over the generic
-    ``REPRO_WORKERS`` so a wsn-specific deployment (a CI lane, a shared
-    batch host) can pin this stack without disturbing other tooling that
-    reads the generic name.  Values below 1 are clamped to 1 rather than
-    rejected: the override exists to *limit* parallelism, and "as little as
-    possible" is a valid request from an environment that cannot fork.
+    A value that is not an integer, or is below 1, is an error.
     """
-    override = os.environ.get("REPRO_WSN_WORKERS", "").strip()
-    if override:
-        try:
-            return max(1, int(override))
-        except ValueError:
-            raise ExperimentError(
-                f"REPRO_WSN_WORKERS must be an integer, got {override!r}"
-            ) from None
-    raw = os.environ.get("REPRO_WORKERS", "1").strip()
+    raw = os.environ.get("REPRO_WORKERS", "").strip() or "1"
     try:
         workers = int(raw)
     except ValueError:

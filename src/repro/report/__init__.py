@@ -12,8 +12,7 @@ act on" lives here:
 * :mod:`~repro.report.aggregate` -- deterministic cross-seed/cross-cell
   statistics and robustness rollups;
 * :mod:`~repro.report.render` / :mod:`~repro.report.site` -- the
-  byte-deterministic markdown + static-HTML report site
-  (``repro-wsn report``);
+  byte-deterministic markdown report site (``repro-wsn report``);
 * :mod:`~repro.report.trajectory` -- the cross-PR perf-trajectory artifact
   and its regression diff (``repro-wsn report --diff``).
 """

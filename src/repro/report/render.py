@@ -1,14 +1,14 @@
-"""Deterministic markdown / static-HTML rendering for the report site.
+"""Deterministic markdown rendering for the report site.
 
 A page is a title plus a flat list of typed blocks (headings, prose, text
-tables, link lists, sparklines); :func:`render_markdown` and
-:func:`render_html` turn the same page into the two output formats.  Both
-renderers are **byte-deterministic**: number formatting goes through the
-same :func:`~repro.analysis.tables._format_cell` the text tables use
-(fixed precision, no locale), nothing reads the clock, the environment or
-the filesystem, and dict-ordered inputs are rendered in the order given --
-so the golden-file tests in ``tests/test_report.py`` can pin entire pages
-byte-for-byte and any accidental nondeterminism shows up as a diff.
+tables, link lists, metric series); :func:`render_markdown` turns it into
+markdown.  The renderer is **byte-deterministic**: number formatting goes
+through the same :func:`~repro.analysis.tables._format_cell` the text
+tables use (fixed precision, no locale), nothing reads the clock, the
+environment or the filesystem, and dict-ordered inputs are rendered in the
+order given -- so the golden-file tests in ``tests/test_report.py`` can pin
+entire pages byte-for-byte and any accidental nondeterminism shows up as a
+diff.
 
 The only machine-varying value a page may carry is the git SHA in its
 footer, and that is *injected* by the caller (``site.py``), never read
@@ -17,9 +17,8 @@ here.
 
 from __future__ import annotations
 
-import html as _html
 from dataclasses import dataclass, field
-from typing import List, Sequence, Tuple, Union
+from typing import List, Tuple, Union
 
 from ..analysis.tables import _format_cell
 
@@ -32,7 +31,6 @@ __all__ = [
     "Spark",
     "Page",
     "render_markdown",
-    "render_html",
 ]
 
 
@@ -72,11 +70,7 @@ class LinkList:
 
 @dataclass(frozen=True)
 class Spark:
-    """One metric's values across trajectory entries.
-
-    Markdown renders the series inline; HTML adds an SVG sparkline whose
-    point coordinates are formatted at fixed precision (deterministic).
-    """
+    """One metric's values across trajectory entries, rendered inline."""
 
     label: str
     values: Tuple[float, ...]
@@ -103,9 +97,6 @@ def _cell(value: object, precision: int) -> str:
     return _format_cell(value, precision)
 
 
-# ----------------------------------------------------------------------
-# Markdown
-# ----------------------------------------------------------------------
 def _md_table(block: TableBlock) -> List[str]:
     header = "| " + " | ".join(str(h) for h in block.headers) + " |"
     rule = "| " + " | ".join("---" for _ in block.headers) + " |"
@@ -145,108 +136,4 @@ def render_markdown(page: Page, footer: str = "") -> str:
         lines.extend(["---", "", footer, ""])
     while lines and lines[-1] == "":
         lines.pop()
-    return "\n".join(lines) + "\n"
-
-
-# ----------------------------------------------------------------------
-# HTML
-# ----------------------------------------------------------------------
-_CSS = """\
-body { font-family: system-ui, sans-serif; margin: 2rem auto; max-width: 60rem;
-       padding: 0 1rem; color: #1a1a2e; }
-h1, h2, h3 { line-height: 1.2; }
-table { border-collapse: collapse; margin: 1rem 0; }
-th, td { border: 1px solid #c8c8d4; padding: 0.25rem 0.6rem;
-         text-align: right; font-variant-numeric: tabular-nums; }
-th { background: #eef0f6; }
-td:first-child, th:first-child { text-align: left; }
-pre { background: #f5f6fa; border: 1px solid #dcdfe8; padding: 0.75rem;
-      overflow-x: auto; font-size: 0.85rem; }
-code { background: #f5f6fa; padding: 0 0.2rem; }
-footer { margin-top: 2rem; border-top: 1px solid #c8c8d4; padding-top: 0.5rem;
-         color: #6a6a7a; font-size: 0.85rem; }
-svg.spark { vertical-align: middle; margin-left: 0.5rem; }
-svg.spark polyline { fill: none; stroke: #3c5bd0; stroke-width: 1.5; }
-"""
-
-
-def _spark_svg(block: Spark, width: int = 160, height: int = 36) -> str:
-    values = [float(v) for v in block.values]
-    pad = 3.0
-    low, high = min(values), max(values)
-    span = high - low
-    points: List[str] = []
-    for index, value in enumerate(values):
-        if len(values) == 1:
-            x = width / 2.0
-        else:
-            x = pad + (width - 2 * pad) * index / (len(values) - 1)
-        if span == 0:
-            y = height / 2.0
-        else:
-            y = pad + (height - 2 * pad) * (1.0 - (value - low) / span)
-        points.append(f"{x:.2f},{y:.2f}")
-    return (
-        f'<svg class="spark" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}" role="img">'
-        f'<polyline points="{" ".join(points)}" /></svg>'
-    )
-
-
-def _html_table(block: TableBlock) -> List[str]:
-    lines = ["<table>", "<thead><tr>"]
-    lines.extend(f"<th>{_html.escape(str(h))}</th>" for h in block.headers)
-    lines.extend(["</tr></thead>", "<tbody>"])
-    for row in block.rows:
-        cells = "".join(
-            f"<td>{_html.escape(_cell(v, block.precision))}</td>" for v in row
-        )
-        lines.append(f"<tr>{cells}</tr>")
-    lines.extend(["</tbody>", "</table>"])
-    return lines
-
-
-def render_html(page: Page, footer: str = "") -> str:
-    lines: List[str] = [
-        "<!DOCTYPE html>",
-        '<html lang="en">',
-        "<head>",
-        '<meta charset="utf-8">',
-        f"<title>{_html.escape(page.title)}</title>",
-        f"<style>\n{_CSS}</style>",
-        "</head>",
-        "<body>",
-        f"<h1>{_html.escape(page.title)}</h1>",
-    ]
-    for block in page.blocks:
-        if isinstance(block, Heading):
-            level = block.level
-            lines.append(f"<h{level}>{_html.escape(block.text)}</h{level}>")
-        elif isinstance(block, Paragraph):
-            lines.append(f"<p>{_html.escape(block.text)}</p>")
-        elif isinstance(block, Pre):
-            lines.append(f"<pre>{_html.escape(block.text)}</pre>")
-        elif isinstance(block, TableBlock):
-            lines.extend(_html_table(block))
-        elif isinstance(block, LinkList):
-            lines.append("<ul>")
-            lines.extend(
-                f'<li><a href="{_html.escape(href, quote=True)}">'
-                f"{_html.escape(label)}</a></li>"
-                for label, href in block.items
-            )
-            lines.append("</ul>")
-        elif isinstance(block, Spark):
-            series = " -&gt; ".join(
-                _html.escape(_cell(v, block.precision)) for v in block.values
-            )
-            lines.append(
-                f"<p><code>{_html.escape(block.label)}</code>: {series}"
-                f"{_spark_svg(block)}</p>"
-            )
-        else:  # pragma: no cover - the Block union is closed
-            raise TypeError(f"unknown block type {type(block).__name__}")
-    if footer:
-        lines.append(f"<footer>{_html.escape(footer)}</footer>")
-    lines.extend(["</body>", "</html>"])
     return "\n".join(lines) + "\n"

@@ -12,8 +12,8 @@ rejection per schema) against the same code.
 Each validator checks both *structure* (required keys, value types) and the
 *semantic invariants* an artifact must never violate regardless of the
 machine that produced it -- e.g. a hotpath artifact without its batched
-columns, or an end-to-end accuracy outside ``[0, 1]``, is invalid, not
-merely slow.
+columns, or a setup artifact without a brute speedup below its brute cap,
+is invalid, not merely slow.
 
 The validated benchmark kinds and their current schema versions are listed
 in :data:`SCHEMA_VERSIONS`; ``trajectory`` is the cross-PR perf-trajectory
@@ -43,7 +43,6 @@ __all__ = [
 #: ``benchmark`` field -> current schema version, for every artifact kind.
 SCHEMA_VERSIONS: Dict[str, int] = {
     "hotpath": 3,
-    "e2e": 2,
     "setup": 1,
     "trajectory": 1,
 }
@@ -124,25 +123,6 @@ def _validate_hotpath(payload: Mapping[str, Any]) -> None:
             _positive(cell, "speedup", context)
 
 
-def _validate_e2e(payload: Mapping[str, Any]) -> None:
-    _header(payload, "e2e")
-    for row in _rows(payload, "scenarios", "e2e"):
-        context = f"e2e scenario {row.get('label')!r}"
-        _require(
-            isinstance(row.get("label"), str) and row["label"],
-            f"{context}: 'label' must be a non-empty string",
-        )
-        _positive(row, "nodes", context)
-        _positive(row, "rounds", context)
-        _positive(row, "window", context)
-        _positive(row, "wallclock_seconds", context)
-        accuracy = _number(row, "accuracy_exact", context)
-        _require(
-            0.0 <= accuracy <= 1.0,
-            f"{context}: 'accuracy_exact' must be within [0, 1], got {accuracy}",
-        )
-
-
 def _validate_setup(payload: Mapping[str, Any]) -> None:
     _header(payload, "setup")
     brute_cap = _positive(payload, "brute_cap", "setup")
@@ -187,7 +167,6 @@ def _validate_trajectory(payload: Mapping[str, Any]) -> None:
 
 _VALIDATORS: Dict[str, Callable[[Mapping[str, Any]], None]] = {
     "hotpath": _validate_hotpath,
-    "e2e": _validate_e2e,
     "setup": _validate_setup,
     "trajectory": _validate_trajectory,
 }

@@ -2,10 +2,9 @@
 
 :func:`build_site` is the report pipeline's top: given a persistent
 :class:`~repro.orchestrator.store.ResultStore` and a set of registered
-sweep families, it renders one page per family, an index page and (when
-benchmark artifacts are available) a perf-trajectory page, in markdown
-and/or static HTML, plus machine-readable ``data/<family>.txt`` /
-``data/<family>.json`` files.
+sweep families, it renders one markdown page per family, an index page and
+(when benchmark artifacts are available) a perf-trajectory page, plus
+machine-readable ``data/<family>.txt`` / ``data/<family>.json`` files.
 
 Two properties the whole pipeline leans on:
 
@@ -31,9 +30,8 @@ import subprocess
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
-from ..core.errors import ExperimentError
 from ..orchestrator.executor import STORE_ONLY_ENV
 from ..orchestrator.registry import SweepFamily
 from ..orchestrator.store import ResultStore, StoreHealth
@@ -47,21 +45,16 @@ from .render import (
     Pre,
     Spark,
     TableBlock,
-    render_html,
     render_markdown,
 )
 from .trajectory import extract_metrics, gate_for
 
 __all__ = [
-    "FORMATS",
     "ROBUSTNESS_FAMILIES",
     "SiteBuild",
     "resolve_git_sha",
     "build_site",
 ]
-
-#: Output format name -> file extension.
-FORMATS: Dict[str, str] = {"md": "md", "html": "html"}
 
 #: Families whose workloads inject dataset-level faults, and therefore get
 #: the injected-fault precision/recall rollup on their pages.
@@ -210,7 +203,6 @@ def _family_page(
 def _index_page(
     statuses: Sequence[FamilyStatus],
     health: StoreHealth,
-    ext: str,
     has_trajectory: bool,
     profile_name: str,
 ) -> Page:
@@ -247,11 +239,9 @@ def _index_page(
             ),
         )
     )
-    links = [
-        (status.name, f"{status.name}.{ext}") for status in statuses
-    ]
+    links = [(status.name, f"{status.name}.md") for status in statuses]
     if has_trajectory:
-        links.append(("perf trajectory", f"trajectory.{ext}"))
+        links.append(("perf trajectory", "trajectory.md"))
     page.add(Heading("Pages"))
     page.add(LinkList(tuple(links)))
     return page
@@ -324,28 +314,17 @@ def build_site(
     profile: Any,
     families: Sequence[SweepFamily],
     out_dir: Union[str, Path],
-    formats: Sequence[str] = ("md",),
     git_sha: str = "unknown",
     bench: Optional[Mapping[str, Mapping[str, Any]]] = None,
     trajectory: Optional[Mapping[str, Any]] = None,
 ) -> SiteBuild:
     """Render the full report site under ``out_dir``.
 
-    ``formats`` is any subset of ``("md", "html")``.  ``bench`` is the
-    validated ``{kind: payload}`` artifact mapping (see
+    ``bench`` is the validated ``{kind: payload}`` artifact mapping (see
     :func:`~repro.report.reader.load_bench_artifacts`) and ``trajectory``
     the committed trajectory payload; either being present adds the
     perf-trajectory page.
     """
-    for fmt in formats:
-        if fmt not in FORMATS:
-            raise ExperimentError(
-                f"unknown report format {fmt!r}; expected one of "
-                f"{sorted(FORMATS)}"
-            )
-    if not formats:
-        raise ExperimentError("build_site() needs at least one format")
-
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     build = SiteBuild(out_dir=out_dir, health=store.health())
@@ -354,14 +333,10 @@ def build_site(
         f"repro-wsn report -- commit {git_sha} -- profile {profile_name}"
     )
 
-    renderers = {"md": render_markdown, "html": render_html}
-
     def write_page(page: Page) -> None:
-        for fmt in formats:
-            rendered = renderers[fmt](page, footer=footer)
-            path = out_dir / f"{page.name}.{FORMATS[fmt]}"
-            path.write_text(rendered)
-            build.pages.append(path)
+        path = out_dir / f"{page.name}.md"
+        path.write_text(render_markdown(page, footer=footer))
+        build.pages.append(path)
 
     data_dir = out_dir / "data"
     for family in families:
@@ -401,17 +376,7 @@ def build_site(
     if has_trajectory:
         write_page(_trajectory_page(bench, trajectory))
 
-    for fmt in formats:
-        index = _index_page(
-            build.statuses,
-            build.health,
-            FORMATS[fmt],
-            has_trajectory,
-            profile_name,
-        )
-        rendered = renderers[fmt](index, footer=footer)
-        path = out_dir / f"index.{FORMATS[fmt]}"
-        path.write_text(rendered)
-        build.pages.append(path)
-
+    write_page(
+        _index_page(build.statuses, build.health, has_trajectory, profile_name)
+    )
     return build

@@ -1,11 +1,13 @@
 """Cross-PR perf trajectory: extraction, the v1 artifact, regression diffs.
 
-The three committed ``BENCH_*.json`` measurement artifacts each record
-one PR's measurement of one subsystem.  This module flattens them into a
-single namespace of **trajectory metrics** and maintains
-``results/BENCH_trajectory.json`` (schema v1), which appends one entry per
-PR so the perf story of the repo is a diffable artifact instead of
-archaeology over git history.
+The two committed ``BENCH_*.json`` measurement artifacts (hotpath and
+setup) each record one PR's measurement of one subsystem.  This module
+flattens them into a single namespace of **trajectory metrics** and
+maintains ``results/BENCH_trajectory.json`` (schema v1), which appends one
+entry per PR so the perf story of the repo is a diffable artifact instead
+of archaeology over git history.  Older entries also hold ``e2e.*`` keys
+from a single-run scenario suite that ``perfbench/`` has since replaced; no
+artifact produces them any more, so diffs list them as base-only.
 
 Metric keys are parameterised by the configuration that produced them --
 ``hotpath.batched_speedup.w256``, ``setup.grid_ms.n4096`` -- because a number
@@ -29,7 +31,6 @@ that a same-machine floor can miss when the floor itself is conservative.
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
@@ -55,13 +56,6 @@ __all__ = [
 
 #: Version of the ``BENCH_trajectory.json`` artifact this module writes.
 TRAJECTORY_SCHEMA = SCHEMA_VERSIONS["trajectory"]
-
-_SLUG_RE = re.compile(r"[^a-z0-9]+")
-
-
-def _slug(label: str) -> str:
-    """Stable metric-key fragment from a human label."""
-    return _SLUG_RE.sub("-", label.lower()).strip("-")
 
 
 # ----------------------------------------------------------------------
@@ -89,18 +83,6 @@ def extract_metrics(
             metrics[f"hotpath.batched_speedup.w{w}"] = float(
                 row["batched_speedup"]
             )
-
-    e2e = artifacts.get("e2e")
-    if e2e is not None:
-        total = 0.0
-        for row in e2e["scenarios"]:
-            total += float(row["wallclock_seconds"])
-            key = (
-                f"e2e.wallclock_s.{_slug(row['label'])}"
-                f".n{int(row['nodes'])}.w{int(row['window'])}"
-            )
-            metrics[key] = float(row["wallclock_seconds"])
-        metrics["e2e.total_wallclock_s"] = total
 
     setup = artifacts.get("setup")
     if setup is not None:

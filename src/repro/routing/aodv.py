@@ -203,7 +203,7 @@ class AodvAgent:
         # A small random jitter de-synchronises the flood so neighboring nodes
         # do not all rebroadcast at the exact same instant.
         delay = self._rng.uniform(0.0, self.rreq_jitter)
-        self.node.simulator.schedule(delay, self.node.send, packet, name="rreq")
+        self.node.simulator.schedule(delay, self.node.send, packet)
 
     def _handle_rreq(self, packet: Packet) -> None:
         payload: RreqPayload = packet.payload

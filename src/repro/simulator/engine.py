@@ -66,12 +66,11 @@ class Simulator:
         callback: Callable[..., Any],
         *args: Any,
         priority: int = EventPriority.NORMAL,
-        name: str = "",
     ) -> Event:
         """Schedule ``callback(*args)`` to run ``delay`` seconds from now."""
         if delay < 0:
             raise SimulationError(f"cannot schedule an event in the past (delay={delay})")
-        return self.schedule_at(self._now + delay, callback, *args, priority=priority, name=name)
+        return self.schedule_at(self._now + delay, callback, *args, priority=priority)
 
     def schedule_at(
         self,
@@ -79,16 +78,13 @@ class Simulator:
         callback: Callable[..., Any],
         *args: Any,
         priority: int = EventPriority.NORMAL,
-        name: str = "",
     ) -> Event:
         """Schedule ``callback(*args)`` at absolute simulated time ``time``."""
         if time < self._now:
             raise SimulationError(
                 f"cannot schedule an event at t={time} before the current time t={self._now}"
             )
-        event = Event(
-            time=time, priority=priority, callback=callback, args=args, name=name
-        )
+        event = Event(time=time, priority=priority, callback=callback, args=args)
         heapq.heappush(self._queue, (time, priority, event.sequence, event))
         self.events_scheduled += 1
         return event
@@ -100,7 +96,6 @@ class Simulator:
         *args: Any,
         start: Optional[float] = None,
         until: Optional[float] = None,
-        name: str = "",
     ) -> None:
         """Run ``callback(*args)`` every ``period`` seconds.
 
@@ -116,10 +111,10 @@ class Simulator:
             callback(*args)
             nxt = when + period
             if until is None or nxt <= until:
-                self.schedule_at(nxt, _tick, nxt, name=name or "periodic")
+                self.schedule_at(nxt, _tick, nxt)
 
         if until is None or first <= until:
-            self.schedule_at(first, _tick, first, name=name or "periodic")
+            self.schedule_at(first, _tick, first)
 
     # ------------------------------------------------------------------
     # Execution

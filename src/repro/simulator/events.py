@@ -65,7 +65,6 @@ class Event:
     sequence: int = field(default_factory=lambda: next(_sequence))
     callback: Optional[Callable[..., Any]] = field(default=None, compare=False)
     args: Tuple[Any, ...] = field(default=(), compare=False)
-    name: str = field(default="", compare=False)
     cancelled: bool = field(default=False, compare=False)
 
     @property
@@ -89,6 +88,6 @@ class Event:
         return self.callback(*self.args)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        label = self.name or getattr(self.callback, "__name__", "callback")
+        label = getattr(self.callback, "__name__", "callback")
         state = " (cancelled)" if self.cancelled else ""
         return f"Event(t={self.time:.6f}, {label}{state})"

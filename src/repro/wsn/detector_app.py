@@ -128,9 +128,7 @@ class DistributedDetectorApp:
         )
         self.packets_broadcast += 1
         delay = self._rng.uniform(0.0, self.broadcast_jitter)
-        self.node.simulator.schedule(
-            delay, self.node.broadcast, packet, name=f"app-bcast-{self.node.node_id}"
-        )
+        self.node.simulator.schedule(delay, self.node.broadcast, packet)
 
     # ------------------------------------------------------------------
     # Results

@@ -413,7 +413,6 @@ class FaultRuntime:
                     self.power_down,
                     node_id,
                     priority=EventPriority.FAULT,
-                    name=f"fault-down-{kind}-n{node_id}",
                 )
                 if end < horizon:
                     simulator.schedule_at(
@@ -422,7 +421,6 @@ class FaultRuntime:
                         node_id,
                         kind,
                         priority=EventPriority.FAULT,
-                        name=f"fault-up-{kind}-n{node_id}",
                     )
 
     # ------------------------------------------------------------------

@@ -58,22 +58,16 @@ def schedule_workload(deployment: Deployment) -> None:
             # A tiny deterministic per-node offset keeps simultaneous events
             # ordered consistently without materially shifting the schedule.
             when = base_time + offset * 1e-4
-            name = f"sample-r{round_index}-n{node_id}"
             if fault_runtime is not None:
                 simulator.schedule_at(
-                    when, fault_runtime.sample_or_skip, node_id,
-                    samples[node_id], name=name,
+                    when, fault_runtime.sample_or_skip, node_id, samples[node_id]
                 )
             else:
-                simulator.schedule_at(
-                    when, app.sample, samples[node_id], name=name,
-                )
+                simulator.schedule_at(when, app.sample, samples[node_id])
         sink_app = deployment.sink_app
         if sink_app is not None:
             simulator.schedule_at(
-                base_time + 0.6 * period,
-                sink_app.publish_outliers,
-                name=f"publish-r{round_index}",
+                base_time + 0.6 * period, sink_app.publish_outliers
             )
 
     if fault_runtime is not None:

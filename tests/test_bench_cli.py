@@ -1,29 +1,32 @@
 """Tests for the performance-benchmark harness and the ``bench`` CLI.
 
 The benchmark machinery is a regression guard, so these tests exercise it
-at deliberately tiny window sizes/event counts: the point is the artifact
+at deliberately tiny window sizes/event counts/node counts (the CLI tests
+monkeypatch the sweep and floor constants): the point is the artifact
 schema, the floor-check semantics and the CLI wiring, not the numbers.
 """
 
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
+from repro import bench as bench_module
 from repro.bench import (
     BENCH_HOTPATH_SCHEMA,
     BENCH_SETUP_SCHEMA,
     check_batched_floor,
     check_setup_floor,
     render_hotpath_table,
-    render_regression_report,
     render_setup_table,
     run_hotpath_bench,
     run_setup_bench,
     write_bench_artifacts,
 )
 from repro.cli import main
+from repro.report import validate_bench
 
 
 class TestHotpathHarness:
@@ -95,25 +98,13 @@ class TestHotpathHarness:
         assert "batched ms" in table and "batch x" in table
         assert "batch sweep (events per tick): 1, 4" in table
 
-    def test_regression_report_compares_old_and_new(self):
-        baseline = {
-            "windows": [{"window": 256, "indexed_ms": 2.0, "batched_speedup": 8.0}]
-        }
-        current = {
-            "windows": [
-                {
-                    "window": 256,
-                    "indexed_ms": 3.0,
-                    "batched_ms": 0.6,
-                    "batched_speedup": 5.0,
-                }
-            ]
-        }
-        report = render_regression_report(baseline, current)
-        assert "2.000 -> 3.000" in report
-        # Baselines from before the batched path render as "-".
-        assert "- -> 0.600" in report
-        assert "8.000x -> 5.000x" in report
+    def test_default_windows_follow_quick(self, monkeypatch):
+        monkeypatch.setattr(bench_module, "QUICK_WINDOWS", (12,))
+        monkeypatch.setattr(bench_module, "DEFAULT_WINDOWS", (12, 20))
+        quick = run_hotpath_bench(events=2, quick=True)
+        full = run_hotpath_bench(events=2)
+        assert [row["window"] for row in quick["windows"]] == [12]
+        assert [row["window"] for row in full["windows"]] == [12, 20]
 
     def test_artifacts_written_as_valid_json(self, tmp_path):
         payload = run_hotpath_bench(windows=(12,), events=2)
@@ -179,21 +170,39 @@ class TestSetupHarness:
         payload = {
             "brute_cap": 4096,
             "sizes": [
+                {"nodes": 512, "speedup": 3.0},
                 {"nodes": 2048, "speedup": 6.0},
+            ],
+        }
+        ok, message = check_setup_floor(payload, 4.0)
+        assert ok and "6.0x at 2048 nodes" in message
+        ok, message = check_setup_floor(payload, 8.0)
+        assert not ok and "REGRESSION" in message
+        # A sweep where the brute oracle measured no size fails, never
+        # passes vacuously.
+        unmeasured = {
+            "brute_cap": 16,
+            "sizes": [{"nodes": 32, "speedup": None}],
+        }
+        ok, message = check_setup_floor(unmeasured, 0.1)
+        assert not ok and "measured none of the sizes [32]" in message
+
+    def test_setup_floor_uses_largest_brute_measured_size(self):
+        """The full sweep's shape: the floor applies at 4096 nodes, the
+        largest size under the brute cap, not at 16384 (no brute build)
+        nor at the faster-looking 1024."""
+        payload = {
+            "brute_cap": 4096,
+            "sizes": [
+                {"nodes": 1024, "speedup": 30.0},
+                {"nodes": 4096, "speedup": 5.0},
                 {"nodes": 16384, "speedup": None},
             ],
         }
-        ok, message = check_setup_floor(payload, 4.0, 2048)
-        assert ok and "6.0x" in message
-        ok, message = check_setup_floor(payload, 8.0, 2048)
-        assert not ok and "REGRESSION" in message
-        # A size where the brute oracle was skipped fails, never passes
-        # vacuously.
-        ok, message = check_setup_floor(payload, 0.1, 16384)
-        assert not ok and "brute oracle not measured" in message
-        # So does a size that was never measured.
-        ok, message = check_setup_floor(payload, 0.1, 512)
-        assert not ok and "not in the measured sweep" in message
+        ok, message = check_setup_floor(payload, 4.0)
+        assert ok and "5.0x at 4096 nodes" in message
+        ok, message = check_setup_floor(payload, 6.0)
+        assert not ok and "at 4096 nodes" in message
 
     def test_setup_artifact_written_as_valid_json(self, tmp_path):
         payload = run_setup_bench(node_counts=(32,), repeats=1)
@@ -204,183 +213,123 @@ class TestSetupHarness:
         assert decoded["sizes"][0]["nodes"] == 32
 
 
+@pytest.fixture
+def tiny_bench(monkeypatch):
+    """Shrink both sweeps and the floors so a CLI call takes well under a
+    second; returns a setter for the floor constants."""
+    monkeypatch.setattr(bench_module, "QUICK_WINDOWS", (12, 20))
+    monkeypatch.setattr(bench_module, "DEFAULT_WINDOWS", (12, 20))
+    monkeypatch.setattr(bench_module, "QUICK_SETUP_NODES", (32, 64))
+    monkeypatch.setattr(bench_module, "DEFAULT_SETUP_NODES", (32, 64, 96))
+    monkeypatch.setattr(bench_module, "BATCH_FLOOR_WINDOW", 20)
+
+    def floors(batch=0.01, setup=0.01):
+        monkeypatch.setattr(bench_module, "BATCH_FLOOR", batch)
+        monkeypatch.setattr(bench_module, "SETUP_FLOOR", setup)
+
+    floors()
+    return floors
+
+
+def _artifacts(directory):
+    return sorted(path.name for path in directory.iterdir())
+
+
 class TestBenchCLI:
-    def test_bench_writes_both_artifacts_and_passes_floor(self, tmp_path, capsys):
-        exit_code = main(
-            [
-                "bench",
-                "--quick",
-                "--windows",
-                "12,20",
-                "--events",
-                "2",
-                "--output-dir",
-                str(tmp_path),
-                "--check",
-                "--floor-window",
-                "20",
-                "--batch-floor",
-                "0.01",
-            ]
-        )
-        assert exit_code == 0
-        output = capsys.readouterr().out
-        assert "batch guard ok" in output
-        hotpath = json.loads((tmp_path / "BENCH_hotpath.json").read_text())
-        e2e = json.loads((tmp_path / "BENCH_e2e.json").read_text())
-        assert hotpath["benchmark"] == "hotpath"
-        assert e2e["benchmark"] == "e2e"
-        # The e2e grid covers all three algorithms of the paper.
-        algorithms = {row["algorithm"] for row in e2e["scenarios"]}
-        assert algorithms == {"global", "semi-global", "centralized"}
-        for row in e2e["scenarios"]:
-            assert row["wallclock_seconds"] > 0
-
-    def test_bench_check_fails_below_floor(self, tmp_path, capsys):
-        exit_code = main(
-            [
-                "bench",
-                "--windows",
-                "12",
-                "--events",
-                "2",
-                "--skip-e2e",
-                "--output-dir",
-                str(tmp_path),
-                "--check",
-                "--floor-window",
-                "12",
-                "--batch-floor",
-                "1e9",
-            ]
-        )
-        assert exit_code == 1
-        assert "REGRESSION" in capsys.readouterr().out
-        # The artifact is still written so CI can upload the evidence.
-        assert (tmp_path / "BENCH_hotpath.json").exists()
-        assert not (tmp_path / "BENCH_e2e.json").exists()
-
-    def test_bench_batch_floor_passes(self, tmp_path, capsys):
-        exit_code = main(
-            [
-                "bench",
-                "--windows",
-                "12",
-                "--events",
-                "2",
-                "--batch-sizes",
-                "1,4",
-                "--skip-e2e",
-                "--output-dir",
-                str(tmp_path),
-                "--check",
-                "--floor-window",
-                "12",
-                "--batch-floor",
-                "0.01",
-            ]
-        )
-        assert exit_code == 0
-        output = capsys.readouterr().out
-        assert "batch guard ok" in output
-        hotpath = json.loads((tmp_path / "BENCH_hotpath.json").read_text())
-        assert hotpath["windows"][0]["batch_size"] == 4
-
-    def test_bench_batch_floor_failure_prints_baseline_diff(
-        self, tmp_path, capsys
+    def test_bench_writes_both_artifacts_and_passes_floor(
+        self, tiny_bench, tmp_path, capsys
     ):
-        baseline = tmp_path / "baseline.json"
-        baseline.write_text(
-            json.dumps(
-                {"windows": [{"window": 12, "indexed_ms": 1.0, "batched_speedup": 9.0}]}
-            )
-        )
-        exit_code = main(
-            [
-                "bench",
-                "--windows",
-                "12",
-                "--events",
-                "2",
-                "--batch-sizes",
-                "4",
-                "--skip-e2e",
-                "--output-dir",
-                str(tmp_path),
-                "--check",
-                "--floor-window",
-                "12",
-                "--batch-floor",
-                "1e9",
-                "--baseline",
-                str(baseline),
-            ]
-        )
-        assert exit_code == 1
+        argv = ["bench", "--quick", "--check", "--output-dir", str(tmp_path)]
+        assert main(argv) == 0
         output = capsys.readouterr().out
+        assert "batch guard ok" in output and "at window 20" in output
+        assert "setup guard ok" in output and "at 64 nodes" in output
+        assert _artifacts(tmp_path) == ["BENCH_hotpath.json", "BENCH_setup.json"]
+        hotpath = json.loads((tmp_path / "BENCH_hotpath.json").read_text())
+        setup = json.loads((tmp_path / "BENCH_setup.json").read_text())
+        assert validate_bench(hotpath) == "hotpath"
+        assert validate_bench(setup) == "setup"
+        assert hotpath["quick"] is True and setup["quick"] is True
+        assert [row["window"] for row in hotpath["windows"]] == [12, 20]
+        assert [row["nodes"] for row in setup["sizes"]] == [32, 64]
+
+    def test_bench_check_fails_below_floor(self, tiny_bench, tmp_path, capsys):
+        tiny_bench(batch=1e9)
+        argv = ["bench", "--quick", "--check", "--output-dir", str(tmp_path)]
+        assert main(argv) == 1
+        output = capsys.readouterr().out
+        # Only the batched floor fails; the setup guard still reports.
         assert "batch guard REGRESSION" in output
-        # The failure is accompanied by the readable old-vs-new table.
-        assert "perf regression report" in output
-        # The artifact is still written so CI can upload the evidence.
-        assert (tmp_path / "BENCH_hotpath.json").exists()
+        assert "setup guard ok" in output
+        # The artifacts are still written so CI can upload the evidence.
+        assert _artifacts(tmp_path) == ["BENCH_hotpath.json", "BENCH_setup.json"]
 
-    def test_bench_rejects_malformed_windows(self, tmp_path, capsys):
-        assert main(["bench", "--windows", "abc"]) == 2
-        assert main(["bench", "--windows", "4"]) == 2
+    def test_bench_batch_floor_passes(self, tiny_bench, monkeypatch, tmp_path, capsys):
+        """The batched guard reads the floor window's row, whose headline
+        is the largest batch size that fits that window."""
+        monkeypatch.setattr(bench_module, "BATCH_FLOOR_WINDOW", 12)
+        argv = ["bench", "--quick", "--check", "--output-dir", str(tmp_path)]
+        assert main(argv) == 0
+        output = capsys.readouterr().out
+        assert "batch guard ok" in output
+        assert "at window 12 (floor 0.0x, batch size 4)" in output
+        hotpath = json.loads((tmp_path / "BENCH_hotpath.json").read_text())
+        assert [row["batch_size"] for row in hotpath["windows"]] == [4, 16]
 
-    def test_bench_rejects_malformed_batch_sizes(self, tmp_path, capsys):
-        assert main(["bench", "--batch-sizes", "abc"]) == 2
-        assert main(["bench", "--batch-sizes", "0"]) == 2
+    def test_bench_without_check_skips_the_floors(
+        self, tiny_bench, tmp_path, capsys
+    ):
+        tiny_bench(batch=1e9, setup=1e9)
+        assert main(["bench", "--quick", "--output-dir", str(tmp_path)]) == 0
+        assert "guard" not in capsys.readouterr().out
+        assert _artifacts(tmp_path) == ["BENCH_hotpath.json", "BENCH_setup.json"]
 
     def test_bench_setup_writes_artifact_and_passes_floor(
-        self, tmp_path, capsys
+        self, tiny_bench, tmp_path, capsys
     ):
-        exit_code = main(
-            [
-                "bench",
-                "--setup",
-                "--setup-nodes",
-                "32,64",
-                "--output-dir",
-                str(tmp_path),
-                "--check",
-                "--setup-floor",
-                "0.01",
-                "--setup-floor-nodes",
-                "64",
-            ]
-        )
-        assert exit_code == 0
+        argv = ["bench", "--quick", "--check", "--output-dir", str(tmp_path)]
+        assert main(argv) == 0
         output = capsys.readouterr().out
+        assert "Scenario setup cost" in output
         assert "setup guard ok" in output
         setup = json.loads((tmp_path / "BENCH_setup.json").read_text())
         assert setup["benchmark"] == "setup"
         assert [row["nodes"] for row in setup["sizes"]] == [32, 64]
-        # The setup mode does not run the other suites.
-        assert not (tmp_path / "BENCH_hotpath.json").exists()
-        assert not (tmp_path / "BENCH_e2e.json").exists()
+        assert all(row["speedup"] > 0 for row in setup["sizes"])
 
-    def test_bench_setup_check_fails_below_floor(self, tmp_path, capsys):
-        exit_code = main(
-            [
-                "bench",
-                "--setup",
-                "--setup-nodes",
-                "32",
-                "--output-dir",
-                str(tmp_path),
-                "--check",
-                "--setup-floor",
-                "1e9",
-                "--setup-floor-nodes",
-                "32",
-            ]
-        )
-        assert exit_code == 1
-        assert "REGRESSION" in capsys.readouterr().out
-        # The artifact is still written so CI can upload the evidence.
-        assert (tmp_path / "BENCH_setup.json").exists()
+    def test_bench_setup_check_fails_below_floor(
+        self, tiny_bench, tmp_path, capsys
+    ):
+        tiny_bench(setup=1e9)
+        argv = ["bench", "--quick", "--check", "--output-dir", str(tmp_path)]
+        assert main(argv) == 1
+        output = capsys.readouterr().out
+        # Only the setup floor fails; the batched guard still reports.
+        assert "setup guard REGRESSION" in output
+        assert "batch guard ok" in output
+        # The artifacts are still written so CI can upload the evidence.
+        assert _artifacts(tmp_path) == ["BENCH_hotpath.json", "BENCH_setup.json"]
 
-    def test_bench_rejects_malformed_setup_nodes(self, tmp_path, capsys):
-        assert main(["bench", "--setup", "--setup-nodes", "abc"]) == 2
-        assert main(["bench", "--setup", "--setup-nodes", "1"]) == 2
+    def test_bench_full_sweep_checks_the_setup_floor(
+        self, tiny_bench, tmp_path, capsys
+    ):
+        """Without ``--quick`` the setup floor is evaluated on the full
+        sweep's own sizes (it used to demand a size only ``--quick``
+        measures, so a plain ``bench --check`` always failed)."""
+        assert main(["bench", "--check", "--output-dir", str(tmp_path)]) == 0
+        output = capsys.readouterr().out
+        assert "setup guard ok" in output and "at 96 nodes" in output
+        setup = json.loads((tmp_path / "BENCH_setup.json").read_text())
+        assert setup["quick"] is False
+        assert [row["nodes"] for row in setup["sizes"]] == [32, 64, 96]
+
+    def test_bench_help_lists_exactly_three_flags(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["bench", "--help"])
+        assert exit_info.value.code == 0
+        flags = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+        assert flags == {"--help", "--quick", "--check", "--output-dir"}
+        # The old mode switch is gone: every call measures both suites.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["bench", "--setup"])
+        assert exit_info.value.code == 2

@@ -228,6 +228,14 @@ class TestSweepCli:
         assert "0 simulated" in warm
         assert "3 from store" in warm
 
+    def test_blank_workers_variable_runs_in_process(self, monkeypatch, capsys):
+        """A blank ``REPRO_WORKERS`` means unset, as a blank
+        ``REPRO_RESULT_STORE`` already did."""
+        monkeypatch.setenv("REPRO_WORKERS", " ")
+        argv = ["sweep", "example51", "--profile", "tiny", "--no-report"]
+        assert main(argv) == 0
+        assert "workers=1" in capsys.readouterr().out
+
     def test_sweep_report_renders_tables(self, capsys):
         clear_cache()
         assert main(["sweep", "example51", "--profile", "tiny"]) == 0

@@ -51,7 +51,6 @@ from repro.core import (
     global_reference,
     make_point,
     satisfies_sufficiency,
-    semi_global_reference_all,
     support_of_set,
     top_n_outliers,
 )
@@ -593,18 +592,6 @@ def test_centralized_aggregator_matches_oracle(knn_query, monkeypatch):
     assert fast.union() == slow.union()
     assert fast.compute_outliers() == slow.compute_outliers()
     _replay_sink_with_irregular_queries(knn_query, rng, monkeypatch)
-
-
-def test_semi_global_reference_shared_index_matches_oracle(nn_query):
-    rng = random.Random(41)
-    sensors = 6
-    adjacency = random_connected_adjacency(rng, sensors)
-    datasets = {i: _cloud(rng, 7, origin=i) for i in range(sensors)}
-    fast = semi_global_reference_all(
-        nn_query, datasets, adjacency, 2, shared_index=True
-    )
-    slow = semi_global_reference_all(nn_query, datasets, adjacency, 2)
-    assert fast == slow
 
 
 # ----------------------------------------------------------------------

@@ -478,29 +478,33 @@ class TestRegistry:
 # ----------------------------------------------------------------------
 class TestDefaultWorkers:
     def test_generic_variable_is_the_fallback(self, monkeypatch):
-        monkeypatch.delenv("REPRO_WSN_WORKERS", raising=False)
         monkeypatch.setenv("REPRO_WORKERS", "3")
         assert executor_module.default_workers() == 3
 
-    def test_wsn_override_takes_precedence(self, monkeypatch):
+    def test_retired_wsn_variable_is_ignored(self, monkeypatch):
+        """``REPRO_WSN_WORKERS`` was a second knob for the same value that
+        overrode ``REPRO_WORKERS`` (and so the sweep's ``--workers``)."""
         monkeypatch.setenv("REPRO_WORKERS", "3")
         monkeypatch.setenv("REPRO_WSN_WORKERS", "7")
-        assert executor_module.default_workers() == 7
+        assert executor_module.default_workers() == 3
 
-    def test_wsn_override_is_clamped_to_one(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WSN_WORKERS", "0")
-        assert executor_module.default_workers() == 1
-        monkeypatch.setenv("REPRO_WSN_WORKERS", "-4")
-        assert executor_module.default_workers() == 1
-
-    def test_wsn_override_must_be_an_integer(self, monkeypatch):
+    def test_values_below_one_are_rejected(self, monkeypatch):
         from repro.core.errors import ExperimentError
 
-        monkeypatch.setenv("REPRO_WSN_WORKERS", "many")
-        with pytest.raises(ExperimentError):
+        for value in ("0", "-4"):
+            monkeypatch.setenv("REPRO_WORKERS", value)
+            with pytest.raises(ExperimentError, match=">= 1"):
+                executor_module.default_workers()
+
+    def test_workers_must_be_an_integer(self, monkeypatch):
+        from repro.core.errors import ExperimentError
+
+        monkeypatch.setenv("REPRO_WORKERS", "many")
+        with pytest.raises(ExperimentError, match="must be an integer"):
             executor_module.default_workers()
 
-    def test_blank_wsn_override_falls_through(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WSN_WORKERS", "  ")
-        monkeypatch.setenv("REPRO_WORKERS", "2")
-        assert executor_module.default_workers() == 2
+    def test_blank_workers_means_one(self, monkeypatch):
+        monkeypatch.setenv("REPRO_WORKERS", "  ")
+        assert executor_module.default_workers() == 1
+        monkeypatch.delenv("REPRO_WORKERS")
+        assert executor_module.default_workers() == 1

@@ -3,7 +3,7 @@
 The load-bearing guarantees:
 
 * the report site is **byte-deterministic**: two scratch sweep families are
-  simulated into a fixture store and rendered (markdown + HTML + data
+  simulated into a fixture store and rendered (markdown pages + data
   files), and every produced byte is pinned against committed goldens under
   ``tests/goldens/report/`` (regenerate deliberately with
   ``REPRO_UPDATE_GOLDENS=1 pytest tests/test_report.py``);
@@ -75,7 +75,7 @@ RESULTS_DIR = Path(__file__).resolve().parent.parent / "results"
 GOLDEN_ROOT = Path(__file__).resolve().parent / "goldens" / "report"
 
 #: All committed benchmark measurement artifacts (kind -> filename).
-COMMITTED_KINDS = ("hotpath", "e2e", "setup")
+COMMITTED_KINDS = ("hotpath", "setup")
 
 
 @pytest.fixture(autouse=True)
@@ -254,7 +254,6 @@ class TestGoldenSite:
             TINY_PROFILE,
             scratch_families,
             out_dir,
-            formats=("md", "html"),
             git_sha=GOLDEN_SHA,
             bench={"hotpath": copy.deepcopy(FIXTURE_HOTPATH)},
             trajectory=copy.deepcopy(FIXTURE_TRAJECTORY),
@@ -335,16 +334,6 @@ class TestGoldenSite:
         assert "0/2 scenario(s)" in page
         assert "not rendered from a partial store" in page
 
-    def test_unknown_format_is_rejected(self, tmp_path, scratch_families):
-        with pytest.raises(ExperimentError, match="unknown report format"):
-            build_site(
-                ResultStore(tmp_path / "s"),
-                TINY_PROFILE,
-                scratch_families,
-                tmp_path / "site",
-                formats=("pdf",),
-            )
-
 
 # ----------------------------------------------------------------------
 # Reader
@@ -401,6 +390,15 @@ class TestReader:
         with pytest.raises(SchemaError):
             load_bench_artifacts(tmp_path)
 
+    def test_load_bench_artifacts_ignores_a_stray_e2e_file(self, tmp_path):
+        """``BENCH_e2e.json`` is no longer an artifact kind: a leftover copy
+        in a bench directory is neither validated nor read."""
+        (tmp_path / "BENCH_hotpath.json").write_text(
+            json.dumps(FIXTURE_HOTPATH)
+        )
+        (tmp_path / "BENCH_e2e.json").write_text("{}")
+        assert sorted(load_bench_artifacts(tmp_path)) == ["hotpath"]
+
 
 # ----------------------------------------------------------------------
 # Schemas: every committed artifact validates; malformations are rejected
@@ -423,11 +421,18 @@ class TestSchemas:
         with pytest.raises(SchemaError, match="batched_speedup"):
             validate_bench(payload)
 
-    def test_e2e_rejects_out_of_range_accuracy(self):
-        payload = self._committed("e2e")
-        payload["scenarios"][0]["accuracy_exact"] = 1.5
-        with pytest.raises(SchemaError, match="accuracy_exact"):
+    def test_e2e_payload_is_an_unknown_kind(self):
+        payload = {
+            "benchmark": "e2e",
+            "schema": 2,
+            "scenarios": [
+                {"label": "global-nn", "nodes": 9, "rounds": 6, "window": 8,
+                 "wallclock_seconds": 0.5, "accuracy_exact": 1.0}
+            ],
+        }
+        with pytest.raises(SchemaError, match="unknown benchmark kind 'e2e'"):
             validate_bench(payload)
+        assert not (RESULTS_DIR / "BENCH_e2e.json").exists()
 
     def test_setup_rejects_missing_brute_cap(self):
         payload = self._committed("setup")
@@ -603,7 +608,7 @@ class TestTrajectory:
         metrics = extract_metrics(load_bench_artifacts(RESULTS_DIR))
         assert "hotpath.batched_speedup.w256" in metrics
         assert "setup.speedup.n4096" in metrics
-        assert any(key.startswith("e2e.wallclock_s.") for key in metrics)
+        assert not any(key.startswith("e2e.") for key in metrics)
 
     def test_gates_cover_ratios_but_not_raw_latencies(self):
         assert gate_for("hotpath.batched_speedup.w256") is not None
@@ -630,6 +635,24 @@ class TestTrajectory:
         artifacts = load_bench_artifacts(RESULTS_DIR)
         artifacts.pop("trajectory", None)
         assert payload["entries"][-1]["metrics"] == extract_metrics(artifacts)
+
+    def test_older_e2e_keys_diff_as_base_only(self):
+        """Entries from before the e2e suite's removal keep their ``e2e.*``
+        keys; diffing current artifacts against one lists them as base-only
+        and gates none of them."""
+        payload = load_trajectory(RESULTS_DIR / "BENCH_trajectory.json")
+        older = [
+            entry for entry in payload["entries"]
+            if any(key.startswith("e2e.") for key in entry["metrics"])
+        ]
+        assert older, "no committed entry carries e2e keys"
+        artifacts = load_bench_artifacts(RESULTS_DIR)
+        artifacts.pop("trajectory", None)
+        report = diff_metrics(older[-1]["metrics"], extract_metrics(artifacts))
+        e2e_keys = {k for k in older[-1]["metrics"] if k.startswith("e2e.")}
+        assert e2e_keys <= set(report.only_base)
+        assert not any(row.key.startswith("e2e.") for row in report.rows)
+        assert all(gate_for(key) is None for key in e2e_keys)
 
     def test_self_diff_is_clean(self):
         metrics = extract_metrics({"hotpath": FIXTURE_HOTPATH})
@@ -825,6 +848,15 @@ class TestReportCli:
         assert code == 0
         out = capsys.readouterr().out
         assert "bench-only" in out and "clean" in out
+
+    def test_format_flag_is_gone(self, tmp_path):
+        """The site is markdown only; ``--format`` no longer parses."""
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exit_info:
+            main(["report", "--out", str(tmp_path / "site"), "--format", "html"])
+        assert exit_info.value.code == 2
+        assert not (tmp_path / "site").exists()
 
     def test_missing_store_is_a_usage_error(self, tmp_path, monkeypatch, capsys):
         from repro.cli import main

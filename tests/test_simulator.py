@@ -40,6 +40,16 @@ class TestEvent:
         compared = [f.name for f in dataclasses.fields(Event) if f.compare]
         assert compared == ["time", "priority", "sequence"]
 
+    def test_repr_names_the_callback(self):
+        """Events carry no name of their own; the repr falls back to the
+        callback's name."""
+        fired = []
+        event = Simulator().schedule_at(1.5, fired.append, 1)
+        assert repr(event) == "Event(t=1.500000, append)"
+        event.cancel()
+        assert repr(event) == "Event(t=1.500000, append (cancelled))"
+        assert "name" not in {f.name for f in dataclasses.fields(Event)}
+
     def test_sequence_is_process_wide_and_increasing(self):
         first, second = Simulator(), Simulator()
         events = [
