@@ -396,7 +396,8 @@ def run_setup_bench(
 
 
 def render_setup_table(payload: Dict) -> str:
-    """The human-readable table mirrored to ``results/setup.txt``."""
+    """The human-readable setup table ``repro-wsn bench`` prints; its
+    numbers live in ``BENCH_setup.json``."""
     lines = [
         "Scenario setup cost (serpentine layout on density-preserving "
         "terrain, paper transmission range; best of repeated builds)",

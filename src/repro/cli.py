@@ -601,6 +601,15 @@ def _command_report(args: argparse.Namespace) -> int:
             families = list(all_families())
         bench_dir = Path(args.bench_dir)
         bench = load_bench_artifacts(bench_dir) if bench_dir.is_dir() else {}
+        # A diff or trajectory entry of no measurements is bad input, not
+        # a regression.
+        if (args.diff or args.update_trajectory) and not set(bench) - {"trajectory"}:
+            problem = (
+                "holds no BENCH_*.json measurement"
+                if bench_dir.is_dir()
+                else "no such directory"
+            )
+            raise ExperimentError(f"--bench-dir {bench_dir}: {problem}")
         # A missing or malformed BASE is bad input (exit 2), resolved before
         # any site build; only a detected regression exits 1.
         baseline = baseline_metrics(args.diff) if args.diff else None

@@ -21,7 +21,8 @@ and equal the correct answer.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Set
+from functools import partial
+from typing import Callable, Dict, FrozenSet, Iterable, Optional, Set
 
 from .batch import EventBatch
 from .errors import ProtocolError
@@ -30,10 +31,11 @@ from .interfaces import OutlierDetector
 from .messages import OutlierMessage
 from .outliers import OutlierQuery
 from .points import DataPoint
-from .ranking import UNRESOLVED_SUBSET
 from .rescoring import ScoreCache
-from .sufficient import compute_sufficient_set
-from .support import support_of_set
+from .sufficient import SlotFixpoint, index_free_fixpoint
+# perfbench's tracer patches these two names in this module.
+from .sufficient import compute_sufficient_set  # noqa: F401
+from .support import support_of_set  # noqa: F401
 
 __all__ = ["GlobalOutlierDetector"]
 
@@ -267,50 +269,44 @@ class GlobalOutlierDetector(OutlierDetector):
         payloads: Dict[int, frozenset] = {}
         if not self._neighbors:
             return None
-        # O_n(P_i) and its support depend only on P_i; compute them once for
-        # this event and reuse them for every neighbor.
-        holdings = list(self._holdings)
-        index = self._index
-        cache = self._cache
-        if cache is not None and not cache.degraded:
-            # P_i is exactly the index content, so the dirty-set cache's
-            # maintained order yields the estimate and ``subset=None`` (the
-            # full-index mask) is shared by the support and every neighbor's
-            # sufficient-set fixpoint -- no O(n) try_subset rebuilds.
-            estimate = cache.top_n(self.query.n)
-            holdings_subset = None
-            estimate_support = support_of_set(
-                self.query.ranking, estimate, holdings, index=index, subset=None
-            )
-        else:
-            estimate = self.query.outliers(holdings, index=index)
-            holdings_subset = UNRESOLVED_SUBSET
-            estimate_support = support_of_set(
-                self.query.ranking, estimate, holdings, index=index
-            )
-        # Scores and supports shared by every neighbor's fixpoint in this
-        # event; P_i itself is already scored.
-        outlier_memo = {frozenset(self._holdings): estimate}
-        support_memo = {}
+        sufficient = self._sufficient_slots()
+        point_at = self._index.point_at
+        slot_for = self._index.slot_for
         for neighbor in sorted(self._neighbors):
-            shared = self._sent[neighbor] | self._received[neighbor]
-            sufficient = compute_sufficient_set(
-                self.query,
-                holdings,
-                shared,
-                estimate=estimate,
-                estimate_support=estimate_support,
-                index=index,
-                holdings_subset=holdings_subset,
-                outlier_memo=outlier_memo,
-                support_memo=support_memo,
+            sent = self._sent[neighbor]
+            # D_{i,j} ∪ D_{j,i} ⊆ P_i: every recorded point is held, since
+            # evictions drop it from the buckets too.
+            shared = frozenset(map(slot_for, sent)).union(
+                map(slot_for, self._received[neighbor])
             )
-            to_send = sufficient - shared
-            if to_send:
-                payloads[neighbor] = frozenset(to_send)
-                self._sent[neighbor] |= to_send
+            unsent = sufficient(shared) - shared
+            if unsent:
+                to_send = frozenset(map(point_at, unsent))
+                payloads[neighbor] = to_send
+                sent |= to_send
                 self.stats.points_sent += len(to_send)
         if not payloads:
             return None
         self.stats.messages_built += 1
         return OutlierMessage(sender=self.sensor_id, payloads=payloads)
+
+    def _sufficient_slots(self) -> Callable[[FrozenSet[int]], FrozenSet[int]]:
+        """This event's eq. 2 fixpoint, from a neighbor's shared slots to
+        ``Z``'s slots.
+
+        P_i is exactly the index content, so with a built-in ranking and a
+        trusted cache the slot kernel starts every neighbor's run from the
+        cache's ``O_n(P_i)``.  Other rankings and a degraded cache take
+        :func:`~repro.core.sufficient.index_free_fixpoint`.
+        """
+        cache = self._cache
+        if (
+            cache is not None
+            and not cache.degraded
+            and SlotFixpoint.handles(self.query.ranking)
+        ):
+            estimate = cache.top_slots(self.query.n)
+            return SlotFixpoint(self.query, self._index, None, estimate, {}).run
+        return partial(
+            index_free_fixpoint, self.query, self._index, list(self._holdings)
+        )

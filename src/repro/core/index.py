@@ -64,7 +64,17 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_right
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Dict,
+    FrozenSet,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 import numpy as np
 
@@ -248,6 +258,31 @@ class NeighborhoodIndex:
         if slot is None:
             raise RankingError(f"{point!r} is not indexed")
         return slot
+
+    def slot_for_key(self, key: RestKey) -> int:
+        """The slot holding the one indexed copy of the observation with
+        ``≺`` key ``key`` (:class:`RankingError` unless exactly one copy is
+        indexed)."""
+        slots = self._key_slots.get(key, ())
+        if len(slots) != 1:
+            raise RankingError(
+                f"{len(slots)} indexed copies of {key!r}, expected exactly one"
+            )
+        (slot,) = slots
+        return slot
+
+    def slot_tables(
+        self,
+    ) -> Tuple[List[Optional[array]], List[Optional[array]], List[Optional[RestKey]]]:
+        """The live per-slot tables ``(distances, neighbor slots, ≺ keys)``:
+        entry ``s`` of each is what :meth:`row_at` and :meth:`key_at` return
+        for slot ``s`` (``None`` for a free slot).  Same read-only contract
+        as :meth:`row_for`: a mutation may replace the entries."""
+        return self._dists, self._nbrs, self._keys
+
+    def occupied_slots(self) -> FrozenSet[int]:
+        """The slots currently holding a point."""
+        return frozenset(self._occ_slots)
 
     # ------------------------------------------------------------------
     # Observers
@@ -1101,10 +1136,6 @@ class NeighborhoodIndex:
         dists, nbrs = self.row_for(point)
         keys = self._keys
         return tuple((d, keys[s], s) for d, s in zip(dists, nbrs))
-
-    def covers(self, points: Iterable[DataPoint]) -> bool:
-        """Whether every point is indexed."""
-        return all(p in self._slot_of for p in points)
 
     def try_subset(
         self, points: Sequence[DataPoint]

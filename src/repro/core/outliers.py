@@ -12,7 +12,7 @@ from typing import Iterable, List, Sequence, Set, Tuple
 
 from .errors import ConfigurationError
 from .points import DataPoint, sort_key
-from .ranking import RankingFunction, UNRESOLVED_SUBSET
+from .ranking import RankingFunction
 
 __all__ = ["top_n_outliers", "ranked_points", "OutlierQuery"]
 
@@ -21,7 +21,6 @@ def ranked_points(
     ranking: RankingFunction,
     D: Iterable[DataPoint],
     index=None,
-    subset=UNRESOLVED_SUBSET,
 ) -> List[Tuple[float, DataPoint]]:
     """Return ``(score, point)`` pairs for every point of ``D`` scored against
     ``D`` itself, sorted from most to least outlying (ties broken by ``≺``,
@@ -30,18 +29,12 @@ def ranked_points(
     When a :class:`~repro.core.index.NeighborhoodIndex` covering ``D`` is
     supplied, scores are read from its cached sorted-neighbor lists instead
     of rebuilding the pairwise-distance matrix; otherwise (or when some point
-    of ``D`` is not indexed) the brute-force oracle is used.  Callers that
-    already resolved ``D``'s membership mask pass it as ``subset`` (an
-    :class:`~repro.core.index.IndexSubset`, or ``None`` for the whole index)
-    to skip the ``O(|D|)`` ``try_subset`` rebuild.
+    of ``D`` is not indexed) the brute-force oracle is used.
     """
     points = list(D)
     scores = None
     if index is not None and points:
-        if subset is UNRESOLVED_SUBSET:
-            covered, subset = index.try_subset(points)
-        else:
-            covered = True
+        covered, subset = index.try_subset(points)
         if covered:
             scores = ranking.bulk_scores_indexed(index, points, subset)
     if scores is None:
@@ -61,17 +54,16 @@ def top_n_outliers(
     D: Iterable[DataPoint],
     n: int,
     index=None,
-    subset=UNRESOLVED_SUBSET,
 ) -> List[DataPoint]:
     """Return ``O_n(D)``: the top ``n`` outliers of ``D`` under ``ranking``.
 
     The result is ordered from most to least outlying.  If ``D`` has fewer
     than ``n`` points, all of them are returned (still ordered).  ``index``
-    and ``subset`` are forwarded to :func:`ranked_points`.
+    is forwarded to :func:`ranked_points`.
     """
     if n < 0:
         raise ConfigurationError(f"n must be non-negative, got {n}")
-    scored = ranked_points(ranking, D, index=index, subset=subset)
+    scored = ranked_points(ranking, D, index=index)
     return [p for _, p in scored[:n]] if n else []
 
 
@@ -88,11 +80,9 @@ class OutlierQuery:
         self.ranking = ranking
         self.n = int(n)
 
-    def outliers(
-        self, D: Iterable[DataPoint], index=None, subset=UNRESOLVED_SUBSET
-    ) -> List[DataPoint]:
+    def outliers(self, D: Iterable[DataPoint], index=None) -> List[DataPoint]:
         """``O_n(D)`` as an ordered list (most outlying first)."""
-        return top_n_outliers(self.ranking, D, self.n, index=index, subset=subset)
+        return top_n_outliers(self.ranking, D, self.n, index=index)
 
     def outlier_set(self, D: Iterable[DataPoint], index=None) -> Set[DataPoint]:
         """``O_n(D)`` as a set (order-free comparisons)."""

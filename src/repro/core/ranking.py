@@ -42,7 +42,7 @@ import math
 from abc import ABC, abstractmethod
 from functools import reduce
 from operator import add
-from typing import FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import FrozenSet, Iterable, List, Optional, Sequence, Sized, Tuple
 
 import numpy as np
 
@@ -58,7 +58,6 @@ __all__ = [
     "NeighborCountWithinRadius",
     "DEFICIT_UNIT",
     "INFINITE_SCORE",
-    "UNRESOLVED_SUBSET",
     "rank_key",
     "ranking_from_name",
 ]
@@ -95,14 +94,6 @@ def _sorted_by_distance(
     dist = metric.distance
     xv = x.values
     return sorted(candidates, key=lambda q: (dist(xv, q.values), sort_key(q)))
-
-
-#: Sentinel for "no precomputed subset": callers that already resolved a
-#: membership mask for the dataset they score against (the detectors cache
-#: one per event, see :class:`~repro.core.index.IndexSubset`) pass it to the
-#: query layers to skip the ``O(|P|)`` ``try_subset`` rebuild; everyone else
-#: leaves the default and the mask is resolved on the spot.
-UNRESOLVED_SUBSET = object()
 
 
 def _masked_head(values: Sequence, slots: Sequence[int], subset, k: int) -> Sequence:
@@ -142,18 +133,11 @@ def _left_sum(values: Iterable[float]) -> float:
     return reduce(add, values)
 
 
-def _knn_support_indexed(ranking, index, x: DataPoint, subset) -> FrozenSet[DataPoint]:
-    """``[Q|x]`` of the k-NN rankings: the first ``k`` neighbors in the row."""
-    ranking._check_index_metric(index)
-    slots = index.row_for(x)[1]
-    return frozenset(map(index.point_at, _masked_head(slots, slots, subset, ranking.k)))
-
-
-def _within_indexed(index, x: DataPoint, alpha: float, subset) -> list:
-    """Slots of ``x``'s neighbors at distance ``<= alpha`` (members of
-    ``subset`` when given), via one ``O(log n)`` bisection on the cached
-    distance array."""
-    dists, slots = index.row_for(x)
+def _within_row(row, alpha: float, subset) -> list:
+    """Slots of a cached row's neighbors at distance ``<= alpha`` (members of
+    ``subset`` when given), via one ``O(log n)`` bisection on the distance
+    array: the support walk of :class:`NeighborCountWithinRadius`."""
+    dists, slots = row
     cut = bisect.bisect_right(dists, alpha)
     if subset is None:
         return list(slots[:cut])
@@ -234,20 +218,15 @@ class RankingFunction(ABC):
     # point's neighbor list sorted by ``(distance, ≺)``; ``subset`` is the
     # optional :class:`repro.core.index.IndexSubset` membership mask produced
     # by ``index.try_subset`` (``None`` means "against the whole index").
-    # The brute-force :meth:`score`/:meth:`support` remain the reference
-    # oracle; the default indexed implementations below fall back to them so
-    # user-defined ranking functions keep working unchanged, while the
-    # built-in rankings override with O(k)-per-point walks over the cached
-    # sorted lists.
+    # The brute-force :meth:`score` remains the reference oracle; the
+    # default indexed implementations below fall back to it so user-defined
+    # ranking functions keep working unchanged, while the built-in rankings
+    # override with O(k)-per-point walks over the cached sorted lists.
     # ------------------------------------------------------------------
     def score_indexed(self, index, x: DataPoint, subset=None) -> float:
         """``R(x, Q)`` where ``Q`` is the index content filtered by
         ``subset``.  Default: materialise and defer to :meth:`score`."""
         return self.score(x, self._materialize(index, subset))
-
-    def support_indexed(self, index, x: DataPoint, subset=None) -> FrozenSet[DataPoint]:
-        """``[Q|x]`` over the index content filtered by ``subset``."""
-        return self.support(x, self._materialize(index, subset))
 
     def bulk_scores_indexed(
         self, index, points: Sequence[DataPoint], subset=None
@@ -369,12 +348,16 @@ class KthNearestNeighborDistance(RankingFunction):
             return frozenset(candidates)
         return frozenset(candidates[: self.k])
 
-    def _score_row(self, row, subset) -> float:
-        """``R(x, Q)`` from ``x``'s cached row, ``Q`` given by ``subset``."""
-        head = _masked_head(row[0], row[1], subset, self.k)
+    def _head_score(self, head: Sequence[float]) -> float:
+        """``R(x, Q)`` from ``head``: the distances from ``x`` to its first
+        ``k`` neighbors in ``Q`` (all of them when ``Q`` has fewer)."""
         if len(head) < self.k:
             return (self.k - len(head)) * DEFICIT_UNIT
         return head[-1]
+
+    def _score_row(self, row, subset) -> float:
+        """``R(x, Q)`` from ``x``'s cached row, ``Q`` given by ``subset``."""
+        return self._head_score(_masked_head(row[0], row[1], subset, self.k))
 
     def score_indexed(self, index, x: DataPoint, subset=None) -> float:
         self._check_index_metric(index)
@@ -394,9 +377,6 @@ class KthNearestNeighborDistance(RankingFunction):
             else (k - len(dists)) * deficit
             for p in points
         ]
-
-    def support_indexed(self, index, x: DataPoint, subset=None) -> FrozenSet[DataPoint]:
-        return _knn_support_indexed(self, index, x, subset)
 
     def frontier_spec(self) -> Tuple[str, float]:
         return ("knn", self.k)
@@ -458,12 +438,16 @@ class AverageKNNDistance(RankingFunction):
             return frozenset(candidates)
         return frozenset(candidates[: self.k])
 
-    def _score_row(self, row, subset) -> float:
-        """``R(x, Q)`` from ``x``'s cached row, ``Q`` given by ``subset``."""
-        head = _masked_head(row[0], row[1], subset, self.k)
+    def _head_score(self, head: Sequence[float]) -> float:
+        """``R(x, Q)`` from ``head``: the distances from ``x`` to its first
+        ``k`` neighbors in ``Q`` (all of them when ``Q`` has fewer)."""
         if len(head) < self.k:
             return (self.k - len(head)) * DEFICIT_UNIT
         return _left_sum(head) / self.k
+
+    def _score_row(self, row, subset) -> float:
+        """``R(x, Q)`` from ``x``'s cached row, ``Q`` given by ``subset``."""
+        return self._head_score(_masked_head(row[0], row[1], subset, self.k))
 
     def score_indexed(self, index, x: DataPoint, subset=None) -> float:
         self._check_index_metric(index)
@@ -483,9 +467,6 @@ class AverageKNNDistance(RankingFunction):
             else (k - len(dists)) * deficit
             for p in points
         ]
-
-    def support_indexed(self, index, x: DataPoint, subset=None) -> FrozenSet[DataPoint]:
-        return _knn_support_indexed(self, index, x, subset)
 
     def frontier_spec(self) -> Tuple[str, float]:
         return ("knn", self.k)
@@ -532,25 +513,34 @@ class NeighborCountWithinRadius(RankingFunction):
         # count), so the minimal support set is exactly that set.
         return frozenset(self._within(x, P))
 
+    def _head_score(self, head: Sized) -> float:
+        """``R(x, Q)`` from ``head``: ``x``'s neighbors in ``Q`` within ``α``
+        (only their number matters)."""
+        return 1.0 / (1.0 + len(head))
+
     def score_indexed(self, index, x: DataPoint, subset=None) -> float:
         self._check_index_metric(index)
-        if subset is None:
-            dists, _ = index.row_for(x)
-            return 1.0 / (1.0 + bisect.bisect_right(dists, self.alpha))
-        return 1.0 / (1.0 + len(_within_indexed(index, x, self.alpha, subset)))
-
-    def support_indexed(self, index, x: DataPoint, subset=None) -> FrozenSet[DataPoint]:
-        self._check_index_metric(index)
-        return frozenset(
-            index.point_at(slot)
-            for slot in _within_indexed(index, x, self.alpha, subset)
-        )
+        head = _within_row(index.row_for(x), self.alpha, subset)
+        return self._head_score(head)
 
     def frontier_spec(self) -> Tuple[str, float]:
         return ("radius", self.alpha)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"NeighborCountWithinRadius(alpha={self.alpha!r})"
+
+
+#: The built-in rankings.  The index kernels that score a point from its
+#: cached row without calling ``score`` -- the slot fixpoint of
+#: :mod:`repro.core.sufficient` and the bulk rescoring of
+#: :class:`~repro.core.rescoring.ScoreCache` -- match these by exact type:
+#: a subclass may override ``score``.
+_BUILTIN_RANKINGS = (
+    NearestNeighborDistance,
+    KthNearestNeighborDistance,
+    AverageKNNDistance,
+    NeighborCountWithinRadius,
+)
 
 
 def rank_key(

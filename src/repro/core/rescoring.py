@@ -64,9 +64,8 @@ from .index import SLOT_DTYPE, IndexSubset, NeighborhoodIndex
 from .points import DataPoint, RestKey
 from .ranking import (
     AverageKNNDistance,
-    KthNearestNeighborDistance,
-    NearestNeighborDistance,
     RankingFunction,
+    _BUILTIN_RANKINGS,
     _masked_head,
 )
 
@@ -78,16 +77,6 @@ __all__ = ["ScoreCache"]
 #: batched ticks dirty hundreds, where the per-slot ``insort``/``del``
 #: repairs of the sorted order alone cost ``O(dirty · members)`` moves.
 BULK_RESCORE_MIN = 32
-
-#: Rankings whose ``score_indexed`` against the *full* index is a pure
-#: function of the first ``k`` entries of the distance row -- exactly the
-#: cases :meth:`ScoreCache._bulk_rescore` reproduces bit-for-bit.  Matched
-#: by exact type: a subclass may override ``score_indexed`` arbitrarily.
-_HEAD_SCORED_RANKINGS = (
-    KthNearestNeighborDistance,
-    NearestNeighborDistance,
-    AverageKNNDistance,
-)
 
 
 class ScoreCache:
@@ -380,16 +369,6 @@ class ScoreCache:
             return None
         return IndexSubset(self._mask, self._members)
 
-    def member_points(self) -> List[DataPoint]:
-        """The current members (unspecified order, like set iteration)."""
-        if not self.supported:
-            return []
-        index = self._index
-        if self._mask is None:
-            return list(index.points())
-        mask = self._mask
-        return [index.point_at(s) for s in range(len(mask)) if mask[s]]
-
     def _frontier_radius(self, slot: int, subset) -> float:
         if self._kind == "radius":
             return self._param
@@ -411,7 +390,7 @@ class ScoreCache:
             subset is None
             and self._kind == "knn"
             and len(dirty) >= BULK_RESCORE_MIN
-            and type(ranking) in _HEAD_SCORED_RANKINGS
+            and type(ranking) in _BUILTIN_RANKINGS
             and self._bulk_rescore()
         ):
             dirty.clear()
@@ -479,14 +458,17 @@ class ScoreCache:
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
+    def top_slots(self, n: int) -> List[int]:
+        """The slots of ``O_n(members)``, most outlying first."""
+        self._rescore_dirty()
+        if n <= 0:
+            return []
+        order = self._order
+        tail = order[-n:] if n < len(order) else order
+        return [entry[2] for entry in reversed(tail)]
+
     def top_n(self, n: int) -> List[DataPoint]:
         """``O_n(members)``, ordered most to least outlying -- identical to
         ``top_n_outliers(ranking, members, n, index=index)`` whenever the
         cache is not :attr:`degraded`."""
-        self._rescore_dirty()
-        if n <= 0:
-            return []
-        point_at = self._index.point_at
-        order = self._order
-        tail = order[-n:] if n < len(order) else order
-        return [point_at(entry[2]) for entry in reversed(tail)]
+        return [self._index.point_at(slot) for slot in self.top_slots(n)]

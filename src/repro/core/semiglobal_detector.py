@@ -31,7 +31,8 @@ of sensors, while the worst cases occur on sparse chain-like topologies.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set
+from functools import partial
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Set
 
 from .batch import EventBatch
 from .errors import ConfigurationError, ProtocolError
@@ -39,11 +40,12 @@ from .index import NeighborhoodIndex
 from .interfaces import OutlierDetector
 from .messages import OutlierMessage
 from .outliers import OutlierQuery
-from .points import DataPoint, RestKey
-from .ranking import UNRESOLVED_SUBSET
+from .points import DataPoint, RestKey, sort_key
 from .rescoring import ScoreCache
-from .sufficient import compute_sufficient_set
-from .support import support_of_set
+from .sufficient import SlotFixpoint, index_free_fixpoint
+# perfbench's tracer patches these two names in this module.
+from .sufficient import compute_sufficient_set  # noqa: F401
+from .support import support_of_set  # noqa: F401
 
 __all__ = ["SemiGlobalOutlierDetector"]
 
@@ -303,40 +305,28 @@ class SemiGlobalOutlierDetector(OutlierDetector):
         if current is None or point.hop < current.hop:
             bucket[point.rest] = point
 
-    def _canonical(self, points: Iterable[DataPoint]) -> List[DataPoint]:
-        """Map points to the locally-held copy of the same observation.
-
-        The ranking function only looks at the ``rest`` fields, but the
-        sufficiency fixpoint manipulates sets of :class:`DataPoint`, whose
-        equality includes the hop counter.  To avoid a single observation
-        appearing twice (once with the hop it was sent at, once with the hop
-        it is held at) every point is replaced by the holdings copy when one
-        exists, and duplicates are collapsed to the smallest hop otherwise.
-        """
-        best: Dict[RestKey, DataPoint] = {}
-        for point in points:
-            held = self._holdings.get(point.rest)
-            candidate = held if held is not None else point
-            current = best.get(point.rest)
-            if current is None or candidate.hop < current.hop:
-                best[point.rest] = candidate
-        return list(best.values())
-
-    def _known_hop(self, neighbor: int, key: RestKey) -> Optional[int]:
-        """Smallest recorded hop for ``key`` in ``D_{i,j} ∪ D_{j,i}``.
+    def _known_hops(self, neighbor: int) -> Dict[int, int]:
+        """Smallest recorded hop in ``D_{i,j} ∪ D_{j,i}``, keyed by the slot
+        of the held copy of each observation.
 
         This is the ``y.hop`` of the paper's redundancy filter: a candidate
         ``x`` is not transmitted when the bookkeeping already contains a copy
-        of the same observation with ``y.hop <= x.hop``.
+        of the same observation with ``y.hop <= x.hop``.  Every recorded
+        observation is held (evictions drop it from the buckets too) and the
+        index holds one copy per observation, so each key names exactly one
+        slot; those slots are the shared set the fixpoint scores.
         """
-        hops = []
-        sent = self._sent[neighbor].get(key)
-        if sent is not None:
-            hops.append(sent.hop)
-        received = self._received[neighbor].get(key)
-        if received is not None:
-            hops.append(received.hop)
-        return min(hops) if hops else None
+        slot_for_key = self._index.slot_for_key
+        known = {
+            slot_for_key(key): point.hop
+            for key, point in self._sent[neighbor].items()
+        }
+        for key, point in self._received[neighbor].items():
+            slot = slot_for_key(key)
+            hop = known.get(slot)
+            if hop is None or point.hop < hop:
+                known[slot] = point.hop
+        return known
 
     # ------------------------------------------------------------------
     # Core: the nested for-loops of Algorithm 2
@@ -345,17 +335,34 @@ class SemiGlobalOutlierDetector(OutlierDetector):
         payloads: Dict[int, frozenset] = {}
         if not self._neighbors:
             return None
-        level_data = self._level_estimates()
-        # Per-event fixpoint memos: O_n(C) depends only on C, so one map
-        # serves every neighbor and hop level; [P|x] depends on the level's
-        # P, so each level keeps its own.
-        outlier_memo = {}
-        support_memos = [{} for _ in level_data]
+        levels = self._level_fixpoints()
+        paper = self.variant == "paper"
+        point_at = self._index.point_at
         for neighbor in sorted(self._neighbors):
-            outgoing = self._sufficient_for_neighbor(
-                neighbor, level_data, outlier_memo, support_memos
-            )
+            known = self._known_hops(neighbor)
+            shared = frozenset(known)
+            # Every level's Z holds slots of held copies, one per
+            # observation, so the ``[·]^min`` merge of the levels' sets is
+            # their union.
+            merged: Set[int] = set()
+            for level, sufficient in enumerate(levels):
+                if paper:
+                    shared = frozenset(
+                        slot for slot, hop in known.items() if hop <= level
+                    )
+                merged.update(sufficient(shared))
+            # A point is forwarded at hop + 1, so it is copied only when the
+            # neighbor is not already known to hold it at that hop or less.
+            outgoing: List[DataPoint] = []
+            for slot in merged:
+                point = point_at(slot)
+                known_hop = known.get(slot)
+                if known_hop is None or known_hop > point.hop + 1:
+                    outgoing.append(point.incremented())
             if outgoing:
+                # The payload set iterates in insertion order among hash
+                # collisions, and the receiver's index batch follows it.
+                outgoing.sort(key=sort_key)
                 payloads[neighbor] = frozenset(outgoing)
                 bucket = self._sent[neighbor]
                 for point in outgoing:
@@ -368,85 +375,40 @@ class SemiGlobalOutlierDetector(OutlierDetector):
         self.stats.messages_built += 1
         return OutlierMessage(sender=self.sensor_id, payloads=payloads)
 
-    def _level_estimates(self) -> List[tuple]:
-        """Per hop level: ``(holdings, estimate, estimate_support, subset)``.
-
-        These depend only on ``P_i``, so they are computed once per event and
-        reused for every neighbor; ``subset`` is the level's resolved
-        membership mask (also per event -- the per-neighbor sufficient-set
-        fixpoints share it instead of rebuilding it via ``try_subset``).
-        """
-        data = []
-        ranking = self.query.ranking
-        index = self._index
-        for level in range(self.hop_diameter):
-            cache = self._caches[level] if self._caches is not None else None
-            if cache is not None and not cache.degraded:
-                level_holdings = cache.member_points()
-                if not level_holdings:
-                    data.append((level_holdings, [], set(), UNRESOLVED_SUBSET))
-                    continue
-                subset = cache.subset()
-                estimate = cache.top_n(self.query.n)
-                estimate_support = support_of_set(
-                    ranking, estimate, level_holdings, index=index, subset=subset
-                )
-                data.append((level_holdings, estimate, estimate_support, subset))
-                continue
-            level_holdings = [p for p in self._holdings.values() if p.hop <= level]
-            if not level_holdings:
-                data.append((level_holdings, [], set(), UNRESOLVED_SUBSET))
-                continue
-            covered, mask = index.try_subset(level_holdings)
-            subset = mask if covered else UNRESOLVED_SUBSET
-            estimate = self.query.outliers(level_holdings, index=index, subset=subset)
-            estimate_support = support_of_set(
-                ranking, estimate, level_holdings, index=index, subset=subset
-            )
-            data.append((level_holdings, estimate, estimate_support, subset))
-        return data
-
-    def _sufficient_for_neighbor(
+    def _level_fixpoints(
         self,
-        neighbor: int,
-        level_data: List[tuple],
-        outlier_memo: dict,
-        support_memos: List[dict],
-    ) -> List[DataPoint]:
-        sent_bucket = self._sent[neighbor]
-        recv_bucket = self._received[neighbor]
-        # Every level's Z consists of held copies, one per observation, so
-        # the ``[·]^min`` merge of the levels' sets is their union.
-        merged: Set[DataPoint] = set()
+    ) -> List[Callable[[FrozenSet[int]], FrozenSet[int]]]:
+        """Per hop level ``h < d``: this event's eq. 2 fixpoint over
+        ``P_i^{<=h}``, from a neighbor's shared slots to ``Z``'s slots.
 
-        all_shared = list(sent_bucket.values()) + list(recv_bucket.values())
-        paper = self.variant == "paper"
-        if not paper:
-            shared = frozenset(self._canonical(all_shared))
-        for level in range(self.hop_diameter):
-            level_holdings, estimate, estimate_support, subset = level_data[level]
-            if not level_holdings:
-                continue
-            if paper:
-                shared = self._canonical([p for p in all_shared if p.hop <= level])
-            merged |= compute_sufficient_set(
-                self.query,
-                level_holdings,
-                shared,
-                estimate=estimate,
-                estimate_support=estimate_support,
-                index=self._index,
-                holdings_subset=subset,
-                outlier_memo=outlier_memo,
-                support_memo=support_memos[level],
+        With a built-in ranking and trusted level caches, the slot kernel
+        starts from each cache's ``O_n(P_i^{<=h})`` and walks its membership
+        mask, and one ``O_n`` memo serves every level and neighbor.  Other
+        rankings and degraded caches take
+        :func:`~repro.core.sufficient.index_free_fixpoint`.
+        """
+        query = self.query
+        index = self._index
+        caches = self._caches
+        if (
+            caches is not None
+            and not any(cache.degraded for cache in caches)
+            and SlotFixpoint.handles(query.ranking)
+        ):
+            outlier_memo: dict = {}
+            return [
+                SlotFixpoint(
+                    query, index, cache.subset(), cache.top_slots(query.n),
+                    outlier_memo,
+                ).run
+                for cache in caches
+            ]
+
+        held = list(self._holdings.values())
+        return [
+            partial(
+                index_free_fixpoint, query, index,
+                [point for point in held if point.hop <= level],
             )
-
-        # A point is forwarded at hop + 1, so it is copied only when the
-        # neighbor is not already known to hold it at that hop or less.
-        outgoing: List[DataPoint] = []
-        for point in merged:
-            known = self._known_hop(neighbor, point.rest)
-            if known is not None and known <= point.hop + 1:
-                continue
-            outgoing.append(point.incremented())
-        return sorted(outgoing, key=lambda p: (p.values, p.origin, p.epoch))
+            for level in range(self.hop_diameter)
+        ]

@@ -19,36 +19,36 @@ fixpoint iteration:
 which terminates because ``Z_j`` only grows and is bounded by the finite
 ``P_i``.  Only ``Z_j \\ (D_{i,j} ∪ D_{j,i})`` is actually transmitted.
 
-A sensor runs this fixpoint once per neighbor (and, in the semi-global
-algorithm, once per hop level) on every event.  Within one event the
-callers share two memos, which is exact because ``O_n(C)`` depends only on
-the set ``C`` it scores and ``[P_i|x]`` only on ``P_i``, which one event
-does not change: ``outlier_memo`` maps ``C`` to ``O_n(C)`` for every
-neighbor and hop level, and ``support_memo`` maps ``x`` to ``[P_i|x]`` for
-one ``P_i``.  Neither outlives the event.
+:func:`compute_sufficient_set` states the fixpoint over
+:class:`~repro.core.points.DataPoint` sets without any index; the
+brute-force oracle and the detectors' capability fallback run it.  The
+detectors' production path is :class:`SlotFixpoint`, the same fixpoint on
+the slot ids of the sensor's
+:class:`~repro.core.index.NeighborhoodIndex`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set
+from bisect import bisect_right
+from itertools import compress, count
+from typing import Dict, FrozenSet, Iterable, Sequence, Set, Tuple
 
 from .outliers import OutlierQuery
-from .ranking import UNRESOLVED_SUBSET
+from .ranking import _BUILTIN_RANKINGS, _masked_head, _within_row
 from .support import support_of_set
 
-__all__ = ["compute_sufficient_set", "satisfies_sufficiency"]
+__all__ = [
+    "compute_sufficient_set",
+    "index_free_fixpoint",
+    "satisfies_sufficiency",
+    "SlotFixpoint",
+]
 
 
 def compute_sufficient_set(
     query: OutlierQuery,
     holdings: Iterable,
     known_shared: Iterable,
-    estimate: Iterable = None,
-    estimate_support: Iterable = None,
-    index=None,
-    holdings_subset=UNRESOLVED_SUBSET,
-    outlier_memo: Optional[Dict[FrozenSet, List]] = None,
-    support_memo: Optional[Dict] = None,
 ) -> Set:
     """Compute a set ``Z`` satisfying eq. (2).
 
@@ -61,28 +61,6 @@ def compute_sufficient_set(
     known_shared:
         ``D_{i,j} ∪ D_{j,i}`` -- the points the sensor already knows it has in
         common with the neighbor under consideration.
-    estimate, estimate_support:
-        Optional precomputed ``O_n(P_i)`` and ``[P_i | O_n(P_i)]``.  Both
-        depend only on ``P_i``, so a sensor processing one event for several
-        neighbors computes them once and passes them in; when omitted they
-        are computed here.
-    index:
-        Optional :class:`~repro.core.index.NeighborhoodIndex` covering
-        ``holdings ∪ known_shared``.  With it, every fixpoint iteration does
-        set algebra over the cached sorted-neighbor lists (masked walks)
-        instead of rebuilding a pairwise-distance matrix; the result is
-        identical either way.
-    holdings_subset:
-        Optional pre-resolved membership mask for ``holdings`` (an
-        :class:`~repro.core.index.IndexSubset`, or ``None`` when
-        ``holdings`` is exactly the full index).  The detectors resolve the
-        mask once per event and share it across every neighbor's fixpoint;
-        when omitted it is resolved here.
-    outlier_memo, support_memo:
-        Optional per-event memos, read and filled on the indexed path only:
-        ``outlier_memo`` maps ``frozenset(C)`` to ``O_n(C)`` for the current
-        index content, ``support_memo`` maps ``x`` to ``[P_i|x]`` for this
-        ``holdings``.  The caller drops both when the event ends.
 
     Returns
     -------
@@ -92,58 +70,28 @@ def compute_sufficient_set(
     """
     P = list(holdings)
     shared = frozenset(known_shared)
-
-    # Resolve the membership mask of P once: every fixpoint iteration takes
-    # supports within the same P, so the O(|P|) coverage check must not be
-    # repeated per iteration (nor per neighbor, when the caller passes the
-    # per-event mask in).
     ranking = query.ranking
-    if index is None:
-        use_index, P_subset = False, None
-    elif holdings_subset is UNRESOLVED_SUBSET:
-        use_index, P_subset = index.try_subset(P)
-    else:
-        use_index, P_subset = True, holdings_subset
-
-    if estimate is None:
-        if use_index:
-            estimate = query.outliers(P, index=index, subset=P_subset)
-        else:
-            estimate = query.outliers(P, index=index)
-    if estimate_support is None:
-        if use_index:
-            estimate_support = support_of_set(
-                ranking, estimate, P, index=index, subset=P_subset
-            )
-        else:
-            estimate_support = support_of_set(ranking, estimate, P, index=index)
-    Z: Set = set(estimate) | set(estimate_support)
-
-    if not use_index:
-        outlier_memo = None
-    elif support_memo is None:
-        support_memo = {}
+    estimate = query.outliers(P)
+    Z: Set = set(estimate) | support_of_set(ranking, estimate, P)
     while True:
-        combined = shared | Z
-        outliers = None if outlier_memo is None else outlier_memo.get(combined)
-        if outliers is None:
-            outliers = query.outliers(combined, index=index)
-            if outlier_memo is not None:
-                outlier_memo[combined] = outliers
-        if use_index and index.covers(outliers):
-            closure: Set = set()
-            for x in outliers:
-                support = support_memo.get(x)
-                if support is None:
-                    support = ranking.support_indexed(index, x, P_subset)
-                    support_memo[x] = support
-                closure |= support
-        else:
-            closure = support_of_set(ranking, outliers, P)
+        closure = support_of_set(ranking, query.outliers(shared | Z), P)
         if closure <= Z:
-            break
+            return Z
         Z |= closure
-    return Z
+
+
+def index_free_fixpoint(
+    query: OutlierQuery,
+    index,
+    holdings: Sequence,
+    shared: FrozenSet[int],
+) -> FrozenSet[int]:
+    """:func:`compute_sufficient_set` with slot ids in and out: ``shared``
+    and the returned ``Z`` are slots of ``index``, which holds every point
+    of ``holdings``.  The detectors run it for the rankings and caches
+    :class:`SlotFixpoint` does not serve."""
+    Z = compute_sufficient_set(query, holdings, map(index.point_at, shared))
+    return frozenset(map(index.slot_for, Z))
 
 
 def satisfies_sufficiency(
@@ -172,3 +120,145 @@ def satisfies_sufficiency(
     combined = shared | Z_set
     second = support_of_set(query.ranking, query.outliers(combined), P)
     return second <= Z_set
+
+
+class SlotFixpoint:
+    """Eq. 2's fixpoint for one ``P`` during one protocol event, on the slot
+    ids of a :class:`~repro.core.index.NeighborhoodIndex`.
+
+    ``P`` is the index content filtered by ``subset`` (an
+    :class:`~repro.core.index.IndexSubset`, or ``None`` for the whole
+    index), ``estimate`` the slots of ``O_n(P)``, and every set the
+    fixpoint handles -- the shared set, ``Z``, the scored ``C`` -- is a
+    frozenset of slot ids.  ``O_n(C)`` walks each member's cached row,
+    testing ``slot in C``, and breaks score ties on the index's cached ``≺``
+    keys; ``[P|x]`` walks ``x``'s row under ``P``'s membership mask.  The
+    ranking turns each walk's head into a score, so the sets equal
+    :func:`compute_sufficient_set`'s on the points behind the slots.
+
+    Two memos carry work across the fixpoints of one event; neither may
+    outlive it.  ``outlier_memo`` maps ``C`` to ``O_n(C)``, which depends
+    only on ``C``, so one dict serves every neighbor and hop level (and
+    learns ``O_n(P) = estimate`` here).  The support memo maps ``x`` to
+    ``[P|x]``, which depends on ``P``, so each instance keeps its own.
+
+    Preconditions: ``type(query.ranking)`` is a built-in ranking (see
+    :meth:`handles`), and no two indexed slots share a ``≺`` key -- the
+    state a non-degraded :class:`~repro.core.rescoring.ScoreCache`
+    certifies -- so the ``(score, ≺)`` order has no full ties.  An index
+    sorted under another metric than the ranking's is rejected with
+    :class:`~repro.core.errors.RankingError`.
+    """
+
+    __slots__ = (
+        "query",
+        "index",
+        "subset",
+        "start",
+        "_size",
+        "_outliers",
+        "_supports",
+        "_k",
+        "_alpha",
+        "_head_score",
+    )
+
+    def __init__(
+        self,
+        query: OutlierQuery,
+        index,
+        subset,
+        estimate: Sequence[int],
+        outlier_memo: Dict[FrozenSet[int], Tuple[int, ...]],
+    ) -> None:
+        ranking = query.ranking
+        ranking._check_index_metric(index)
+        self.query = query
+        self.index = index
+        self.subset = subset
+        self._outliers = outlier_memo
+        self._supports: Dict[int, FrozenSet[int]] = {}
+        # [P|x] is the head of x's row: its first k members, or every
+        # member within alpha.
+        kind, param = ranking.frontier_spec()
+        self._k, self._alpha = (param, None) if kind == "knn" else (None, param)
+        self._head_score = ranking._head_score
+        if subset is None:
+            members = index.occupied_slots()
+        else:
+            members = frozenset(compress(count(), subset.mask))
+        self._size = len(members)
+        outlier_memo.setdefault(members, tuple(estimate))
+        #: ``Z_0 = O_n(P) ∪ [P|O_n(P)]``, shared by every neighbor's run.
+        self.start: FrozenSet[int] = frozenset(estimate).union(
+            *map(self.support, estimate)
+        )
+
+    @staticmethod
+    def handles(ranking) -> bool:
+        """Whether the kernel scores ``ranking`` (exact built-in types)."""
+        return type(ranking) in _BUILTIN_RANKINGS
+
+    def run(self, shared: FrozenSet[int]) -> FrozenSet[int]:
+        """``Z`` for one neighbor whose shared set is ``shared``.
+
+        Every ``[P|x]`` lies in ``P``, so once ``Z`` holds all of ``P`` an
+        iteration could only confirm it: a start set that already covers
+        ``P`` is returned without scoring anything.
+        """
+        Z = self.start
+        size = self._size
+        support = self.support
+        while len(Z) < size:
+            grown = Z.union(*map(support, self.outliers(shared | Z)))
+            if len(grown) == len(Z):
+                break
+            Z = grown
+        return Z
+
+    def support(self, x: int) -> FrozenSet[int]:
+        """``[P|x]``: ``x``'s row walked under ``P``'s membership mask."""
+        support = self._supports.get(x)
+        if support is None:
+            row = self.index.row_at(x)
+            if self._k is not None:
+                head = _masked_head(row[1], row[1], self.subset, self._k)
+            else:
+                head = _within_row(row, self._alpha, self.subset)
+            support = self._supports[x] = frozenset(head)
+        return support
+
+    def outliers(self, C: FrozenSet[int]) -> Tuple[int, ...]:
+        """``O_n(C)``: the ``n`` largest ``(score, ≺ key)`` members of ``C``,
+        most outlying first (all of ``C``, unordered, when it has at most
+        ``n`` members)."""
+        top = self._outliers.get(C)
+        if top is not None:
+            return top
+        n = self.query.n
+        if len(C) <= n:
+            top = self._outliers[C] = tuple(C)
+            return top
+        # The live tables, not row_at/key_at: one method call per scored
+        # member is a measurable share of global-fill's run.
+        dists_of, slots_of, keys = self.index.slot_tables()
+        k = self._k
+        head_score = self._head_score
+        ranked = []
+        for x in C:
+            dists = dists_of[x]
+            if k is None:
+                head = C.intersection(slots_of[x][: bisect_right(dists, self._alpha)])
+            else:
+                head = []
+                i = 0
+                for slot in slots_of[x]:
+                    if slot in C:
+                        head.append(dists[i])
+                        if len(head) == k:
+                            break
+                    i += 1
+            ranked.append((head_score(head), keys[x], x))
+        ranked.sort(reverse=True)
+        top = self._outliers[C] = tuple(entry[2] for entry in ranked[:n])
+        return top

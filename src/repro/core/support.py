@@ -17,26 +17,15 @@ from __future__ import annotations
 from typing import FrozenSet, Iterable, Set
 
 from .points import DataPoint
-from .ranking import RankingFunction, UNRESOLVED_SUBSET
+from .ranking import RankingFunction
 
 __all__ = ["support_set", "support_of_set", "is_support_set"]
 
 
 def support_set(
-    ranking: RankingFunction, x: DataPoint, P: Iterable[DataPoint], index=None
+    ranking: RankingFunction, x: DataPoint, P: Iterable[DataPoint]
 ) -> FrozenSet[DataPoint]:
-    """Return the unique smallest support set ``[P|x]``.
-
-    With a covering :class:`~repro.core.index.NeighborhoodIndex` the support
-    is read off the cached sorted-neighbor list in ``O(k)`` instead of
-    re-sorting every candidate.
-    """
-    if index is not None and x in index:
-        P_list = list(P)
-        covered, subset = index.try_subset(P_list)
-        if covered:
-            return ranking.support_indexed(index, x, subset)
-        return ranking.support(x, P_list)
+    """Return the unique smallest support set ``[P|x]``."""
     return ranking.support(x, P)
 
 
@@ -44,33 +33,16 @@ def support_of_set(
     ranking: RankingFunction,
     Q: Iterable[DataPoint],
     P: Iterable[DataPoint],
-    index=None,
-    subset=UNRESOLVED_SUBSET,
 ) -> Set[DataPoint]:
     """Return ``[P|Q] = ∪_{x∈Q} [P|x]``.
 
-    ``P`` is materialised once so that it may be any iterable.  When
-    ``index`` covers both ``Q`` and ``P`` the membership mask over ``P`` is
-    built once and every per-point support is a short walk over precomputed
-    ranks.  Callers that already hold the resolved mask for ``P`` (the
-    detectors cache one per event) pass it as ``subset`` -- an
-    :class:`~repro.core.index.IndexSubset`, or ``None`` when ``P`` is the
-    whole index -- and the ``O(|P|)`` ``try_subset`` rebuild is skipped.
+    ``P`` is materialised once so that it may be any iterable.  The
+    detectors read supports off their index's cached rows instead (see
+    :class:`~repro.core.sufficient.SlotFixpoint`).
     """
     P_list = list(P)
-    Q_list = list(Q)
-    if index is not None and Q_list:
-        if subset is UNRESOLVED_SUBSET:
-            covered, subset = index.try_subset(P_list)
-        else:
-            covered = True
-        if covered and index.covers(Q_list):
-            result: Set[DataPoint] = set()
-            for x in Q_list:
-                result |= ranking.support_indexed(index, x, subset)
-            return result
-    result = set()
-    for x in Q_list:
+    result: Set[DataPoint] = set()
+    for x in Q:
         result |= ranking.support(x, P_list)
     return result
 

@@ -5,7 +5,7 @@ committed ``BENCH_*.json`` artifacts" and "a report a human (or CI) can
 act on" lives here:
 
 * :mod:`~repro.report.schemas` -- the single home of every benchmark
-  artifact schema (``python -m repro.report.schemas`` validates files);
+  artifact schema (``python -m repro.report FILE...`` validates files);
 * :mod:`~repro.report.reader` -- typed loaders over the result store
   (per-family completeness against the registry, quarantine-aware) and the
   artifacts;

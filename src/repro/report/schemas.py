@@ -4,7 +4,7 @@ Until this module existed, each benchmark artifact's shape was asserted by
 an ad-hoc ``python - <<PY`` block inside the CI workflow -- five copies of
 "load, check keys, print ok" that nothing else could reuse and no unit
 test covered.  The validators here are that knowledge as a library: the CI
-perf-smoke job runs ``python -m repro.report.schemas FILE...``, the report
+perf-smoke job runs ``python -m repro.report FILE...``, the report
 pipeline validates artifacts before reading them, and
 ``tests/test_report.py`` pins every committed artifact (plus a malformed
 rejection per schema) against the same code.
@@ -25,9 +25,8 @@ from __future__ import annotations
 
 import json
 import math
-import sys
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Mapping, Optional, Union
+from typing import Any, Callable, Dict, List, Mapping, Union
 
 from ..core.errors import ReproError
 
@@ -37,7 +36,6 @@ __all__ = [
     "SchemaError",
     "validate_bench",
     "validate_bench_file",
-    "main",
 ]
 
 #: ``benchmark`` field -> current schema version, for every artifact kind.
@@ -206,28 +204,3 @@ def validate_bench_file(path: Union[str, Path]) -> Dict[str, Any]:
     except SchemaError as error:
         raise SchemaError(f"{path}: {error}") from None
     return payload
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    """``python -m repro.report.schemas FILE...`` -- validate artifacts.
-
-    Prints one ``<file>: <kind> schema <version> ok`` line per valid file;
-    exits 1 on the first violation (CI's perf-smoke job runs this over
-    every freshly benched artifact).
-    """
-    argv = sys.argv[1:] if argv is None else argv
-    if not argv:
-        print("usage: python -m repro.report.schemas FILE...", file=sys.stderr)
-        return 2
-    for name in argv:
-        try:
-            payload = validate_bench_file(name)
-        except SchemaError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 1
-        print(f"{name}: {payload['benchmark']} schema {payload['schema']} ok")
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised via main() tests
-    sys.exit(main())

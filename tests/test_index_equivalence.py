@@ -33,8 +33,6 @@ import random
 
 import pytest
 
-import repro.core.global_detector as global_detector_module
-import repro.core.semiglobal_detector as semiglobal_detector_module
 from repro.baselines.centralized import CentralizedAggregator
 from repro.core import (
     AverageKNNDistance,
@@ -56,6 +54,7 @@ from repro.core import (
 )
 from repro.core.errors import RankingError
 from repro.core.metrics import metric_from_name, registered_metrics
+from repro.core.sufficient import SlotFixpoint
 
 from brute_oracle import BruteAggregator, BruteGlobalDetector, BruteSemiGlobalDetector
 
@@ -162,7 +161,7 @@ class TestIndexMechanics:
         pts = _cloud(rng, 20)
         index = NeighborhoodIndex(pts)
         assert len(index) == 20
-        assert index.covers(pts)
+        assert all(p in index for p in pts)
         assert index.add(pts[0]) is False  # already present
         assert index.discard(pts[3]) is True
         assert index.discard(pts[3]) is False
@@ -273,17 +272,21 @@ def test_scores_and_supports_match_oracle_under_churn(ranking, grid):
             assert index.add(fresh)
         if step % 10 != 0:
             continue
-        # Full-index scoring: indexed walk vs scalar oracle, bit-exact.
+        # Full-index scoring and the slot kernel's supports: indexed walks
+        # vs scalar oracle, bit-exact.
+        query = OutlierQuery(ranking, n=5)
+        full = _slot_fixpoint(query, index, mirror)
         for x in rng.sample(mirror, min(6, len(mirror))):
             assert ranking.score_indexed(index, x) == ranking.score(x, mirror)
-            assert ranking.support_indexed(index, x) == ranking.support(x, mirror)
+            assert _kernel_support(full, x) == ranking.support(x, mirror)
         # Subset scoring: masked walk vs scalar oracle on the subset.
         sub = rng.sample(mirror, max(3, len(mirror) // 2))
         covered, subset = index.try_subset(sub)
         assert covered
+        masked = _slot_fixpoint(query, index, sub)
         for x in rng.sample(sub, min(5, len(sub))):
             assert ranking.score_indexed(index, x, subset) == ranking.score(x, sub)
-            assert ranking.support_indexed(index, x, subset) == ranking.support(x, sub)
+            assert _kernel_support(masked, x) == ranking.support(x, sub)
         # Ranked outliers (the detectors' estimate path), order included.
         assert (
             top_n_outliers(ranking, mirror, 5, index=index)
@@ -316,25 +319,59 @@ def test_all_scoring_paths_bitwise_identical(ranking, grid):
 
 @pytest.mark.parametrize("ranking", RANKINGS, ids=RANKING_IDS)
 def test_support_of_set_matches_oracle(ranking):
+    """``[P|Q]`` as the union of the slot kernel's supports, over the whole
+    index and over a masked ``P``."""
     rng = random.Random(21)
+    query = OutlierQuery(ranking, n=3)
     P = _cloud(rng, 40)
     index = NeighborhoodIndex(P)
     Q = rng.sample(P, 8)
-    assert (
-        support_of_set(ranking, Q, P, index=index)
-        == support_of_set(ranking, Q, P)
-    )
+    full = _slot_fixpoint(query, index, P)
+    kernel = set().union(*(_kernel_support(full, x) for x in Q))
+    assert kernel == support_of_set(ranking, Q, P)
     sub = rng.sample(P, 17)
     Qs = rng.sample(sub, 5)
-    assert (
-        support_of_set(ranking, Qs, sub, index=index)
-        == support_of_set(ranking, Qs, sub)
-    )
+    masked = _slot_fixpoint(query, index, sub)
+    kernel = set().union(*(_kernel_support(masked, x) for x in Qs))
+    assert kernel == support_of_set(ranking, Qs, sub)
 
 
 # ----------------------------------------------------------------------
 # Sufficient-set fixpoint
 # ----------------------------------------------------------------------
+def _slot_fixpoint(query, index, P):
+    """The slot kernel over ``P ⊆ index``, started from ``O_n(P)``."""
+    covered, subset = index.try_subset(P)
+    assert covered
+    estimate = [index.slot_for(p) for p in top_n_outliers(query.ranking, P, query.n)]
+    return SlotFixpoint(query, index, subset, estimate, {})
+
+
+def _points_of(index, slots):
+    return {index.point_at(slot) for slot in slots}
+
+
+def _kernel_support(fixpoint, x):
+    """The slot kernel's ``[P|x]``, as points."""
+    index = fixpoint.index
+    return _points_of(index, fixpoint.support(index.slot_for(x)))
+
+
+def _check_slot_fixpoint(query, rng, P, others, metric=None):
+    """The slot kernel's Z, on the points behind its slots, equals the
+    index-free fixpoint and satisfies eq. 2.  ``others`` are indexed points
+    outside ``P``: a semi-global neighbor's shared set reaches beyond a hop
+    level's ``P``."""
+    index = NeighborhoodIndex(P + others, metric=metric)
+    pool = P + others
+    shared = set(rng.sample(pool, rng.randint(0, len(pool) // 2)))
+    fixpoint = _slot_fixpoint(query, index, P)
+    fast = _points_of(index, fixpoint.run(frozenset(map(index.slot_for, shared))))
+    slow = compute_sufficient_set(query, P, shared)
+    assert fast == slow
+    assert satisfies_sufficiency(query, fast, P, shared)
+
+
 @pytest.mark.parametrize("grid", GRID_REGIMES)
 @pytest.mark.parametrize("ranking", RANKINGS, ids=RANKING_IDS)
 def test_sufficient_sets_match_oracle(ranking, grid):
@@ -342,12 +379,92 @@ def test_sufficient_sets_match_oracle(ranking, grid):
     query = OutlierQuery(ranking, n=3)
     for _ in range(10):
         P = _cloud(rng, rng.randint(6, 35), grid=grid)
-        index = NeighborhoodIndex(P)
-        shared = set(rng.sample(P, rng.randint(0, len(P) // 2)))
-        fast = compute_sufficient_set(query, P, shared, index=index)
-        slow = compute_sufficient_set(query, P, shared)
-        assert fast == slow
-        assert satisfies_sufficiency(query, fast, P, shared)
+        others = _cloud(rng, rng.randint(0, 6), origin=1, grid=grid)
+        _check_slot_fixpoint(query, rng, P, others)
+
+
+@pytest.mark.parametrize("metric_name", registered_metrics())
+def test_slot_kernel_outliers_and_supports_match_brute_force(metric_name):
+    """``O_n(C)`` and ``[P|x]`` over slot sets equal the brute-force
+    ranking and support on the points behind the slots -- including sets
+    too small to give a point k neighbors (deficit scores) and neighbors
+    exactly at the count ranking's radius.  The masked row scores over
+    ``P``, which come from the ranking method the kernel scores with, are
+    checked too: every member of one ``C`` lacks equally many neighbors,
+    so ``O_n(C)`` alone cannot tell deficit sizes apart."""
+    metric = _metric_for(metric_name)
+    rng = random.Random(f"{metric_name}-slot-kernel")
+    at_alpha = deficits = 0
+    for _ in range(8):
+        points = _cloud(rng, rng.randint(3, 18), grid="int-grid")
+        # The radius is the distance of one pair, so that pair sits exactly
+        # at α under every metric.
+        a, b = rng.sample(points, 2)
+        alpha = metric.distance(a.values, b.values) or 1.0
+        index = NeighborhoodIndex(points, metric=metric)
+        rankings = [
+            NearestNeighborDistance(metric=metric),
+            KthNearestNeighborDistance(k=3, metric=metric),
+            AverageKNNDistance(k=3, metric=metric),
+            NeighborCountWithinRadius(alpha=alpha, metric=metric),
+        ]
+        for ranking in rankings:
+            query = OutlierQuery(ranking, n=2)
+            P = rng.sample(points, rng.randint(1, len(points)))
+            fixpoint = _slot_fixpoint(query, index, P)
+            for x in points:
+                support = fixpoint.support(index.slot_for(x))
+                assert _points_of(index, support) == ranking.support(x, P)
+            subset = fixpoint.subset
+            for x in P:
+                assert ranking.score_indexed(index, x, subset) == ranking.score(x, P)
+            for size in (1, 2, 3, 4, rng.randint(1, len(points))):
+                C = rng.sample(points, min(size, len(points)))
+                top = fixpoint.outliers(frozenset(map(index.slot_for, C)))
+                expected = top_n_outliers(ranking, C, query.n)
+                if len(C) <= query.n:
+                    assert _points_of(index, top) == set(expected)
+                else:
+                    assert [index.point_at(slot) for slot in top] == expected
+                k = getattr(ranking, "k", None)
+                deficits += k is not None and query.n < len(C) <= k
+                at_alpha += k is None and any(
+                    metric.distance(x.values, y.values) == alpha
+                    for x in C for y in C if x is not y
+                )
+    assert deficits and at_alpha
+
+
+def test_slot_kernel_returns_a_covering_start_without_scoring(monkeypatch):
+    """A start set that already holds every slot of ``P`` is returned at
+    once; a start set that does not is scored."""
+    scorings = []
+    outliers = SlotFixpoint.outliers
+
+    def counted(fixpoint, C):
+        scorings.append(C)
+        return outliers(fixpoint, C)
+
+    monkeypatch.setattr(SlotFixpoint, "outliers", counted)
+    query = OutlierQuery(NearestNeighborDistance(), n=2)
+    # O_2(P) = {10, 1}, and their supports {1} and {0} complete P.
+    P = [make_point([v], 0, i) for i, v in enumerate([0.0, 1.0, 10.0])]
+    others = [make_point([v], 1, i) for i, v in enumerate([0.5, 30.0])]
+    index = NeighborhoodIndex(P + others)
+    fixpoint = _slot_fixpoint(query, index, P)
+    assert _points_of(index, fixpoint.start) == set(P)
+    shared = frozenset(map(index.slot_for, others))
+    assert fixpoint.run(shared) == fixpoint.start
+    assert fixpoint.run(frozenset()) == fixpoint.start
+    assert scorings == []
+    # A P the start does not cover is scored.
+    wide = P + [make_point([5.0], 0, 9)]
+    index = NeighborhoodIndex(wide + others)
+    fixpoint = _slot_fixpoint(query, index, wide)
+    assert len(fixpoint.start) < len(wide)
+    Z = fixpoint.run(frozenset(map(index.slot_for, others)))
+    assert scorings
+    assert _points_of(index, Z) == compute_sufficient_set(query, wide, others)
 
 
 # ----------------------------------------------------------------------
@@ -624,23 +741,24 @@ def test_scores_and_supports_match_oracle_under_every_metric(metric_name, grid):
         if step % 12 != 0:
             continue
         for ranking in rankings:
-            # Bulk oracle, scalar oracle and indexed walks, bitwise.
+            # Bulk oracle, scalar oracle, indexed walks and the slot
+            # kernel's supports, bitwise.
+            query = OutlierQuery(ranking, n=5)
             bulk = ranking.bulk_scores(mirror)
+            full = _slot_fixpoint(query, index, mirror)
             for i, x in enumerate(rng.sample(mirror, min(5, len(mirror)))):
                 scalar = ranking.score(x, mirror)
                 assert ranking.score_indexed(index, x) == scalar
                 assert bulk[mirror.index(x)] == scalar
-                assert ranking.support_indexed(index, x) == ranking.support(x, mirror)
+                assert _kernel_support(full, x) == ranking.support(x, mirror)
             # Subset scoring (the sufficient-set fixpoint shape).
             sub = rng.sample(mirror, max(4, len(mirror) // 2))
             covered, subset = index.try_subset(sub)
             assert covered
+            masked = _slot_fixpoint(query, index, sub)
             for x in rng.sample(sub, min(4, len(sub))):
                 assert ranking.score_indexed(index, x, subset) == ranking.score(x, sub)
-                assert (
-                    ranking.support_indexed(index, x, subset)
-                    == ranking.support(x, sub)
-                )
+                assert _kernel_support(masked, x) == ranking.support(x, sub)
             assert (
                 top_n_outliers(ranking, mirror, 5, index=index)
                 == top_n_outliers(ranking, mirror, 5)
@@ -655,12 +773,8 @@ def test_sufficient_sets_match_oracle_under_every_metric(metric_name):
         query = OutlierQuery(ranking, n=3)
         for _ in range(4):
             P = _cloud(rng, rng.randint(8, 28))
-            index = NeighborhoodIndex(P, metric=metric)
-            shared = set(rng.sample(P, rng.randint(0, len(P) // 2)))
-            fast = compute_sufficient_set(query, P, shared, index=index)
-            slow = compute_sufficient_set(query, P, shared)
-            assert fast == slow
-            assert satisfies_sufficiency(query, fast, P, shared)
+            others = _cloud(rng, rng.randint(0, 5), origin=1)
+            _check_slot_fixpoint(query, rng, P, others, metric=metric)
 
 
 @pytest.mark.parametrize(
@@ -723,7 +837,7 @@ def test_indexed_paths_reject_mismatched_metric():
     with pytest.raises(RankingError):
         ranking.score_indexed(euclidean_index, pts[0])
     with pytest.raises(RankingError):
-        ranking.support_indexed(euclidean_index, pts[0])
+        SlotFixpoint(OutlierQuery(ranking, n=2), euclidean_index, None, [], {})
     with pytest.raises(RankingError):
         ranking.bulk_scores_indexed(euclidean_index, pts)
     # A matching index (separately constructed but same geometry) is fine.
@@ -754,26 +868,49 @@ KNN_FAMILIES = (AverageKNNDistance, KthNearestNeighborDistance)
 
 @pytest.fixture
 def fixpoint_oracle(monkeypatch):
-    """Check every production detector fixpoint against a fresh one on the
-    same arguments -- without the per-event memos, the precomputed estimate
-    or the index -- and against eq. 2 itself.  Returns the checked sets, so
-    a test can assert that there were some."""
+    """Check every production detector fixpoint -- a run of the slot kernel
+    -- against the index-free fixpoint on the points behind its slots, and
+    against eq. 2 itself.  Returns the checked sets, so a test can assert
+    that there were some."""
     checked_results = []
+    run = SlotFixpoint.run
 
-    def checked(query, holdings, known_shared, **kwargs):
-        Z = compute_sufficient_set(query, holdings, known_shared, **kwargs)
-        assert Z == compute_sufficient_set(query, holdings, known_shared)
-        assert satisfies_sufficiency(query, Z, holdings, known_shared)
-        checked_results.append(Z)
+    def checked(fixpoint, shared):
+        Z = run(fixpoint, shared)
+        index = fixpoint.index
+        if fixpoint.subset is None:
+            holdings = list(index.points())
+        else:
+            mask = fixpoint.subset.mask
+            holdings = [index.point_at(s) for s in range(len(mask)) if mask[s]]
+        known_shared = _points_of(index, shared)
+        Z_points = _points_of(index, Z)
+        assert Z_points == compute_sufficient_set(
+            fixpoint.query, holdings, known_shared
+        )
+        assert satisfies_sufficiency(fixpoint.query, Z_points, holdings, known_shared)
+        checked_results.append(Z_points)
         return Z
 
-    for module in (global_detector_module, semiglobal_detector_module):
-        monkeypatch.setattr(module, "compute_sufficient_set", checked)
+    monkeypatch.setattr(SlotFixpoint, "run", checked)
     return checked_results
+
+
+def _assert_bookkeeping_held(detector):
+    """Every point recorded as sent to or received from a neighbor is held:
+    the shared sets the slot kernel scores are built from held slots."""
+    for neighbor in detector.neighbors:
+        recorded = detector.sent_to(neighbor) | detector.received_from(neighbor)
+        if isinstance(detector, SemiGlobalOutlierDetector):
+            held = {point.rest for point in detector.holdings}
+            assert {point.rest for point in recorded} <= held
+        else:
+            assert recorded <= detector.holdings
 
 
 def _assert_event_equal(fast, slow, fast_msg, slow_msg, query):
     assert _message_view(fast_msg) == _message_view(slow_msg)
+    _assert_bookkeeping_held(fast)
     assert fast.holdings == slow.holdings
     assert fast.estimate() == slow.estimate()
     # The cache's maintained order must equal the oracle ranking whenever
@@ -933,6 +1070,58 @@ def test_score_cache_matches_oracle_under_churn_and_degrades_on_twins():
     assert cache.top_n(4) == top_n_outliers(ranking, mirror, 4, index=index)
 
 
+def test_ranking_subclass_takes_the_index_free_fixpoint(monkeypatch):
+    """A subclass of a built-in ranking may override ``score``, so both
+    detectors run the index-free fixpoint for it -- never the slot kernel
+    -- and still match the oracle event for event."""
+
+    class Subclassed(AverageKNNDistance):
+        pass
+
+    def kernel(fixpoint, shared):
+        raise AssertionError("the slot kernel ran for a ranking subclass")
+
+    monkeypatch.setattr(SlotFixpoint, "run", kernel)
+    assert not SlotFixpoint.handles(Subclassed(k=2))
+    rng = random.Random("ranking-subclass")
+    _replay_global_stream(rng, OutlierQuery(Subclassed(k=3), n=3))
+    _replay_semiglobal_stream(rng, OutlierQuery(Subclassed(k=2), n=2))
+
+
+def test_degraded_cache_takes_the_index_free_fixpoint(monkeypatch):
+    """While two copies of one observation are held, the global detector's
+    cache is degraded and its fixpoints skip the slot kernel; the kernel
+    returns once the copy leaves."""
+    runs = []
+    run = SlotFixpoint.run
+
+    def counted(fixpoint, shared):
+        runs.append(shared)
+        return run(fixpoint, shared)
+
+    monkeypatch.setattr(SlotFixpoint, "run", counted)
+    rng = random.Random("degraded-cache")
+    query = OutlierQuery(AverageKNNDistance(k=2), n=2)
+    fast = GlobalOutlierDetector(0, query, neighbors=[1, 2])
+    slow = BruteGlobalDetector(0, query, neighbors=[1, 2])
+    points = _cloud(rng, 6)
+    fresh = _cloud(rng, 1, start_epoch=50)
+    twin = points[0].with_hop(1)
+    steps = [
+        lambda d: d.add_local_points(points),
+        lambda d: d.handle_message(1, [twin]),
+        lambda d: d.add_local_points(fresh),
+        lambda d: d.evict_points([twin]),
+    ]
+    kernel_ran = []
+    for step in steps:
+        del runs[:]
+        events = [step(d) for d in (fast, slow)]
+        _assert_event_equal(fast, slow, events[0], events[1], query)
+        kernel_ran.append((fast._cache.degraded, bool(runs)))
+    assert kernel_ran == [(False, True), (True, False), (True, False), (False, True)]
+
+
 def test_score_cache_unsupported_without_frontier_spec():
     """Rankings that do not expose a frontier structure (user-defined
     subclasses) must leave the cache unsupported; detectors then take the
@@ -949,7 +1138,6 @@ def test_score_cache_unsupported_without_frontier_spec():
     cache = ScoreCache(index, OpaqueRanking(k=2))
     assert not cache.supported and cache.degraded
     assert len(cache) == 0
-    assert cache.member_points() == []
     assert cache.top_n(3) == []
 
     query = OutlierQuery(OpaqueRanking(k=2), n=2)

@@ -6,10 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.errors import ConfigurationError
+from repro.core.index import NeighborhoodIndex
 from repro.core.outliers import OutlierQuery, ranked_points, top_n_outliers
 from repro.core.points import make_point
 from repro.core.ranking import AverageKNNDistance, NearestNeighborDistance
-from repro.core.sufficient import compute_sufficient_set, satisfies_sufficiency
+from repro.core.sufficient import (
+    SlotFixpoint,
+    compute_sufficient_set,
+    satisfies_sufficiency,
+)
 from repro.core.support import is_support_set, support_of_set, support_set
 
 
@@ -119,16 +124,17 @@ class TestSufficientSet:
         assert support_of_set(query.ranking, estimate, holdings) <= sufficient
 
     def test_precomputed_estimate_gives_same_result(self):
+        """The slot kernel, started from a precomputed estimate, computes
+        the same Z as the index-free fixpoint that scores P itself."""
         query = OutlierQuery(AverageKNNDistance(k=2), n=2)
         holdings = _points([1.0, 2.0, 3.0, 40.0, 41.0, 90.0])
         shared = set(holdings[:2])
         plain = compute_sufficient_set(query, holdings, shared)
-        estimate = query.outliers(holdings)
-        support = support_of_set(query.ranking, estimate, holdings)
-        precomputed = compute_sufficient_set(
-            query, holdings, shared, estimate=estimate, estimate_support=support
-        )
-        assert plain == precomputed
+        index = NeighborhoodIndex(holdings)
+        estimate = [index.slot_for(p) for p in query.outliers(holdings)]
+        fixpoint = SlotFixpoint(query, index, None, estimate, {})
+        Z = fixpoint.run(frozenset(map(index.slot_for, shared)))
+        assert {index.point_at(slot) for slot in Z} == plain
 
     def test_section_51_example_sufficient_set(self):
         """The worked example of Section 5.1: Z_j = {3, 6} on the first step."""

@@ -26,6 +26,8 @@ import copy
 import json
 import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -68,7 +70,6 @@ from repro.report import (
     validate_bench,
     validate_bench_file,
 )
-from repro.report import schemas as schemas_module
 from repro.wsn.scenario import ScenarioConfig
 
 RESULTS_DIR = Path(__file__).resolve().parent.parent / "results"
@@ -457,18 +458,33 @@ class TestSchemas:
             validate_bench(payload)
 
     def test_cli_validates_and_reports(self, capsys, tmp_path):
+        from repro.report.__main__ import main
+
         paths = [
             str(RESULTS_DIR / f"BENCH_{kind}.json") for kind in COMMITTED_KINDS
         ]
-        assert schemas_module.main(paths) == 0
+        assert main(paths) == 0
         out = capsys.readouterr().out
         for kind in COMMITTED_KINDS:
             assert f"{kind} schema" in out
 
         bad = tmp_path / "BENCH_hotpath.json"
         bad.write_text("{}")
-        assert schemas_module.main([str(bad)]) == 1
-        assert schemas_module.main([]) == 2
+        assert main([str(bad)]) == 1
+        assert main([]) == 2
+
+    def test_cli_runs_as_a_module_without_warnings(self):
+        """``python -m repro.report`` imports every module once: under
+        ``-W error`` a double import (runpy's RuntimeWarning) would fail."""
+        env = {**os.environ, "PYTHONPATH": str(RESULTS_DIR.parent / "src")}
+        paths = sorted(str(path) for path in RESULTS_DIR.glob("BENCH_*.json"))
+        done = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "repro.report", *paths],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stderr == ""
+        assert done.stdout.count(" ok\n") == len(paths)
 
 
 # ----------------------------------------------------------------------
@@ -812,6 +828,53 @@ class TestReportCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
         assert not (tmp_path / "site").exists()
+
+    @pytest.mark.parametrize("bench", ["missing", "empty"])
+    def test_diff_without_bench_artifacts_exits_two(
+        self, tmp_path, monkeypatch, capsys, bench
+    ):
+        """A --bench-dir that is missing or holds no BENCH_*.json is bad
+        input (exit 2), not a regression (exit 1)."""
+        from repro.cli import main
+
+        monkeypatch.delenv("REPRO_RESULT_STORE", raising=False)
+        bench_dir = tmp_path / "bench"
+        if bench == "empty":
+            bench_dir.mkdir()
+        code = main(
+            [
+                "report",
+                "--bench-dir", str(bench_dir),
+                "--diff", str(RESULTS_DIR / "BENCH_trajectory.json"),
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --bench-dir ") and err.count("\n") == 1
+
+    def test_injected_regression_exits_one(self, tmp_path, monkeypatch, capsys):
+        """CI's report-smoke drill: the committed artifacts with every
+        batched speedup cut 100x must fail the diff against the committed
+        trajectory with exit 1."""
+        from repro.cli import main
+
+        monkeypatch.delenv("REPRO_RESULT_STORE", raising=False)
+        for path in RESULTS_DIR.glob("BENCH_*.json"):
+            shutil.copy(path, tmp_path)
+        hotpath = tmp_path / "BENCH_hotpath.json"
+        payload = json.loads(hotpath.read_text())
+        for row in payload["windows"]:
+            row["batched_speedup"] = row["batched_speedup"] / 100.0
+        hotpath.write_text(json.dumps(payload))
+        code = main(
+            [
+                "report",
+                "--bench-dir", str(tmp_path),
+                "--diff", str(RESULTS_DIR / "BENCH_trajectory.json"),
+            ]
+        )
+        assert code == 1
+        assert "REGRESSION" in capsys.readouterr().out
 
     def test_update_trajectory_writes_the_artifact(
         self, fixture_store, tmp_path, capsys
