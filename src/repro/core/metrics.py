@@ -24,9 +24,10 @@ Each metric therefore fixes one canonical arithmetic:
 
 * :class:`EuclideanMetric` computes every entry with :func:`math.dist` --
   the function the seed implementation used on all paths -- so the default
-  metric is bit-identical to the historical behavior.  Its "kernels" are
-  scalar loops by design: a vectorised ``sqrt(((a-b)**2).sum())`` differs
-  from ``math.dist`` (which scales to avoid overflow) in the last ulp.
+  metric is bit-identical to the historical behavior.  Its kernels map
+  ``math.dist`` over one row at a time by design: a vectorised
+  ``sqrt(((a-b)**2).sum())`` differs from ``math.dist`` (which scales to
+  avoid overflow) in the last ulp.
 * Every other metric derives from :class:`VectorizedMetric`, whose three
   entry points all reshape their differences into one shared reduction over
   a C-contiguous ``(rows, dimension)`` array.  Because numpy's
@@ -132,12 +133,14 @@ class Metric(ABC):
 class EuclideanMetric(Metric):
     """Euclidean distance, computed entry-by-entry with :func:`math.dist`.
 
-    This is the repository's historical (and default) metric.  The kernels
-    are deliberately scalar loops: ``math.dist`` uses a scaled algorithm
-    whose rounding a vectorised numpy recipe cannot reproduce exactly, and
-    the default metric must stay bit-identical to the seed implementation so
-    that every existing figure table, stored sweep result and tie-break is
-    unchanged.
+    This is the repository's historical (and default) metric.  Every kernel
+    is the ``math.dist`` row kernel, ``fromiter(map(partial(math.dist, x),
+    X))``: :meth:`rows` is one row, and :meth:`cross` and :meth:`pairwise`
+    stack one row per left-hand point.  ``math.dist`` uses a scaled
+    algorithm whose rounding a vectorised numpy recipe cannot reproduce
+    exactly, and the default metric must stay bit-identical to the seed
+    implementation so that every existing figure table, stored sweep result
+    and tie-break is unchanged.
     """
 
     name = "euclidean"
@@ -157,20 +160,11 @@ class EuclideanMetric(Metric):
             raise RankingError(str(error)) from None
 
     def pairwise(self, X: Sequence[Vector]) -> np.ndarray:
+        # One row kernel per point.  ``math.dist`` is symmetric and
+        # ``dist(a, a) == 0.0``, so this is bitwise the matrix a loop over
+        # the upper triangle would fill.
         points = list(X)
-        size = len(points)
-        matrix = np.zeros((size, size))
-        dist = math.dist
-        try:
-            for i in range(size):
-                row = points[i]
-                for j in range(i + 1, size):
-                    d = dist(row, points[j])
-                    matrix[i, j] = d
-                    matrix[j, i] = d
-        except ValueError as error:  # math.dist's dimension mismatch
-            raise RankingError(str(error)) from None
-        return matrix
+        return self.cross(points, points)
 
 
 class VectorizedMetric(Metric):

@@ -30,7 +30,8 @@ effect (occasional missing packets) is covered by the loss probability.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 from ..core.errors import ConfigurationError, SimulationError
@@ -139,9 +140,9 @@ class WirelessChannel:
             raise ConfigurationError(
                 f"loss_probability must be in [0, 1), got {loss_probability}"
             )
-        if processing_delay < 0:
+        if not 0.0 <= processing_delay < math.inf:
             raise ConfigurationError(
-                f"processing_delay must be non-negative, got {processing_delay}"
+                f"processing_delay must be non-negative and finite, got {processing_delay}"
             )
         self.simulator = simulator
         self.topology = topology
@@ -188,34 +189,53 @@ class WirelessChannel:
         within range is charged receive energy (promiscuous listening) and,
         unless the loss draw discards the packet for that particular
         receiver, gets the packet delivered after the airtime plus the
-        processing delay.
+        processing delay.  The receive energy is computed once per packet
+        for each distinct :class:`~repro.network.energy.EnergyModel`, and
+        the deliveries are scheduled as one fan-out in receiver order.
         """
         sender = self.node(sender_id)
         if not sender.up:
             # The radio is powered down (crash / duty-cycle sleep): nothing
             # reaches the air and no energy is spent.
             return
-        airtime = sender.energy.model.airtime(packet.size_bytes)
-        sender.energy.charge_tx(packet.size_bytes)
-        self.stats.transmissions += 1
-        self.stats.bytes_transmitted += packet.size_bytes
+        size = packet.size_bytes
+        airtime = sender.energy.model.airtime(size)
+        sender.energy.charge_tx(size)
+        stats = self.stats
+        stats.transmissions += 1
+        stats.bytes_transmitted += size
 
-        delay = airtime + self.processing_delay
+        # Without a burst model and with a zero loss probability ``_lost``
+        # draws nothing and returns False, so skipping it changes no draw.
+        lossy = self.burst is not None or self.loss_probability > 0
+        nodes = self._nodes
+        rx_joules: Dict[int, float] = {}  # id(EnergyModel) -> joules
+        rx_model = energy = None
+        deliveries = []
         # Cached ascending-id tuple: same iteration (and loss-draw) order the
         # historical ``sorted(set)`` produced, without rebuilding it per send.
         for neighbor_id in self.topology.neighbors_sorted(sender_id):
-            receiver = self._nodes.get(neighbor_id)
+            receiver = nodes.get(neighbor_id)
             if receiver is None or not receiver.up:
                 # A powered-down receiver's radio is off: no promiscuous
                 # receive energy, no delivery, no loss draw.
                 continue
             # Promiscuous listening: the radio decodes everything in range.
-            receiver.energy.charge_rx(packet.size_bytes)
-            if self._lost(sender_id, neighbor_id):
-                self.stats.losses += 1
+            meter = receiver.energy
+            if meter.model is not rx_model:
+                rx_model = meter.model
+                energy = rx_joules.get(id(rx_model))
+                if energy is None:
+                    energy = rx_joules[id(rx_model)] = rx_model.rx_energy(size)
+            meter.charge_rx(size, energy)
+            if lossy and self._lost(sender_id, neighbor_id):
+                stats.losses += 1
                 continue
-            self.stats.deliveries += 1
-            self.simulator.schedule(delay, receiver.deliver, packet)
+            deliveries.append(receiver.deliver)
+        stats.deliveries += len(deliveries)
+        self.simulator.schedule_each(
+            airtime + self.processing_delay, deliveries, packet
+        )
 
     def _lost(self, sender_id: int, receiver_id: int) -> bool:
         """One loss decision for this delivery attempt.

@@ -13,6 +13,7 @@ source of every energy figure reported by the experiments.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict
 
@@ -43,8 +44,8 @@ class EnergyModel:
 
     def __post_init__(self) -> None:
         for name in ("tx_power_w", "rx_power_w", "idle_power_w", "bitrate_bps", "voltage"):
-            if getattr(self, name) <= 0:
-                raise ConfigurationError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ConfigurationError(f"{name} must be positive and finite")
 
     def airtime(self, size_bytes: int) -> float:
         """Seconds the radio is busy sending/receiving ``size_bytes``."""
@@ -98,8 +99,10 @@ class EnergyMeter:
         self.bytes_sent += size_bytes
         return energy
 
-    def charge_rx(self, size_bytes: int) -> float:
-        energy = self.model.rx_energy(size_bytes)
+    def charge_rx(self, size_bytes: int, energy: float) -> float:
+        """Charge receiving ``size_bytes``, which costs ``energy`` joules:
+        ``model.rx_energy(size_bytes)``, computed once by the channel for
+        every receiver of a packet that shares this meter's model."""
         self.rx_joules += energy
         self.packets_received += 1
         self.bytes_received += size_bytes

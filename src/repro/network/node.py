@@ -119,7 +119,8 @@ class SimNode:
             # instant (airtime + processing delay): the packet is gone.
             self.deliveries_missed_down += 1
             return
-        if not packet.is_broadcast and packet.link_destination != self.node_id:
+        destination = packet.link_destination
+        if destination != BROADCAST_ADDRESS and destination != self.node_id:
             # Overheard unicast traffic meant for someone else: the energy
             # has been spent, but the packet is not processed further.
             self.packets_discarded += 1

@@ -8,22 +8,29 @@ of ``schedule`` calls it always produces the same execution.
 
 Determinism rests on the event total order ``(time, priority, sequence)``
 documented in :mod:`repro.simulator.events`: the heap pops events in exactly
-that order, :meth:`Simulator.step` asserts the clock never runs backwards,
+that order, :meth:`Simulator.run` asserts the clock never runs backwards,
 and replaying an identical sequence of ``schedule`` calls replays an
-identical execution.  The heap holds ``(time, priority, sequence, event)``
-tuples, so ``heapq`` compares plain tuples in C; ``sequence`` is unique, so
-the event itself is never compared.
+identical execution.  The heap holds two kinds of tuple, and ``heapq``
+compares them in C; ``sequence`` is unique, so nothing past it is compared:
+
+* ``(time, priority, sequence, event)`` -- one :class:`Event`;
+* ``(time, NORMAL, sequence, members, args)`` -- a fan-out from
+  :meth:`Simulator.schedule_each`: ``members`` holds the callbacks still to
+  fire, last one first, and each dispatch pops one of them.  The entry
+  stays queued until its last member has fired.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Sequence
 
 from ..core.errors import SimulationError
-from .events import Event, EventPriority
+from .events import Event, EventPriority, _sequence
 
 __all__ = ["Simulator"]
+
+_INF = float("inf")
 
 
 class Simulator:
@@ -44,7 +51,7 @@ class Simulator:
 
     def __init__(self) -> None:
         self._now = 0.0
-        self._queue: List[Tuple[float, int, int, Event]] = []
+        self._queue: List[tuple] = []
         self._running = False
         self.events_executed = 0
         self.events_scheduled = 0
@@ -68,8 +75,8 @@ class Simulator:
         priority: int = EventPriority.NORMAL,
     ) -> Event:
         """Schedule ``callback(*args)`` to run ``delay`` seconds from now."""
-        if delay < 0:
-            raise SimulationError(f"cannot schedule an event in the past (delay={delay})")
+        if not 0.0 <= delay < _INF:
+            raise SimulationError(f"delay must be finite and non-negative, got {delay}")
         return self.schedule_at(self._now + delay, callback, *args, priority=priority)
 
     def schedule_at(
@@ -80,14 +87,40 @@ class Simulator:
         priority: int = EventPriority.NORMAL,
     ) -> Event:
         """Schedule ``callback(*args)`` at absolute simulated time ``time``."""
-        if time < self._now:
+        if not self._now <= time < _INF:
             raise SimulationError(
-                f"cannot schedule an event at t={time} before the current time t={self._now}"
+                f"event time must be finite and not before the current time "
+                f"t={self._now}, got t={time}"
             )
-        event = Event(time=time, priority=priority, callback=callback, args=args)
-        heapq.heappush(self._queue, (time, priority, event.sequence, event))
+        sequence = next(_sequence)
+        event = Event(time, priority, sequence, callback, args)
+        heapq.heappush(self._queue, (time, priority, sequence, event))
         self.events_scheduled += 1
         return event
+
+    def schedule_each(
+        self, delay: float, callbacks: Sequence[Callable[..., Any]], *args: Any
+    ) -> None:
+        """Schedule ``callback(*args)`` for every callback, ``delay`` seconds
+        from now.
+
+        Exactly equivalent to one :meth:`schedule` call per callback, in
+        list order, but held as one heap entry.  The entry takes one
+        sequence number, so its members fire in list order from the place
+        the first of them would take; an event a member schedules at the
+        same instant with a higher priority still fires before the next
+        member.  The members cannot be cancelled.
+        """
+        if not 0.0 <= delay < _INF:
+            raise SimulationError(f"delay must be finite and non-negative, got {delay}")
+        if not callbacks:
+            return
+        members = list(reversed(callbacks))
+        heapq.heappush(
+            self._queue,
+            (self._now + delay, EventPriority.NORMAL, next(_sequence), members, args),
+        )
+        self.events_scheduled += len(members)
 
     def schedule_periodic(
         self,
@@ -120,49 +153,66 @@ class Simulator:
     # Execution
     # ------------------------------------------------------------------
     def step(self) -> bool:
-        """Execute the next pending event.  Returns ``False`` when idle."""
-        while self._queue:
-            event = heapq.heappop(self._queue)[3]
-            if event.cancelled:
-                continue
-            # The (time, priority, sequence) total order forbids the clock
-            # from ever moving backwards; schedule()/schedule_at() reject
-            # past events, so a violation here would mean heap corruption.
-            assert event.time >= self._now, (
-                f"event total order violated: t={event.time} < now={self._now}"
-            )
-            self._now = event.time
-            event.fire()
-            self.events_executed += 1
-            return True
-        return False
+        """Execute the next pending event, or the next member of a fan-out.
+        Returns ``False`` when idle."""
+        executed = self.events_executed
+        self.run(max_events=1)
+        return self.events_executed > executed
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
         """Run until the queue drains, time ``until`` is reached, or
-        ``max_events`` events have been executed."""
+        ``max_events`` events have been executed.
+
+        A fan-out member counts as one event.  A callback that raises
+        leaves the events after it queued.
+        """
         if self._running:
             raise SimulationError("simulator is already running (re-entrant run() call)")
         self._running = True
+        queue = self._queue
+        heappop = heapq.heappop
+        horizon = _INF if until is None else until
+        budget = _INF if max_events is None else max_events
         executed = 0
         try:
-            while self._queue:
-                if max_events is not None and executed >= max_events:
-                    break
-                head = self._queue[0]
-                if head[3].cancelled:
-                    heapq.heappop(self._queue)
-                    continue
-                if until is not None and head[0] > until:
-                    break
-                self.step()
+            while queue and executed < budget:
+                entry = queue[0]
+                time = entry[0]
+                payload = entry[3]
+                if payload.__class__ is Event:
+                    if payload.cancelled:
+                        heappop(queue)
+                        continue
+                    if time > horizon:
+                        break
+                    heappop(queue)
+                    callback, args = payload.callback, payload.args
+                else:
+                    if time > horizon:
+                        break
+                    # A fan-out: fire its next member; the last one pops it.
+                    callback = payload.pop()
+                    if not payload:
+                        heappop(queue)
+                    args = entry[4]
+                # The (time, priority, sequence) total order forbids the
+                # clock from ever moving backwards; the schedule methods
+                # reject past and non-finite times, so a violation here
+                # would mean heap corruption.
+                assert time >= self._now, (
+                    f"event total order violated: t={time} < now={self._now}"
+                )
+                self._now = time
+                callback(*args)
                 executed += 1
             if until is not None and self._now < until and (
-                not self._queue or self._queue[0][0] > until
+                not queue or queue[0][0] > until
             ):
                 # Advance the clock to the end of the observation window so
                 # that idle-energy accounting covers the full interval.
                 self._now = until
         finally:
+            self.events_executed += executed
             self._running = False
 
     # ------------------------------------------------------------------
@@ -170,19 +220,23 @@ class Simulator:
     # ------------------------------------------------------------------
     @property
     def pending(self) -> int:
-        """Number of not-yet-cancelled events still queued."""
-        return sum(1 for entry in self._queue if not entry[3].cancelled)
+        """Number of not-yet-cancelled events (fan-out members included)
+        still queued."""
+        return sum(
+            not entry[3].cancelled if entry[3].__class__ is Event else len(entry[3])
+            for entry in self._queue
+        )
 
     def peek_time(self) -> Optional[float]:
         """Time of the next pending event, or ``None`` when idle.
 
         Cancelled events at the head of the heap are lazily discarded here
-        (mirroring :meth:`step`) so repeated peeks stay ``O(1)`` amortised
+        (mirroring :meth:`run`) so repeated peeks stay ``O(1)`` amortised
         instead of sorting the whole queue on every call.
         """
         while self._queue:
             head = self._queue[0]
-            if head[3].cancelled:
+            if head[3].__class__ is Event and head[3].cancelled:
                 heapq.heappop(self._queue)
                 continue
             return head[0]

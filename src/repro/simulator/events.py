@@ -19,8 +19,14 @@ reduces to it:
   at construction, the final tie-break, so events that tie on time and
   priority fire in exactly the order they were scheduled.
 
-``tests/test_simulator.py`` pins the contract with a property test: the
-engine fires any schedule in exactly ``sort_key`` order.
+A fan-out (:meth:`~repro.simulator.engine.Simulator.schedule_each`, one
+delivery per receiver of a transmission) takes one sequence number for all
+its members.  They fire in list order from the place their first member
+would take, exactly as if each had been scheduled on its own.
+
+``tests/test_simulator.py`` pins the contract with property tests: the
+engine fires any schedule in exactly ``sort_key`` order, and a fan-out
+fires exactly as its members scheduled one by one.
 """
 
 from __future__ import annotations
@@ -57,12 +63,13 @@ class Event:
     Only ``time``, ``priority`` and ``sequence`` participate in ordering;
     the callback and its arguments are compared by identity never.  The
     engine's heap orders ``(time, priority, sequence, event)`` tuples
-    instead of calling the generated comparisons, which is the same order.
+    instead of calling the generated comparisons, which is the same order,
+    and stamps ``sequence`` itself when it builds an event.
     """
 
     time: float
     priority: int = EventPriority.NORMAL
-    sequence: int = field(default_factory=lambda: next(_sequence))
+    sequence: int = field(default_factory=_sequence.__next__)
     callback: Optional[Callable[..., Any]] = field(default=None, compare=False)
     args: Tuple[Any, ...] = field(default=(), compare=False)
     cancelled: bool = field(default=False, compare=False)

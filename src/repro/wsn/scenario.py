@@ -11,6 +11,7 @@ churn, duty-cycle sleep, burst loss, permanent sensor faults -- a
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field, replace
 from typing import Any, Dict, Mapping, Optional
 
@@ -97,16 +98,16 @@ class ScenarioConfig:
             raise ConfigurationError("a scenario needs at least two sensors")
         if self.rounds < 1:
             raise ConfigurationError("rounds must be >= 1")
-        if self.sampling_period <= 0:
-            raise ConfigurationError("sampling_period must be positive")
+        if not 0 < self.sampling_period < math.inf:
+            raise ConfigurationError("sampling_period must be positive and finite")
         if not 0.0 <= self.loss_probability < 1.0:
             raise ConfigurationError("loss_probability must be in [0, 1)")
         if not 0 <= self.sink_id < self.node_count:
             raise ConfigurationError(
                 f"sink_id {self.sink_id} outside the node id range [0, {self.node_count})"
             )
-        if self.broadcast_jitter < 0:
-            raise ConfigurationError("broadcast_jitter must be non-negative")
+        if not 0 <= self.broadcast_jitter < math.inf:
+            raise ConfigurationError("broadcast_jitter must be non-negative and finite")
         if self.extra_channels < 0:
             raise ConfigurationError("extra_channels must be non-negative")
         # The synthetic workload's points are (3 + extra_channels)-dimensional

@@ -255,7 +255,7 @@ class TestIndexMechanics:
 @pytest.mark.parametrize("grid", GRID_REGIMES)
 @pytest.mark.parametrize("ranking", RANKINGS, ids=RANKING_IDS)
 def test_scores_and_supports_match_oracle_under_churn(ranking, grid):
-    rng = random.Random(hash((type(ranking).__name__, grid)) & 0xFFFF)
+    rng = random.Random(f"{type(ranking).__name__}-{grid}-churn")
     mirror = _cloud(rng, 30, grid=grid)
     index = NeighborhoodIndex(mirror)
     next_epoch = 1000
@@ -302,7 +302,7 @@ def test_all_scoring_paths_bitwise_identical(ranking, grid):
     on a mathematically tied distance flips the ``≺`` tie-break and the
     detector transcripts diverge.  (Regression test for ``math.dist`` vs
     vectorised-numpy rounding on quantised readings.)"""
-    rng = random.Random(hash((type(ranking).__name__, grid, "bitwise")) & 0xFFFF)
+    rng = random.Random(f"{type(ranking).__name__}-{grid}-bitwise")
     for _ in range(6):
         pts = _cloud(rng, rng.randint(5, 24), grid=grid)
         index = NeighborhoodIndex(pts)
@@ -375,7 +375,7 @@ def _check_slot_fixpoint(query, rng, P, others, metric=None):
 @pytest.mark.parametrize("grid", GRID_REGIMES)
 @pytest.mark.parametrize("ranking", RANKINGS, ids=RANKING_IDS)
 def test_sufficient_sets_match_oracle(ranking, grid):
-    rng = random.Random(hash((type(ranking).__name__, grid, "zfix")) & 0xFFFF)
+    rng = random.Random(f"{type(ranking).__name__}-{grid}-zfix")
     query = OutlierQuery(ranking, n=3)
     for _ in range(10):
         P = _cloud(rng, rng.randint(6, 35), grid=grid)
@@ -486,7 +486,7 @@ def _transcript(net):
 
 @pytest.mark.parametrize("ranking", RANKINGS, ids=RANKING_IDS)
 def test_global_detector_transcripts_match_oracle(ranking):
-    rng = random.Random(hash(type(ranking).__name__) & 0xFFFF)
+    rng = random.Random(f"{type(ranking).__name__}-global-transcripts")
     sensors = 5
     adjacency = random_connected_adjacency(rng, sensors)
     query = OutlierQuery(ranking, n=3)
@@ -563,7 +563,7 @@ def test_global_detector_neighborhood_changes_match_oracle(nn_query):
 def test_semiglobal_detector_transcripts_match_oracle(ranking, variant):
     """Chain topology forces multi-hop forwarding, so the min-hop merge and
     its O(1) index relabelling are exercised on every round."""
-    rng = random.Random(hash((type(ranking).__name__, variant)) & 0xFFFF)
+    rng = random.Random(f"{type(ranking).__name__}-{variant}-semiglobal-transcripts")
     sensors = 5
     adjacency = {i: [j for j in (i - 1, i + 1) if 0 <= j < sensors]
                  for i in range(sensors)}

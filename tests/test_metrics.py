@@ -149,6 +149,25 @@ def test_kernels_bitwise_match_pointwise(name, dim):
         assert all(matrix[i, i] == 0.0 for i in range(count))
 
 
+@pytest.mark.parametrize("dim", [1, 2, 4])
+def test_euclidean_pairwise_is_the_pointwise_matrix(dim):
+    """The row kernel fills both triangles itself; duplicates must still
+    read an exact 0.0, on and off the diagonal."""
+    rng = random.Random(f"euclidean-{dim}-pairwise")
+    for count in (0, 1, 5, 30):
+        X = [tuple(rng.uniform(-50.0, 50.0) for _ in range(dim)) for _ in range(count)]
+        X += [X[i] for i in range(0, count, 3)]
+        rng.shuffle(X)
+        matrix = EUCLIDEAN.pairwise(iter(X))
+        assert matrix.shape == (len(X), len(X))
+        for i, a in enumerate(X):
+            assert matrix[i, i] == 0.0 and math.copysign(1.0, matrix[i, i]) == 1.0
+            for j, b in enumerate(X):
+                assert matrix[i, j] == EUCLIDEAN.distance(a, b), (i, j)
+                if a == b:
+                    assert matrix[i, j] == 0.0
+
+
 def test_quantised_readings_tie_bitwise_across_paths():
     """Tenth-grid coordinates (not exactly representable) are the regime
     where recipe differences round mathematical ties apart."""

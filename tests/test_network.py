@@ -1,6 +1,8 @@
 """Tests for the network substrate: topology, energy model, packets, channel
 and nodes."""
 
+import math
+
 import pytest
 
 from repro.core.errors import ConfigurationError, SimulationError, TopologyError
@@ -17,8 +19,9 @@ from repro.network import (
     Topology,
     WirelessChannel,
 )
+from repro.network.channel import GilbertElliottParams
 from repro.network.stats import NodeEnergy
-from repro.simulator import Simulator
+from repro.simulator import RandomStreams, Simulator
 
 
 def square_topology(side=2, spacing=5.0, rng=6.0):
@@ -104,10 +107,18 @@ class TestEnergyModel:
         with pytest.raises(ConfigurationError):
             CROSSBOW_MICA2.idle_energy(-1.0)
 
+    @pytest.mark.parametrize(
+        "field", ["tx_power_w", "rx_power_w", "idle_power_w", "bitrate_bps", "voltage"]
+    )
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_parameters_rejected(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            EnergyModel(**{field: value})
+
     def test_meter_accumulates(self):
         meter = EnergyMeter()
         meter.charge_tx(100)
-        meter.charge_rx(100)
+        meter.charge_rx(100, meter.model.rx_energy(100))
         meter.charge_idle(10.0)
         assert meter.total_joules == pytest.approx(
             meter.tx_joules + meter.rx_joules + meter.idle_joules
@@ -221,3 +232,114 @@ class TestChannelAndNodes:
         relayed = packet.next_hop_copy(1, 3)
         assert relayed.hop_count == packet.hop_count + 1
         assert relayed.source == 0 and relayed.link_source == 1
+
+    @pytest.mark.parametrize("delay", [math.nan, math.inf, -1e-3])
+    def test_invalid_processing_delay(self, delay):
+        with pytest.raises(ConfigurationError):
+            WirelessChannel(Simulator(), square_topology(), processing_delay=delay)
+
+
+class TestChannelFanOut:
+    """One transmission: one receive-energy figure per model, loss draws in
+    receiver order, and one fan-out of deliveries."""
+
+    #: Node 4 sits in the middle of a 3x3 grid and reaches the other eight.
+    SENDER = 4
+
+    def _stack(self, models=None, **channel_options):
+        sim = Simulator()
+        topo = square_topology(side=3, spacing=5.0, rng=8.0)
+        channel = WirelessChannel(sim, topo, **channel_options)
+        nodes = {
+            i: SimNode(i, channel, (models or {}).get(i, CROSSBOW_MICA2))
+            for i in topo.node_ids
+        }
+        return sim, channel, nodes
+
+    @staticmethod
+    def _broadcast(size=40):
+        return Packet(PacketKind.APP_BROADCAST, source=0,
+                      destination=BROADCAST_ADDRESS, size_bytes=size)
+
+    def test_receivers_pay_their_own_models_rx_energy(self):
+        slow = EnergyModel(rx_power_w=0.05, bitrate_bps=9_600.0)
+        # Alternating models, so the receivers switch model mid-packet.
+        models = {i: slow for i in range(9) if i % 2}
+        sim, _channel, nodes = self._stack(models)
+        nodes[self.SENDER].broadcast(self._broadcast(40))
+        nodes[self.SENDER].broadcast(self._broadcast(25))
+        sim.run()
+        for node_id, node in nodes.items():
+            if node_id == self.SENDER:
+                assert node.energy.rx_joules == 0.0
+                continue
+            model = slow if node_id % 2 else CROSSBOW_MICA2
+            assert node.energy.rx_joules == model.rx_energy(40) + model.rx_energy(25)
+            assert node.energy.packets_received == 2
+            assert node.energy.bytes_received == 65
+
+    @pytest.mark.parametrize(
+        "burst",
+        [None, GilbertElliottParams(p_good_to_bad=0.3, p_bad_to_good=0.4,
+                                    loss_good=0.1, loss_bad=0.9)],
+        ids=["iid", "burst"],
+    )
+    def test_loss_outcomes_are_lost_called_in_receiver_order(self, burst):
+        sim, channel, nodes = self._stack(
+            loss_probability=0.4, streams=RandomStreams(11), burst=burst
+        )
+        _, reference, _ = self._stack(
+            loss_probability=0.4, streams=RandomStreams(11), burst=burst
+        )
+        nodes[2].power_down()  # a down receiver draws nothing
+        received = []
+        for node in nodes.values():
+            node.add_handler(
+                lambda n, p: received.append((p.packet_id, n.node_id)) or True
+            )
+        expected = []
+        lost = 0
+        for _ in range(25):
+            packet = self._broadcast()
+            nodes[self.SENDER].broadcast(packet)
+            for receiver in reference.topology.neighbors_sorted(self.SENDER):
+                if receiver == 2:
+                    continue
+                if reference._lost(self.SENDER, receiver):
+                    lost += 1
+                else:
+                    expected.append((packet.packet_id, receiver))
+        sim.run()
+        assert received == expected
+        assert channel.stats.losses == lost > 0
+        assert channel.stats.deliveries == len(expected)
+
+    def test_a_loss_free_channel_never_draws(self):
+        sim, channel, nodes = self._stack(streams=RandomStreams(3))
+        state = channel._rng.getstate()
+        nodes[self.SENDER].broadcast(self._broadcast())
+        sim.run()
+        assert channel._rng.getstate() == state
+        assert channel.stats.deliveries == 8 and channel.stats.losses == 0
+
+    def test_deliveries_are_one_heap_entry(self):
+        sim, channel, nodes = self._stack()
+        nodes[self.SENDER].broadcast(self._broadcast())
+        assert len(sim._queue) == 1
+        assert sim.pending == sim.events_scheduled == 8
+        sim.run()
+        assert sim.events_executed == 8
+
+    def test_each_delivery_looks_deliver_up_on_its_receiver(self, monkeypatch):
+        sim, channel, nodes = self._stack()
+        seen = []
+        original = SimNode.deliver
+
+        def counted(node, packet):
+            seen.append(node.node_id)
+            return original(node, packet)
+
+        monkeypatch.setattr(SimNode, "deliver", counted)
+        nodes[self.SENDER].broadcast(self._broadcast())
+        sim.run()
+        assert seen == [0, 1, 2, 3, 5, 6, 7, 8]

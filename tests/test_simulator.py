@@ -1,6 +1,8 @@
 """Tests for the discrete-event engine, events and random streams."""
 
 import dataclasses
+import math
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -221,6 +223,103 @@ class TestSimulator:
         assert ticks == [0.5, 2.5, 4.5, 6.5]
 
 
+class TestNonFiniteTimes:
+    @pytest.mark.parametrize("delay", [math.nan, math.inf, -math.inf, -1.0])
+    def test_schedule_rejects_a_non_finite_or_negative_delay(self, delay):
+        sim = Simulator()
+        with pytest.raises(SimulationError):
+            sim.schedule(delay, lambda: None)
+        with pytest.raises(SimulationError):
+            sim.schedule_each(delay, [lambda: None])
+        assert sim.pending == 0 and sim.events_scheduled == 0
+
+    @pytest.mark.parametrize("time", [math.nan, math.inf, -math.inf])
+    def test_schedule_at_rejects_a_non_finite_time(self, time):
+        sim = Simulator()
+        with pytest.raises(SimulationError):
+            sim.schedule_at(time, lambda: None)
+        sim.run()
+        assert sim.now == 0.0 and sim.events_executed == 0
+
+
+class TestFanOut:
+    def test_members_fire_in_list_order_with_shared_args(self):
+        sim = Simulator()
+        fired = []
+        sim.schedule_each(
+            1.0,
+            [fired.append, lambda x: fired.append(("b", x)),
+             lambda x: fired.append(("c", x))],
+            "p",
+        )
+        sim.run()
+        assert fired == ["p", ("b", "p"), ("c", "p")]
+        assert sim.now == 1.0
+        assert sim.events_scheduled == sim.events_executed == 3
+
+    def test_one_heap_entry_counts_every_member(self):
+        sim = Simulator()
+        sim.schedule_each(1.0, [lambda: None] * 4)
+        assert len(sim._queue) == 1
+        assert sim.pending == 4 and sim.events_scheduled == 4
+        assert sim.peek_time() == 1.0
+
+    def test_an_empty_fan_out_schedules_nothing(self):
+        sim = Simulator()
+        sim.schedule_each(1.0, [])
+        assert sim.pending == 0 and sim.peek_time() is None
+        assert sim.events_scheduled == 0
+
+    def test_step_fires_one_member(self):
+        sim = Simulator()
+        fired = []
+        sim.schedule_each(1.0, [fired.append, fired.append, fired.append], "x")
+        sim.schedule(2.0, fired.append, "y")
+        assert sim.step() is True
+        assert fired == ["x"] and sim.pending == 3 and sim.events_executed == 1
+        assert sim.step() is True and sim.step() is True
+        assert fired == ["x", "x", "x"] and sim.pending == 1
+        assert sim.step() is True and fired[-1] == "y"
+        assert sim.step() is False
+
+    def test_a_raising_member_leaves_the_later_members_queued(self):
+        sim = Simulator()
+        fired = []
+
+        def boom(label):
+            raise RuntimeError(label)
+
+        sim.schedule_each(1.0, [fired.append, boom, fired.append], "m")
+        with pytest.raises(RuntimeError, match="m"):
+            sim.run()
+        assert fired == ["m"]
+        assert sim.pending == 1 and sim.events_executed == 1
+        sim.run()
+        assert fired == ["m", "m"]
+        assert sim.pending == 0 and sim.events_executed == 2
+
+    def test_pending_excludes_the_firing_member(self):
+        sim = Simulator()
+        seen = []
+        sim.schedule_each(1.0, [lambda: seen.append(sim.pending)] * 3)
+        sim.run()
+        assert seen == [2, 1, 0]
+
+    def test_a_same_instant_higher_priority_event_cuts_in(self):
+        sim = Simulator()
+        fired = []
+
+        def first():
+            fired.append("a")
+            sim.schedule(0.0, fired.append, "fault", priority=EventPriority.FAULT)
+            sim.schedule(0.0, fired.append, "normal")
+
+        sim.schedule_each(1.0, [first, lambda: fired.append("b")])
+        sim.schedule(1.0, fired.append, "later")
+        sim.run()
+        assert fired == ["a", "fault", "b", "later", "normal"]
+
+
 _TIMES = st.floats(min_value=0.0, max_value=10.0,
                    allow_nan=False, allow_infinity=False)
 
@@ -319,6 +418,132 @@ class TestTotalOrderReplay:
             sim.run()
 
         assert _replay(entries, sliced) == whole
+
+
+_PRIORITIES = st.sampled_from([EventPriority.HIGH, EventPriority.NORMAL,
+                               EventPriority.FAULT, EventPriority.LOW])
+
+#: A child delay, with the same-instant case drawn often.
+_CHILD_DELAYS = st.one_of(
+    st.just(0.0),
+    st.floats(min_value=0.0, max_value=3.0, allow_nan=False, allow_infinity=False),
+)
+
+#: What a fired event or fan-out member schedules: nothing, one follow-up
+#: ``("one", delay, priority)``, or a follow-up fan-out
+#: ``("each", delay, members)``.
+_SPAWNS = st.one_of(
+    st.none(),
+    st.tuples(st.just("one"), _CHILD_DELAYS, _PRIORITIES),
+    st.tuples(st.just("each"), _CHILD_DELAYS, st.integers(min_value=1, max_value=3)),
+)
+
+#: ``_SPAWNING_SCHEDULES`` with fan-outs: ``("at", time, priority, spawn)``
+#: is one ``schedule_at`` call, ``("each", time, spawns)`` one fan-out whose
+#: members each make their own spawn.
+_FAN_OUT_SCHEDULES = st.lists(
+    st.one_of(
+        st.tuples(st.just("at"), _TIMES, _PRIORITIES, _SPAWNS),
+        st.tuples(st.just("each"), _TIMES, st.lists(_SPAWNS, min_size=1, max_size=4)),
+    ),
+    min_size=1,
+    max_size=15,
+)
+
+
+def _replay_fan_outs(entries, drive, expand):
+    """``_replay`` for fan-out schedules.
+
+    With ``expand`` every fan-out is scheduled as one ``schedule`` call per
+    member instead.  ``drive(sim, snapshot)`` runs the simulator and calls
+    ``snapshot()`` after each slice.  Returns the firing order (label,
+    shared argument, clock) and the counter snapshots, the last one taken
+    once the queue has drained.
+    """
+    sim = Simulator()
+    fired = []
+    snapshots = []
+
+    def snapshot():
+        snapshots.append((sim.events_executed, sim.events_scheduled, sim.now, sim.pending))
+
+    def fan_out(delay, callbacks, *args):
+        if expand:
+            for callback in callbacks:
+                sim.schedule(delay, callback, *args)
+        else:
+            sim.schedule_each(delay, callbacks, *args)
+
+    def fire(label, spawn, tag):
+        fired.append((label, tag, sim.now))
+        if spawn is None:
+            return
+        kind, delay, extra = spawn
+        if kind == "one":
+            sim.schedule(delay, fire, f"{label}+", None, tag, priority=extra)
+        else:
+            fan_out(delay, [partial(fire, f"{label}+{j}", None) for j in range(extra)], tag)
+
+    for index, entry in enumerate(entries):
+        if entry[0] == "at":
+            _, time, priority, spawn = entry
+            sim.schedule_at(time, fire, index, spawn, "at", priority=priority)
+        else:
+            _, time, spawns = entry
+            fan_out(time, [partial(fire, f"{index}.{j}", spawn)
+                           for j, spawn in enumerate(spawns)], "each")
+    drive(sim, snapshot)
+    assert sim.peek_time() is None and sim.pending == 0
+    snapshot()
+    return fired, snapshots
+
+
+class TestFanOutReplay:
+    """Property test of :meth:`Simulator.schedule_each`: a fan-out fires
+    exactly as its members scheduled one by one, in whole and sliced runs,
+    with the same counters and clock after every slice."""
+
+    @staticmethod
+    def _check(entries, drive):
+        fanned = _replay_fan_outs(entries, drive, expand=False)
+        assert fanned == _replay_fan_outs(entries, drive, expand=True)
+        return fanned
+
+    @settings(max_examples=50, deadline=None)
+    @given(entries=_FAN_OUT_SCHEDULES)
+    def test_whole_run_fires_the_expanded_order(self, entries):
+        self._check(entries, lambda sim, snapshot: sim.run())
+
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_event_count_slices_fire_the_expanded_order(self, data):
+        entries = data.draw(_FAN_OUT_SCHEDULES)
+        size = data.draw(st.integers(min_value=1, max_value=7))
+
+        def sliced(sim, snapshot):
+            while sim.peek_time() is not None:
+                sim.run(max_events=size)
+                snapshot()
+
+        fired, _ = self._check(entries, sliced)
+        whole, _ = _replay_fan_outs(entries, lambda sim, snapshot: sim.run(), False)
+        assert fired == whole
+
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_time_slices_fire_the_expanded_order(self, data):
+        entries = data.draw(_FAN_OUT_SCHEDULES)
+        cuts = sorted(data.draw(st.lists(_TIMES, max_size=5)))
+
+        def sliced(sim, snapshot):
+            for cut in cuts:
+                sim.run(until=cut)
+                snapshot()
+            sim.run()
+
+        fired, _ = self._check(entries, sliced)
+        whole, _ = _replay_fan_outs(entries, lambda sim, snapshot: sim.run(), False)
+        assert fired == whole
 
 
 class TestRandomStreams:

@@ -70,6 +70,12 @@ class TestScenarioConfig:
         with pytest.raises(ConfigurationError):
             ScenarioConfig(loss_probability=1.0)
 
+    @pytest.mark.parametrize("field", ["sampling_period", "broadcast_jitter"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_timing_rejected(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            ScenarioConfig(**{field: value})
+
     def test_dataset_config_follows_scenario(self):
         scenario = ScenarioConfig(node_count=8, rounds=6, seed=5)
         dataset_config = scenario.dataset_config()
