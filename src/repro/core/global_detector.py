@@ -12,6 +12,9 @@ State kept by each sensor:
 * ``D_{j,i}``        -- per neighbor ``j``: points received from ``j``
   (``_received``).
 
+Both bookkeeping sets hold index slot ids: every recorded point is held, so
+each names the slot of its held copy.
+
 On every event the sensor recomputes, for each neighbor, a *sufficient set*
 ``Z_j`` (see :mod:`repro.core.sufficient`), transmits the part of it the
 neighbor is not already known to hold, and records the transmission in
@@ -81,8 +84,9 @@ class GlobalOutlierDetector(OutlierDetector):
         super().__init__(sensor_id, query, neighbors)
         self._local: Set[DataPoint] = set()
         self._holdings: Set[DataPoint] = set()
-        self._sent: Dict[int, Set[DataPoint]] = {j: set() for j in self._neighbors}
-        self._received: Dict[int, Set[DataPoint]] = {j: set() for j in self._neighbors}
+        # D_{i,j} and D_{j,i} as slots of the held copies.
+        self._sent: Dict[int, Set[int]] = {j: set() for j in self._neighbors}
+        self._received: Dict[int, Set[int]] = {j: set() for j in self._neighbors}
         # The index must sort its neighbor lists under the same metric the
         # query's ranking function scores in.
         self._index = NeighborhoodIndex(metric=query.ranking.metric)
@@ -108,11 +112,11 @@ class GlobalOutlierDetector(OutlierDetector):
 
     def sent_to(self, neighbor: int) -> Set[DataPoint]:
         """``D_{i,j}``: the points this sensor has sent to ``neighbor``."""
-        return set(self._sent.get(neighbor, set()))
+        return set(map(self._index.point_at, self._sent.get(neighbor, ())))
 
     def received_from(self, neighbor: int) -> Set[DataPoint]:
         """``D_{j,i}``: the points this sensor has received from ``neighbor``."""
-        return set(self._received.get(neighbor, set()))
+        return set(map(self._index.point_at, self._received.get(neighbor, ())))
 
     def known_shared_with(self, neighbor: int) -> Set[DataPoint]:
         """``D_{i,j} ∪ D_{j,i}``: points known to be common with ``neighbor``."""
@@ -193,12 +197,13 @@ class GlobalOutlierDetector(OutlierDetector):
         self._holdings -= evicted
         self._local -= evicted
         batch.evicts.extend(evicted)
-        # Bookkeeping entries for departed points are dropped from every
-        # per-neighbor bucket in one batched set difference per bucket.
+        # Departed slots leave every bucket before the batch commits: the
+        # same batch's additions reuse freed slots.
+        slots = set(map(self._index.slot_for, evicted))
         for bucket in self._sent.values():
-            bucket -= removal
+            bucket -= slots
         for bucket in self._received.values():
-            bucket -= removal
+            bucket -= slots
         self.stats.points_evicted += len(evicted)
         return bool(evicted)
 
@@ -216,19 +221,16 @@ class GlobalOutlierDetector(OutlierDetector):
         # Only points not already in P_i are added to D_{j,i}; duplicates are
         # ignored exactly as in the paper's update step.
         batch = EventBatch()
-        added = False
         for point in delivered:
             if point in self._holdings:
                 self.stats.points_ignored += 1
                 continue
             self._holdings.add(point)
             batch.adds.append(point)
-            self._received[sender].add(point)
             self.stats.points_received += 1
-            added = True
         self._commit_batch(batch)
         self.stats.events_processed += 1
-        if not added:
+        if not batch.adds:
             # A delivery of points already held changes no state, and every
             # state change is followed by ``_process``.  That call left each
             # neighbor's shared set at S = S0 ∪ Z, where Z contains
@@ -238,6 +240,8 @@ class GlobalOutlierDetector(OutlierDetector):
             # nothing.  The test-suite's brute-force oracle still reruns the
             # fixpoint, so the transcript suites check this skip.
             return None
+        # The batch has given each new point its slot.
+        self._received[sender].update(map(self._index.slot_for, batch.adds))
         return self._process()
 
     def neighborhood_changed(
@@ -269,22 +273,24 @@ class GlobalOutlierDetector(OutlierDetector):
         payloads: Dict[int, frozenset] = {}
         if not self._neighbors:
             return None
-        sufficient = self._sufficient_slots()
+        sufficient = None
+        held = len(self._holdings)
         point_at = self._index.point_at
-        slot_for = self._index.slot_for
         for neighbor in sorted(self._neighbors):
             sent = self._sent[neighbor]
             # D_{i,j} ∪ D_{j,i} ⊆ P_i: every recorded point is held, since
             # evictions drop it from the buckets too.
-            shared = frozenset(map(slot_for, sent)).union(
-                map(slot_for, self._received[neighbor])
-            )
+            shared = frozenset(sent | self._received[neighbor])
+            if len(shared) == held:
+                # Z ⊆ P_i = shared: nothing is left to send.
+                continue
+            if sufficient is None:
+                sufficient = self._sufficient_slots()
             unsent = sufficient(shared) - shared
             if unsent:
-                to_send = frozenset(map(point_at, unsent))
-                payloads[neighbor] = to_send
-                sent |= to_send
-                self.stats.points_sent += len(to_send)
+                payloads[neighbor] = frozenset(map(point_at, unsent))
+                sent |= unsent
+                self.stats.points_sent += len(unsent)
         if not payloads:
             return None
         self.stats.messages_built += 1
@@ -292,7 +298,7 @@ class GlobalOutlierDetector(OutlierDetector):
 
     def _sufficient_slots(self) -> Callable[[FrozenSet[int]], FrozenSet[int]]:
         """This event's eq. 2 fixpoint, from a neighbor's shared slots to
-        ``Z``'s slots.
+        ``Z``'s slots; :meth:`_process` builds it on the event's first run.
 
         P_i is exactly the index content, so with a built-in ranking and a
         trusted cache the slot kernel starts every neighbor's run from the

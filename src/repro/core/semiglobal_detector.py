@@ -32,6 +32,7 @@ of sensors, while the worst cases occur on sparse chain-like topologies.
 from __future__ import annotations
 
 from functools import partial
+from itertools import repeat
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Set
 
 from .batch import EventBatch
@@ -40,7 +41,7 @@ from .index import NeighborhoodIndex
 from .interfaces import OutlierDetector
 from .messages import OutlierMessage
 from .outliers import OutlierQuery
-from .points import DataPoint, RestKey, sort_key
+from .points import DataPoint, RestKey
 from .rescoring import ScoreCache
 from .sufficient import SlotFixpoint, index_free_fixpoint
 # perfbench's tracer patches these two names in this module.
@@ -48,6 +49,9 @@ from .sufficient import compute_sufficient_set  # noqa: F401
 from .support import support_of_set  # noqa: F401
 
 __all__ = ["SemiGlobalOutlierDetector"]
+
+#: The recorded hop of a point the neighbor is not known to hold.
+_UNKNOWN = float("inf")
 
 
 class SemiGlobalOutlierDetector(OutlierDetector):
@@ -112,16 +116,19 @@ class SemiGlobalOutlierDetector(OutlierDetector):
             )
         self.hop_diameter = int(hop_diameter)
         self.variant = variant
-        # All maps are keyed by the point's ``rest`` fields; the stored value
-        # is the copy with the smallest known hop for that key.
+        # Keyed by the point's ``rest`` fields; the stored value is the copy
+        # with the smallest known hop for that key.
         self._local: Dict[RestKey, DataPoint] = {}
         self._holdings: Dict[RestKey, DataPoint] = {}
-        self._sent: Dict[int, Dict[RestKey, DataPoint]] = {
+        # Per neighbor, the smallest hop recorded in D_{i,j} (``_sent``, the
+        # hop on the wire), in D_{j,i} (``_received``) and in their union
+        # (``_known``), keyed by the index slot of the held copy: every
+        # recorded observation is held, and a hop relabel keeps its slot.
+        self._sent: Dict[int, Dict[int, int]] = {j: {} for j in self._neighbors}
+        self._received: Dict[int, Dict[int, int]] = {
             j: {} for j in self._neighbors
         }
-        self._received: Dict[int, Dict[RestKey, DataPoint]] = {
-            j: {} for j in self._neighbors
-        }
+        self._known: Dict[int, Dict[int, int]] = {j: {} for j in self._neighbors}
         # The index must sort its neighbor lists under the same metric the
         # query's ranking function scores in.
         self._index = NeighborhoodIndex(metric=query.ranking.metric)
@@ -156,11 +163,20 @@ class SemiGlobalOutlierDetector(OutlierDetector):
     def sent_to(self, neighbor: int) -> Set[DataPoint]:
         """``D_{i,j}``: points sent to ``neighbor`` (with the hop they carried
         on the wire)."""
-        return set(self._sent.get(neighbor, {}).values())
+        return self._recorded(self._sent.get(neighbor, {}))
 
     def received_from(self, neighbor: int) -> Set[DataPoint]:
         """``D_{j,i}``: points received from ``neighbor``."""
-        return set(self._received.get(neighbor, {}).values())
+        return self._recorded(self._received.get(neighbor, {}))
+
+    def known_shared_with(self, neighbor: int) -> Set[DataPoint]:
+        """``D_{i,j} ∪ D_{j,i}``: the smallest-hop recorded copy of each
+        observation known to be common with ``neighbor``."""
+        return self._recorded(self._known.get(neighbor, {}))
+
+    def _recorded(self, hops: Dict[int, int]) -> Set[DataPoint]:
+        point_at = self._index.point_at
+        return {point_at(slot).with_hop(hop) for slot, hop in hops.items()}
 
     # ------------------------------------------------------------------
     # Protocol events
@@ -228,25 +244,21 @@ class SemiGlobalOutlierDetector(OutlierDetector):
     def _apply_evictions(
         self, points: Iterable[DataPoint], batch: EventBatch
     ) -> bool:
-        keys = {point.rest for point in points}
-        if not keys:
-            return False
-        evicted = False
-        for key in keys:
+        slots = []
+        for key in {point.rest for point in points}:
             previous = self._holdings.pop(key, None)
             if previous is not None:
                 self._local.pop(key, None)
                 batch.evicts.append(previous)
-                evicted = True
+                slots.append(self._index.slot_for(previous))
                 self.stats.points_evicted += 1
-        # One batched pass per bucket instead of one scan per evicted point.
-        for bucket in self._sent.values():
-            for key in keys:
-                bucket.pop(key, None)
-        for bucket in self._received.values():
-            for key in keys:
-                bucket.pop(key, None)
-        return evicted
+        # Departed slots leave every map before the batch commits: the same
+        # batch's additions reuse freed slots.
+        for maps in (self._sent, self._received, self._known):
+            for hops in maps.values():
+                for slot in slots:
+                    hops.pop(slot, None)
+        return bool(slots)
 
     def handle_message(
         self, sender: int, points: Iterable[DataPoint]
@@ -256,7 +268,7 @@ class SemiGlobalOutlierDetector(OutlierDetector):
                 f"sensor {self.sensor_id} received points from non-neighbor {sender}"
             )
         self.stats.messages_received += 1
-        changed = False
+        arrived: Dict[RestKey, int] = {}
         batch = EventBatch()
         for point in points:
             current = self._holdings.get(point.rest)
@@ -267,14 +279,22 @@ class SemiGlobalOutlierDetector(OutlierDetector):
                 # geometry is untouched by a hop change.
                 self._holdings[point.rest] = point
                 batch.stage_put(current, point)
-                self._record_received(sender, point)
+                arrived[point.rest] = point.hop
                 self.stats.points_received += 1
-                changed = True
             else:
                 self.stats.points_ignored += 1
         self._commit_batch(batch)
-        if not changed:
+        if not arrived:
             return None
+        # Recorded after the commit, which gives each new point its slot.  A
+        # point is accepted only below the held copy's hop, and no recorded
+        # hop is below the held one, so the arrival is the smallest record.
+        received = self._received[sender]
+        known = self._known[sender]
+        slot_for_key = self._index.slot_for_key
+        for key, hop in arrived.items():
+            slot = slot_for_key(key)
+            received[slot] = known[slot] = hop
         self.stats.events_processed += 1
         return self._process()
 
@@ -286,47 +306,14 @@ class SemiGlobalOutlierDetector(OutlierDetector):
             raise ProtocolError("a sensor cannot be its own neighbor")
         if new_neighbors == self._neighbors:
             return None
-        for gone in self._neighbors - new_neighbors:
-            self._sent.pop(gone, None)
-            self._received.pop(gone, None)
-        for fresh in new_neighbors - self._neighbors:
-            self._sent.setdefault(fresh, {})
-            self._received.setdefault(fresh, {})
+        for maps in (self._sent, self._received, self._known):
+            for gone in self._neighbors - new_neighbors:
+                maps.pop(gone, None)
+            for fresh in new_neighbors - self._neighbors:
+                maps.setdefault(fresh, {})
         self._neighbors = new_neighbors
         self.stats.events_processed += 1
         return self._process()
-
-    # ------------------------------------------------------------------
-    # Internal helpers
-    # ------------------------------------------------------------------
-    def _record_received(self, sender: int, point: DataPoint) -> None:
-        bucket = self._received[sender]
-        current = bucket.get(point.rest)
-        if current is None or point.hop < current.hop:
-            bucket[point.rest] = point
-
-    def _known_hops(self, neighbor: int) -> Dict[int, int]:
-        """Smallest recorded hop in ``D_{i,j} ∪ D_{j,i}``, keyed by the slot
-        of the held copy of each observation.
-
-        This is the ``y.hop`` of the paper's redundancy filter: a candidate
-        ``x`` is not transmitted when the bookkeeping already contains a copy
-        of the same observation with ``y.hop <= x.hop``.  Every recorded
-        observation is held (evictions drop it from the buckets too) and the
-        index holds one copy per observation, so each key names exactly one
-        slot; those slots are the shared set the fixpoint scores.
-        """
-        slot_for_key = self._index.slot_for_key
-        known = {
-            slot_for_key(key): point.hop
-            for key, point in self._sent[neighbor].items()
-        }
-        for key, point in self._received[neighbor].items():
-            slot = slot_for_key(key)
-            hop = known.get(slot)
-            if hop is None or point.hop < hop:
-                known[slot] = point.hop
-        return known
 
     # ------------------------------------------------------------------
     # Core: the nested for-loops of Algorithm 2
@@ -335,80 +322,98 @@ class SemiGlobalOutlierDetector(OutlierDetector):
         payloads: Dict[int, frozenset] = {}
         if not self._neighbors:
             return None
-        levels = self._level_fixpoints()
+        depth = self.hop_diameter
+        levels: List[Optional[Callable]] = [None] * depth
+        outlier_memo: dict = {}
         paper = self.variant == "paper"
-        point_at = self._index.point_at
+        index = self._index
+        point_at = index.point_at
+        # The held slots of each hop level below d: only those may be sent.
+        by_hop: List[List[int]] = [[] for _ in range(depth)]
+        for point in self._holdings.values():
+            if point.hop < depth:
+                by_hop[point.hop].append(index.slot_for(point))
         for neighbor in sorted(self._neighbors):
-            known = self._known_hops(neighbor)
+            known = self._known[neighbor]
+            # A point is forwarded at hop + 1, so it is copied only when the
+            # neighbor is not already known to hold it at that hop or less.
+            # Level h's Z lies in P_i^{<=h}, so the levels below the lowest
+            # hop of a sendable point can add nothing to the payload.
+            lowest = next(
+                (
+                    hop
+                    for hop, slots in enumerate(by_hop)
+                    if max(map(known.get, slots, repeat(_UNKNOWN)), default=0)
+                    > hop + 1
+                ),
+                None,
+            )
+            if lowest is None:
+                continue
             shared = frozenset(known)
             # Every level's Z holds slots of held copies, one per
             # observation, so the ``[·]^min`` merge of the levels' sets is
             # their union.
             merged: Set[int] = set()
-            for level, sufficient in enumerate(levels):
+            for level in range(lowest, depth):
+                sufficient = levels[level]
+                if sufficient is None:
+                    sufficient = levels[level] = self._level_fixpoint(
+                        level, outlier_memo
+                    )
                 if paper:
                     shared = frozenset(
                         slot for slot, hop in known.items() if hop <= level
                     )
                 merged.update(sufficient(shared))
-            # A point is forwarded at hop + 1, so it is copied only when the
-            # neighbor is not already known to hold it at that hop or less.
-            outgoing: List[DataPoint] = []
-            for slot in merged:
-                point = point_at(slot)
-                known_hop = known.get(slot)
-                if known_hop is None or known_hop > point.hop + 1:
-                    outgoing.append(point.incremented())
+            outgoing = [
+                slot
+                for slot in merged
+                if known.get(slot, _UNKNOWN) > point_at(slot).hop + 1
+            ]
             if outgoing:
                 # The payload set iterates in insertion order among hash
                 # collisions, and the receiver's index batch follows it.
-                outgoing.sort(key=sort_key)
-                payloads[neighbor] = frozenset(outgoing)
-                bucket = self._sent[neighbor]
-                for point in outgoing:
-                    current = bucket.get(point.rest)
-                    if current is None or point.hop < current.hop:
-                        bucket[point.rest] = point
-                self.stats.points_sent += len(outgoing)
+                outgoing.sort(key=index.key_at)
+                sent = self._sent[neighbor]
+                copies = []
+                for slot in outgoing:
+                    copy = point_at(slot).incremented()
+                    copies.append(copy)
+                    sent[slot] = known[slot] = copy.hop
+                payloads[neighbor] = frozenset(copies)
+                self.stats.points_sent += len(copies)
         if not payloads:
             return None
         self.stats.messages_built += 1
         return OutlierMessage(sender=self.sensor_id, payloads=payloads)
 
-    def _level_fixpoints(
-        self,
-    ) -> List[Callable[[FrozenSet[int]], FrozenSet[int]]]:
-        """Per hop level ``h < d``: this event's eq. 2 fixpoint over
-        ``P_i^{<=h}``, from a neighbor's shared slots to ``Z``'s slots.
+    def _level_fixpoint(
+        self, level: int, outlier_memo: dict
+    ) -> Callable[[FrozenSet[int]], FrozenSet[int]]:
+        """Hop level ``h``'s eq. 2 fixpoint for this event, over
+        ``P_i^{<=h}``, from a neighbor's shared slots to ``Z``'s slots;
+        :meth:`_process` builds it on the level's first run.
 
         With a built-in ranking and trusted level caches, the slot kernel
-        starts from each cache's ``O_n(P_i^{<=h})`` and walks its membership
-        mask, and one ``O_n`` memo serves every level and neighbor.  Other
-        rankings and degraded caches take
-        :func:`~repro.core.sufficient.index_free_fixpoint`.
+        starts from the level cache's ``O_n(P_i^{<=h})`` and walks its
+        membership mask, and ``outlier_memo`` is the event's one ``O_n``
+        memo for every level and neighbor.  Other rankings and degraded
+        caches take :func:`~repro.core.sufficient.index_free_fixpoint`.
         """
         query = self.query
-        index = self._index
         caches = self._caches
         if (
             caches is not None
             and not any(cache.degraded for cache in caches)
             and SlotFixpoint.handles(query.ranking)
         ):
-            outlier_memo: dict = {}
-            return [
-                SlotFixpoint(
-                    query, index, cache.subset(), cache.top_slots(query.n),
-                    outlier_memo,
-                ).run
-                for cache in caches
-            ]
-
-        held = list(self._holdings.values())
-        return [
-            partial(
-                index_free_fixpoint, query, index,
-                [point for point in held if point.hop <= level],
-            )
-            for level in range(self.hop_diameter)
-        ]
+            cache = caches[level]
+            return SlotFixpoint(
+                query, self._index, cache.subset(), cache.top_slots(query.n),
+                outlier_memo,
+            ).run
+        return partial(
+            index_free_fixpoint, query, self._index,
+            [point for point in self._holdings.values() if point.hop <= level],
+        )

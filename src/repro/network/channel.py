@@ -189,9 +189,10 @@ class WirelessChannel:
         within range is charged receive energy (promiscuous listening) and,
         unless the loss draw discards the packet for that particular
         receiver, gets the packet delivered after the airtime plus the
-        processing delay.  The receive energy is computed once per packet
-        for each distinct :class:`~repro.network.energy.EnergyModel`, and
-        the deliveries are scheduled as one fan-out in receiver order.
+        processing delay.  The airtime and the receive energy are computed
+        once per packet for each distinct
+        :class:`~repro.network.energy.EnergyModel`, and the deliveries are
+        scheduled as one fan-out in receiver order.
         """
         sender = self.node(sender_id)
         if not sender.up:
@@ -199,8 +200,9 @@ class WirelessChannel:
             # reaches the air and no energy is spent.
             return
         size = packet.size_bytes
-        airtime = sender.energy.model.airtime(size)
-        sender.energy.charge_tx(size)
+        model = sender.energy.model
+        airtime = model.airtime(size)
+        sender.energy.charge_tx(size, model.tx_energy_over(airtime))
         stats = self.stats
         stats.transmissions += 1
         stats.bytes_transmitted += size
@@ -226,7 +228,8 @@ class WirelessChannel:
                 rx_model = meter.model
                 energy = rx_joules.get(id(rx_model))
                 if energy is None:
-                    energy = rx_joules[id(rx_model)] = rx_model.rx_energy(size)
+                    seconds = airtime if rx_model is model else rx_model.airtime(size)
+                    energy = rx_joules[id(rx_model)] = rx_model.rx_energy_over(seconds)
             meter.charge_rx(size, energy)
             if lossy and self._lost(sender_id, neighbor_id):
                 stats.losses += 1

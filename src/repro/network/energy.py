@@ -55,11 +55,19 @@ class EnergyModel:
 
     def tx_energy(self, size_bytes: int) -> float:
         """Joules spent transmitting a packet of ``size_bytes``."""
-        return self.tx_power_w * self.airtime(size_bytes)
+        return self.tx_energy_over(self.airtime(size_bytes))
 
     def rx_energy(self, size_bytes: int) -> float:
         """Joules spent receiving a packet of ``size_bytes``."""
-        return self.rx_power_w * self.airtime(size_bytes)
+        return self.rx_energy_over(self.airtime(size_bytes))
+
+    def tx_energy_over(self, seconds: float) -> float:
+        """Joules spent transmitting for ``seconds`` of airtime."""
+        return self.tx_power_w * seconds
+
+    def rx_energy_over(self, seconds: float) -> float:
+        """Joules spent receiving for ``seconds`` of airtime."""
+        return self.rx_power_w * seconds
 
     def idle_energy(self, seconds: float) -> float:
         """Joules spent idling for ``seconds``."""
@@ -92,8 +100,10 @@ class EnergyMeter:
     # ------------------------------------------------------------------
     # Charging
     # ------------------------------------------------------------------
-    def charge_tx(self, size_bytes: int) -> float:
-        energy = self.model.tx_energy(size_bytes)
+    def charge_tx(self, size_bytes: int, energy: float) -> float:
+        """Charge transmitting ``size_bytes``, which costs ``energy`` joules:
+        ``model.tx_energy(size_bytes)``, computed by the channel from the
+        airtime it also delays the deliveries by."""
         self.tx_joules += energy
         self.packets_sent += 1
         self.bytes_sent += size_bytes

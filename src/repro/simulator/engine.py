@@ -164,10 +164,14 @@ class Simulator:
         ``max_events`` events have been executed.
 
         A fan-out member counts as one event.  A callback that raises
-        leaves the events after it queued.
+        leaves the events after it queued.  A NaN or infinite ``until`` is
+        rejected: the clock would end at infinity, or the horizon would
+        never stop a run.
         """
         if self._running:
             raise SimulationError("simulator is already running (re-entrant run() call)")
+        if until is not None and not -_INF < until < _INF:
+            raise SimulationError(f"run horizon must be finite, got until={until}")
         self._running = True
         queue = self._queue
         heappop = heapq.heappop

@@ -564,6 +564,24 @@ def test_semiglobal_detector_transcripts_match_oracle(ranking, variant):
     """Chain topology forces multi-hop forwarding, so the min-hop merge and
     its O(1) index relabelling are exercised on every round."""
     rng = random.Random(f"{type(ranking).__name__}-{variant}-semiglobal-transcripts")
+    _check_semiglobal_transcripts(rng, ranking, variant, hop_diameter=2)
+
+
+@pytest.mark.parametrize("hop_diameter", [1, 3])
+@pytest.mark.parametrize("variant", ["refined", "paper"])
+@pytest.mark.parametrize("ranking", [RANKINGS[0], RANKINGS[2]], ids=["nn", "knn"])
+def test_semiglobal_detector_transcripts_match_oracle_at_other_diameters(
+    ranking, variant, hop_diameter
+):
+    """One level (every run starts at level 0) and three levels (a neighbor
+    that knows the low levels' points skips their runs)."""
+    rng = random.Random(
+        f"{type(ranking).__name__}-{variant}-d{hop_diameter}-semiglobal-transcripts"
+    )
+    _check_semiglobal_transcripts(rng, ranking, variant, hop_diameter)
+
+
+def _check_semiglobal_transcripts(rng, ranking, variant, hop_diameter):
     sensors = 5
     adjacency = {i: [j for j in (i - 1, i + 1) if 0 <= j < sensors]
                  for i in range(sensors)}
@@ -572,7 +590,8 @@ def test_semiglobal_detector_transcripts_match_oracle(ranking, variant):
     for detector_class in (SemiGlobalOutlierDetector, BruteSemiGlobalDetector):
         detectors = {
             i: detector_class(
-                i, query, hop_diameter=2, neighbors=adjacency[i], variant=variant
+                i, query, hop_diameter=hop_diameter, neighbors=adjacency[i],
+                variant=variant,
             )
             for i in range(sensors)
         }
@@ -1091,7 +1110,9 @@ def test_ranking_subclass_takes_the_index_free_fixpoint(monkeypatch):
 def test_degraded_cache_takes_the_index_free_fixpoint(monkeypatch):
     """While two copies of one observation are held, the global detector's
     cache is degraded and its fixpoints skip the slot kernel; the kernel
-    returns once the copy leaves."""
+    returns once the copy leaves.  The copy leaves together with a fresh
+    point's arrival: alone, it would leave both neighbors holding all of
+    P_i, and no fixpoint would run."""
     runs = []
     run = SlotFixpoint.run
 
@@ -1106,12 +1127,13 @@ def test_degraded_cache_takes_the_index_free_fixpoint(monkeypatch):
     slow = BruteGlobalDetector(0, query, neighbors=[1, 2])
     points = _cloud(rng, 6)
     fresh = _cloud(rng, 1, start_epoch=50)
+    later = _cloud(rng, 1, start_epoch=60)
     twin = points[0].with_hop(1)
     steps = [
         lambda d: d.add_local_points(points),
         lambda d: d.handle_message(1, [twin]),
         lambda d: d.add_local_points(fresh),
-        lambda d: d.evict_points([twin]),
+        lambda d: d.update_local_data(later, [twin]),
     ]
     kernel_ran = []
     for step in steps:

@@ -117,7 +117,7 @@ class TestEnergyModel:
 
     def test_meter_accumulates(self):
         meter = EnergyMeter()
-        meter.charge_tx(100)
+        meter.charge_tx(100, meter.model.tx_energy(100))
         meter.charge_rx(100, meter.model.rx_energy(100))
         meter.charge_idle(10.0)
         assert meter.total_joules == pytest.approx(
@@ -277,6 +277,38 @@ class TestChannelFanOut:
             assert node.energy.rx_joules == model.rx_energy(40) + model.rx_energy(25)
             assert node.energy.packets_received == 2
             assert node.energy.bytes_received == 65
+
+    def test_airtime_is_computed_once_per_packet_and_model(self, monkeypatch):
+        slow = EnergyModel(rx_power_w=0.05, bitrate_bps=9_600.0)
+        models = {i: slow for i in range(9) if i % 2}
+        sim, _channel, nodes = self._stack(models)
+        calls = []
+        airtime = EnergyModel.airtime
+
+        def counted(model, size_bytes):
+            calls.append((model, size_bytes))
+            return airtime(model, size_bytes)
+
+        monkeypatch.setattr(EnergyModel, "airtime", counted)
+        nodes[self.SENDER].broadcast(self._broadcast(40))
+        nodes[self.SENDER].broadcast(self._broadcast(25))
+        monkeypatch.undo()
+        # The sender's model serves the delay, the tx energy and its own
+        # receivers; the other model is asked once per packet.
+        assert calls == [(CROSSBOW_MICA2, 40), (slow, 40),
+                         (CROSSBOW_MICA2, 25), (slow, 25)]
+        sim.run()
+        # Bitwise the model's per-size formulas.
+        sender = nodes[self.SENDER].energy
+        assert sender.tx_joules == (
+            CROSSBOW_MICA2.tx_energy(40) + CROSSBOW_MICA2.tx_energy(25)
+        )
+        for node_id, node in nodes.items():
+            if node_id != self.SENDER:
+                model = slow if node_id % 2 else CROSSBOW_MICA2
+                assert node.energy.rx_joules == (
+                    model.rx_energy(40) + model.rx_energy(25)
+                )
 
     @pytest.mark.parametrize(
         "burst",

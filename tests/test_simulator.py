@@ -241,6 +241,19 @@ class TestNonFiniteTimes:
         sim.run()
         assert sim.now == 0.0 and sim.events_executed == 0
 
+    @pytest.mark.parametrize("until", [math.nan, math.inf, -math.inf])
+    def test_run_rejects_a_non_finite_horizon(self, until):
+        sim = Simulator()
+        fired = []
+        sim.schedule(5.0, fired.append, "late")
+        with pytest.raises(SimulationError, match="run horizon must be finite"):
+            sim.run(until=until)
+        # Nothing ran, the clock did not move, and the simulator still works.
+        assert fired == [] and sim.now == 0.0 and sim.pending == 1
+        sim.schedule(1.0, fired.append, "early")
+        sim.run()
+        assert fired == ["early", "late"] and sim.now == 5.0
+
 
 class TestFanOut:
     def test_members_fire_in_list_order_with_shared_args(self):
