@@ -11,7 +11,7 @@ among them.
 
 The measurement harness is shared with the ``repro-wsn bench`` CLI
 subcommand (:mod:`repro.bench`), which emits the machine-readable
-``BENCH_hotpath.json`` / ``BENCH_setup.json`` artifacts CI thresholds; this
+``BENCH_hotpath.json`` artifact CI thresholds; this
 pytest entry records the same sweep at ``n ∈ {64, 256, 1024}``, refreshes
 ``results/hotpath.txt`` and asserts the acceptance criterion: at the
 largest window, 64-event ticks must amortize at least 2.5x below batch size

@@ -6,31 +6,21 @@ window/network the experiments can simulate, so it is measured the same way
 figures are -- reproducibly, from a CLI entry point, with artifacts a CI
 job can diff and threshold.
 
-Two benchmarks ship, and every ``repro-wsn bench`` call runs both:
-
-* **hotpath** -- per-event latency of the steady-state detector loop (one
-  arrival plus one eviction per event at a fixed window size), with the
-  events applied 1, 4, 16 or 64 per tick, at several window sizes.  Batch
-  size 1 is the per-event latency; larger ticks share one
-  :class:`~repro.core.batch.EventBatch` and one rescoring pass.  Emitted as
-  ``BENCH_hotpath.json``.
-* **setup** -- scenario *construction* cost at scale: layout generation
-  plus :class:`~repro.network.topology.Topology` building via the grid
-  spatial index versus the brute-force all-pairs oracle, on the same
-  density-preserving terrains the ``scaling-nodes`` sweep uses.  The brute
-  build is skipped above a node cap (it is O(n^2); the cap keeps the bench
-  bounded), so its speedup is ``null`` there.  Emitted as
-  ``BENCH_setup.json``.
+Every ``repro-wsn bench`` call runs the **hotpath** benchmark: the
+per-event latency of the steady-state detector loop (one arrival plus one
+eviction per event at a fixed window size), with the events applied 1, 4,
+16 or 64 per tick, at several window sizes.  Batch size 1 is the per-event
+latency; larger ticks share one :class:`~repro.core.batch.EventBatch` and
+one rescoring pass.  Emitted as ``BENCH_hotpath.json``.
 
 Whole scenarios are timed end to end by ``perfbench/`` (declared in
 ``BENCHMARK.json``), not by this module.
 
-Every artifact carries a stable ``schema`` number and enough configuration to
+The artifact carries a stable ``schema`` number and enough configuration to
 interpret a trajectory of them across commits.  The CLI's ``--check`` mode
-turns both results into regression guards: the batched speedup (largest
-swept batch size over batch size 1) at :data:`BATCH_FLOOR_WINDOW` must reach
-:data:`BATCH_FLOOR`, and the grid-vs-brute build speedup at the largest
-size the brute oracle measured must reach :data:`SETUP_FLOOR`.
+turns it into a regression guard: the batched speedup (largest swept batch
+size over batch size 1) at :data:`BATCH_FLOOR_WINDOW` must reach
+:data:`BATCH_FLOOR`.
 
 Methodology invariants (what makes two artifacts comparable):
 
@@ -48,7 +38,7 @@ Methodology invariants (what makes two artifacts comparable):
   floor.
 
 The module is import-light so ``repro-wsn bench`` stays snappy; the detector
-and topology stacks are imported lazily inside the harness functions.
+stack is imported lazily inside the harness functions.
 """
 
 from __future__ import annotations
@@ -71,14 +61,6 @@ __all__ = [
     "measure_event_latency",
     "run_hotpath_bench",
     "render_hotpath_table",
-    "BENCH_SETUP_SCHEMA",
-    "DEFAULT_SETUP_NODES",
-    "QUICK_SETUP_NODES",
-    "SETUP_FLOOR",
-    "measure_setup",
-    "run_setup_bench",
-    "render_setup_table",
-    "check_setup_floor",
     "write_bench_artifacts",
     "check_batched_floor",
 ]
@@ -110,29 +92,6 @@ DEFAULT_BATCH_SIZES: Tuple[int, ...] = (1, 4, 16, 64)
 #: on shared runners, yet a batched path that stopped batching (~1x) fails.
 BATCH_FLOOR = 2.5
 BATCH_FLOOR_WINDOW = 256
-
-#: Schema of ``BENCH_setup.json`` (independent of the hotpath schema: the
-#: artifacts evolve separately).  History: 1 -- initial layout.
-BENCH_SETUP_SCHEMA = 1
-
-#: Node counts of the full setup sweep (matches the ``scaling-nodes``
-#: paper-profile counts).
-DEFAULT_SETUP_NODES: Tuple[int, ...] = (1024, 4096, 16384)
-
-#: Node counts of the CI-friendly ``--quick`` sweep.
-QUICK_SETUP_NODES: Tuple[int, ...] = (512, 2048)
-
-#: ``--check`` fails when the grid-vs-brute build speedup at the largest
-#: size the brute oracle measured (2048 nodes under ``--quick``, 4096 on the
-#: full sweep) is below this.  Conservative, yet a fallback to the quadratic
-#: build (~1x) fails.
-SETUP_FLOOR = 4.0
-
-#: Largest node count the brute-force O(n^2) topology build is measured
-#: at.  Beyond it only the grid build runs and ``speedup`` is ``null`` --
-#: the brute build at 16k nodes takes tens of seconds, which would dominate
-#: the whole bench for a number nobody thresholds.
-_SETUP_BRUTE_CAP = 4096
 
 #: Measured events per window at batch size 1 (larger batch sizes measure
 #: at least four whole ticks).
@@ -300,172 +259,14 @@ def render_hotpath_table(payload: Dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _best_of(repeats: int, build) -> float:
-    """Fastest wall-clock of ``repeats`` identical ``build()`` calls, in
-    seconds (the chunked-min convention applied to whole-build units: a
-    build is one indivisible chunk)."""
-    best = float("inf")
-    for _ in range(max(1, repeats)):
-        started = time.perf_counter()
-        build()
-        best = min(best, time.perf_counter() - started)
-    return best
-
-
-def measure_setup(
-    nodes: int,
-    repeats: int = 3,
-    brute_cap: int = _SETUP_BRUTE_CAP,
-) -> Dict:
-    """One setup-bench row: layout + topology-build timings at ``nodes``.
-
-    The workload is exactly the ``scaling-nodes`` scenario setup: a
-    serpentine lab layout on the density-preserving terrain
-    (:func:`repro.experiments.sweeps.scaling_terrain`) and a
-    :class:`~repro.network.topology.Topology` at the paper's transmission
-    range.  Both builders replay the identical placement, so the reported
-    speedup isolates the neighbor-index algorithm, not the workload.  The
-    brute oracle is skipped (``brute_ms``/``speedup`` are ``None``) above
-    ``brute_cap``.
-    """
-    from .datasets.layout import DEFAULT_TRANSMISSION_RANGE, intel_lab_layout
-    from .experiments.sweeps import scaling_terrain
-    from .network.topology import Topology
-
-    terrain = scaling_terrain(nodes)
-    layout_s = _best_of(
-        repeats, lambda: intel_lab_layout(node_count=nodes, terrain_size=terrain)
-    )
-    positions = intel_lab_layout(node_count=nodes, terrain_size=terrain)
-
-    grid_s = _best_of(
-        repeats,
-        lambda: Topology.from_positions(
-            positions,
-            transmission_range=DEFAULT_TRANSMISSION_RANGE,
-            builder="grid",
-        ),
-    )
-    topology = Topology.from_positions(
-        positions, transmission_range=DEFAULT_TRANSMISSION_RANGE, builder="grid"
-    )
-
-    brute_s: Optional[float] = None
-    if nodes <= brute_cap:
-        brute_s = _best_of(
-            repeats,
-            lambda: Topology.from_positions(
-                positions,
-                transmission_range=DEFAULT_TRANSMISSION_RANGE,
-                builder="brute",
-            ),
-        )
-
-    _, mean_degree, _ = topology.degree_statistics()
-    return {
-        "nodes": int(nodes),
-        "terrain": terrain,
-        "transmission_range": DEFAULT_TRANSMISSION_RANGE,
-        "layout_ms": layout_s * 1e3,
-        "grid_ms": grid_s * 1e3,
-        "brute_ms": brute_s * 1e3 if brute_s is not None else None,
-        "speedup": brute_s / grid_s if brute_s is not None else None,
-        "edges": int(topology.edge_count),
-        "mean_degree": float(mean_degree),
-        "repeats": int(max(1, repeats)),
-    }
-
-
-def run_setup_bench(
-    node_counts: Optional[Sequence[int]] = None,
-    quick: bool = False,
-    repeats: int = 3,
-) -> Dict:
-    """Measure the setup sweep and return the ``BENCH_setup`` payload."""
-    if node_counts is None:
-        node_counts = QUICK_SETUP_NODES if quick else DEFAULT_SETUP_NODES
-    rows = [measure_setup(int(nodes), repeats=repeats) for nodes in node_counts]
-    return {
-        "schema": BENCH_SETUP_SCHEMA,
-        "benchmark": "setup",
-        "quick": bool(quick),
-        "python": platform.python_version(),
-        "brute_cap": _SETUP_BRUTE_CAP,
-        "sizes": rows,
-    }
-
-
-def render_setup_table(payload: Dict) -> str:
-    """The human-readable setup table ``repro-wsn bench`` prints; its
-    numbers live in ``BENCH_setup.json``."""
-    lines = [
-        "Scenario setup cost (serpentine layout on density-preserving "
-        "terrain, paper transmission range; best of repeated builds)",
-        "",
-        f"{'nodes':>8} {'terrain m':>10} {'layout ms':>11} {'grid ms':>10} "
-        f"{'brute ms':>11} {'speedup':>9} {'edges':>8} {'degree':>7}",
-    ]
-    for row in payload["sizes"]:
-        if row["brute_ms"] is None:
-            brute_cell = f"{'-':>11} {'-':>9}"
-        else:
-            brute_cell = f"{row['brute_ms']:>11.1f} {row['speedup']:>8.1f}x"
-        lines.append(
-            f"{row['nodes']:>8} {row['terrain']:>10.1f} "
-            f"{row['layout_ms']:>11.2f} {row['grid_ms']:>10.2f} "
-            + brute_cell
-            + f" {row['edges']:>8} {row['mean_degree']:>7.2f}"
-        )
-    lines += [
-        "",
-        f"brute oracle measured up to {payload['brute_cap']} nodes "
-        "(O(n^2); larger sizes report the grid build only).",
-    ]
-    return "\n".join(lines) + "\n"
-
-
-def check_setup_floor(setup: Dict, floor: float) -> Tuple[bool, str]:
-    """Regression guard for scenario setup: the grid-vs-brute build speedup
-    at the largest node count the brute oracle measured must be at least
-    ``floor``.  Same never-vacuous contract as :func:`check_batched_floor`:
-    a sweep where the brute oracle measured no size fails.
-    """
-    measured = [row for row in setup["sizes"] if row.get("speedup") is not None]
-    if not measured:
-        return False, (
-            f"setup guard error: the brute oracle measured none of the sizes "
-            f"{[row['nodes'] for row in setup['sizes']]} (brute cap "
-            f"{setup.get('brute_cap')})"
-        )
-    row = max(measured, key=lambda row: row["nodes"])
-    ok = row["speedup"] >= floor
-    verdict = "ok" if ok else "REGRESSION"
-    return ok, (
-        f"setup guard {verdict}: grid build speedup {row['speedup']:.1f}x "
-        f"at {row['nodes']} nodes (floor {floor:.1f}x)"
-    )
-
-
-def write_bench_artifacts(
-    output_dir,
-    hotpath: Optional[Dict] = None,
-    setup: Optional[Dict] = None,
-) -> List[Path]:
-    """Write ``BENCH_hotpath.json`` / ``BENCH_setup.json`` under
-    ``output_dir`` and return the written paths."""
+def write_bench_artifacts(output_dir, hotpath: Dict) -> List[Path]:
+    """Write ``BENCH_hotpath.json`` under ``output_dir`` and return the
+    written paths."""
     root = Path(output_dir)
     root.mkdir(parents=True, exist_ok=True)
-    written = []
-    for name, payload in (
-        ("BENCH_hotpath.json", hotpath),
-        ("BENCH_setup.json", setup),
-    ):
-        if payload is None:
-            continue
-        path = root / name
-        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        written.append(path)
-    return written
+    path = root / "BENCH_hotpath.json"
+    path.write_text(json.dumps(hotpath, indent=2, sort_keys=True) + "\n")
+    return [path]
 
 
 def check_batched_floor(

@@ -38,10 +38,9 @@ results persisted (rerunning is free; an interrupted sweep resumes)::
     repro-wsn sweep figure4 --workers 4 --store results/store --profile paper
     repro-wsn sweep metric-sensitivity --workers 4 --store results/store
 
-Measure the per-event detector hot path and the scenario-setup cost,
-writing ``BENCH_hotpath.json`` / ``BENCH_setup.json`` (the CI perf-smoke
-job runs the ``--quick --check`` form and fails when either speedup falls
-below its floor)::
+Measure the per-event detector hot path, writing ``BENCH_hotpath.json``
+(the CI perf-smoke job runs the ``--quick --check`` form and fails when the
+batched speedup falls below its floor)::
 
     repro-wsn bench
     repro-wsn bench --quick --check --output-dir bench-artifacts
@@ -144,27 +143,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser(
         "bench",
-        help="run the hotpath and setup micro-benchmarks and emit "
-        "BENCH_hotpath.json / BENCH_setup.json",
+        help="run the hotpath micro-benchmark and emit BENCH_hotpath.json",
     )
     bench.add_argument(
         "--quick",
         action="store_true",
-        help="CI-friendly sweeps: windows 64/256 and 512/2048 nodes "
-        "(both floors still apply)",
+        help="CI-friendly sweep: windows 64/256 (the floor still applies)",
     )
     bench.add_argument(
         "--output-dir",
         metavar="DIR",
         default="results",
-        help="directory for BENCH_hotpath.json / BENCH_setup.json "
-        "(default: results)",
+        help="directory for BENCH_hotpath.json (default: results)",
     )
     bench.add_argument(
         "--check",
         action="store_true",
-        help="fail (exit 1) when the batched speedup or the grid-vs-brute "
-        "build speedup falls below its floor",
+        help="fail (exit 1) when the batched speedup falls below its floor",
     )
     sweep = sub.add_parser(
         "sweep",
@@ -396,23 +391,15 @@ def _command_bench(args: argparse.Namespace) -> int:
 
     hotpath = bench.run_hotpath_bench(quick=args.quick)
     print(bench.render_hotpath_table(hotpath))
-    setup = bench.run_setup_bench(quick=args.quick)
-    print(bench.render_setup_table(setup))
-    for path in bench.write_bench_artifacts(
-        args.output_dir, hotpath=hotpath, setup=setup
-    ):
+    for path in bench.write_bench_artifacts(args.output_dir, hotpath):
         print(f"wrote {path}")
     if not args.check:
         return 0
-    verdicts = (
-        bench.check_batched_floor(
-            hotpath, bench.BATCH_FLOOR, bench.BATCH_FLOOR_WINDOW
-        ),
-        bench.check_setup_floor(setup, bench.SETUP_FLOOR),
+    ok, message = bench.check_batched_floor(
+        hotpath, bench.BATCH_FLOOR, bench.BATCH_FLOOR_WINDOW
     )
-    for _, message in verdicts:
-        print(message)
-    return 0 if all(ok for ok, _ in verdicts) else 1
+    print(message)
+    return 0 if ok else 1
 
 
 def _command_sweep(args: argparse.Namespace) -> int:

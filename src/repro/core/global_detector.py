@@ -125,51 +125,6 @@ class GlobalOutlierDetector(OutlierDetector):
     # ------------------------------------------------------------------
     # Protocol events
     # ------------------------------------------------------------------
-    def initialize(self) -> Optional[OutlierMessage]:
-        self.stats.events_processed += 1
-        return self._process()
-
-    def add_local_points(
-        self, points: Iterable[DataPoint]
-    ) -> Optional[OutlierMessage]:
-        batch = EventBatch()
-        changed = self._apply_local_additions(points, batch)
-        self._commit_batch(batch)
-        if not changed:
-            return None
-        self.stats.events_processed += 1
-        return self._process()
-
-    def evict_points(self, points: Iterable[DataPoint]) -> Optional[OutlierMessage]:
-        batch = EventBatch()
-        changed = self._apply_evictions(points, batch)
-        self._commit_batch(batch)
-        if not changed:
-            return None
-        self.stats.events_processed += 1
-        return self._process()
-
-    def update_local_data(
-        self,
-        added: Iterable[DataPoint],
-        evicted: Iterable[DataPoint],
-    ) -> Optional[OutlierMessage]:
-        # One batch for the whole tick: evictions and arrivals share a
-        # single index application (apply_batch evicts first, exactly like
-        # the sequential order below).
-        batch = EventBatch()
-        changed_evict = self._apply_evictions(evicted, batch)
-        changed_add = self._apply_local_additions(added, batch)
-        self._commit_batch(batch)
-        if not (changed_evict or changed_add):
-            return None
-        self.stats.events_processed += 1
-        return self._process()
-
-    def _commit_batch(self, batch: EventBatch) -> None:
-        if batch:
-            self._index.apply_batch(batch)
-
     def _apply_local_additions(
         self, points: Iterable[DataPoint], batch: EventBatch
     ) -> bool:
@@ -247,9 +202,7 @@ class GlobalOutlierDetector(OutlierDetector):
     def neighborhood_changed(
         self, neighbors: Iterable[int]
     ) -> Optional[OutlierMessage]:
-        new_neighbors = {int(j) for j in neighbors}
-        if self.sensor_id in new_neighbors:
-            raise ProtocolError("a sensor cannot be its own neighbor")
+        new_neighbors = self._neighbor_set(neighbors)
         if new_neighbors == self._neighbors:
             return None
         # Links that went down: the exchanged points remain held (they will

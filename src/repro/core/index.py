@@ -317,13 +317,6 @@ class NeighborhoodIndex:
         """
         self._observers.append(observer)
 
-    def detach(self, observer) -> None:
-        """Unregister a mutation observer (no-op when absent)."""
-        try:
-            self._observers.remove(observer)
-        except ValueError:
-            pass
-
     # ------------------------------------------------------------------
     # Mutations
     # ------------------------------------------------------------------

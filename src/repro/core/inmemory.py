@@ -36,24 +36,11 @@ class DeliveryLog:
         self.messages.append(message)
 
     @property
-    def message_count(self) -> int:
-        return len(self.messages)
-
-    @property
     def point_transmissions(self) -> int:
         """Total number of distinct points placed on the wire, summed over
         packets (a point tagged for several recipients is counted once per
         packet, as it is transmitted once thanks to broadcast)."""
         return sum(len(m.unique_points()) for m in self.messages)
-
-    @property
-    def point_entries(self) -> int:
-        """Total number of (point, recipient) pairs."""
-        return sum(m.total_point_entries() for m in self.messages)
-
-    @property
-    def bytes_on_air(self) -> int:
-        return sum(m.wire_size_bytes() for m in self.messages)
 
 
 class InMemoryNetwork:
@@ -116,11 +103,6 @@ class InMemoryNetwork:
         """Queue a message produced outside the network's own delivery loop
         (e.g. by driving a detector's event methods directly)."""
         self._enqueue(message)
-
-    def initialize_all(self) -> None:
-        """Fire the initialisation event on every sensor."""
-        for sensor_id in sorted(self.detectors):
-            self._enqueue(self.detectors[sensor_id].initialize())
 
     def inject_local_data(
         self, datasets: Mapping[int, Iterable[DataPoint]]

@@ -11,14 +11,23 @@ broadcast or ``None`` when the sensor has nothing to say.
 Keeping the protocol free of IO lets the same detector code run under the
 discrete-event simulator, inside unit tests that drive events by hand, and in
 the property-based convergence tests that explore arbitrary event orderings.
+
+:class:`OutlierDetector` also holds the event template both detectors share:
+events (i) and (ii) stage their index changes in one
+:class:`~repro.core.batch.EventBatch`, commit it, and run the subclass's
+``_process`` only when the sensor's state changed.  A subclass supplies the
+hooks ``_apply_local_additions``, ``_apply_evictions`` and ``_process``,
+plus the message and neighborhood events.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, Optional, Set
 
+from .batch import EventBatch
+from .errors import ProtocolError
 from .messages import OutlierMessage
 from .outliers import OutlierQuery
 from .points import DataPoint
@@ -74,10 +83,18 @@ class OutlierDetector(ABC):
     ) -> None:
         self.sensor_id = int(sensor_id)
         self.query = query
-        self._neighbors: Set[int] = {int(j) for j in neighbors}
-        if self.sensor_id in self._neighbors:
-            raise ValueError("a sensor cannot be its own neighbor")
+        self._neighbors: Set[int] = self._neighbor_set(neighbors)
         self.stats = DetectorStatistics()
+
+    def _neighbor_set(self, neighbors: Iterable[int]) -> Set[int]:
+        """``neighbors`` as a set of ids; listing this sensor raises
+        :class:`~repro.core.errors.ProtocolError`."""
+        result = {int(j) for j in neighbors}
+        if self.sensor_id in result:
+            raise ProtocolError(
+                f"sensor {self.sensor_id} cannot be its own neighbor"
+            )
+        return result
 
     # ------------------------------------------------------------------
     # Read-only views
@@ -112,20 +129,21 @@ class OutlierDetector(ABC):
     # ------------------------------------------------------------------
     # Protocol events
     # ------------------------------------------------------------------
-    @abstractmethod
     def initialize(self) -> Optional[OutlierMessage]:
         """Event (i): the algorithm is initialised on this sensor."""
+        self.stats.events_processed += 1
+        return self._process()
 
-    @abstractmethod
     def add_local_points(
         self, points: Iterable[DataPoint]
     ) -> Optional[OutlierMessage]:
         """Event (ii): new locally-sampled points are appended to ``D_i``."""
+        return self._local_change(points, ())
 
-    @abstractmethod
     def evict_points(self, points: Iterable[DataPoint]) -> Optional[OutlierMessage]:
         """Event (ii): points leave the sliding window and are deleted from
         ``P_i`` regardless of where they originated."""
+        return self._local_change((), points)
 
     @abstractmethod
     def handle_message(
@@ -141,7 +159,6 @@ class OutlierDetector(ABC):
         """Event (iv): a link went up or down; ``neighbors`` is the new
         immediate neighborhood ``Γ_i``."""
 
-    @abstractmethod
     def update_local_data(
         self,
         added: Iterable[DataPoint],
@@ -150,6 +167,48 @@ class OutlierDetector(ABC):
         """Event (ii) combined form: one sampling round both appends newly
         sampled points and expires old ones; treating the two changes as a
         single event avoids building two packets per round."""
+        return self._local_change(added, evicted)
+
+    def _local_change(
+        self, added: Iterable[DataPoint], evicted: Iterable[DataPoint]
+    ) -> Optional[OutlierMessage]:
+        # One batch for the whole change: evictions and arrivals share a
+        # single index application (apply_batch evicts first, in the order
+        # staged here).
+        batch = EventBatch()
+        changed = self._apply_evictions(evicted, batch)
+        if self._apply_local_additions(added, batch):
+            changed = True
+        self._commit_batch(batch)
+        if not changed:
+            return None
+        self.stats.events_processed += 1
+        return self._process()
+
+    def _commit_batch(self, batch: EventBatch) -> None:
+        if batch:
+            self._index.apply_batch(batch)
+
+    # ------------------------------------------------------------------
+    # Hooks of the event template
+    # ------------------------------------------------------------------
+    def _apply_local_additions(
+        self, points: Iterable[DataPoint], batch: EventBatch
+    ) -> bool:
+        """Add locally sampled points to the state and stage their index
+        changes in ``batch``; True when the state changed."""
+        raise NotImplementedError
+
+    def _apply_evictions(
+        self, points: Iterable[DataPoint], batch: EventBatch
+    ) -> bool:
+        """Drop expired points from the state and stage their index changes
+        in ``batch``; True when the state changed."""
+        raise NotImplementedError
+
+    def _process(self) -> Optional[OutlierMessage]:
+        """Run the algorithm's per-event loop and build its message."""
+        raise NotImplementedError
 
     # ------------------------------------------------------------------
     # Convenience wrappers

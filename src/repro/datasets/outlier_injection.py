@@ -75,9 +75,6 @@ class InjectionRecord:
     def count(self) -> int:
         return len(self.all_keys)
 
-    def is_injected(self, point: DataPoint) -> bool:
-        return point.rest in self.all_keys
-
 
 def _replace_value(point: DataPoint, new_temperature: float) -> DataPoint:
     values = (new_temperature,) + point.values[1:]

@@ -73,10 +73,6 @@ class SensorDataset:
             return 0
         return len(next(iter(self.streams.values())))
 
-    @property
-    def first_epoch(self) -> int:
-        return min(p.epoch for p in next(iter(self.streams.values())))
-
     # ------------------------------------------------------------------
     # Views used by the runner
     # ------------------------------------------------------------------

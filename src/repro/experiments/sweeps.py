@@ -164,9 +164,8 @@ def run_stress_loss(profile: ExperimentProfile) -> Sequence[FigureResult]:
 # ----------------------------------------------------------------------
 # New workload 2: large-network scaling sweep
 # ----------------------------------------------------------------------
-#: Network sizes per profile.  With scenario setup running through the
-#: spatial index, the paper-scale grid probes 1k/4k/16k sensors -- two to
-#: three hundred times the paper's 53-node deployment.
+#: Network sizes per profile.  The paper-scale grid probes 1k/4k/16k
+#: sensors -- two to three hundred times the paper's 53-node deployment.
 _SCALING_COUNTS = {
     "tiny": (8, 12),
     "quick": (32, 64),

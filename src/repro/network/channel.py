@@ -175,10 +175,6 @@ class WirelessChannel:
         except KeyError:
             raise SimulationError(f"no node attached with id {node_id}") from None
 
-    @property
-    def attached_ids(self) -> list:
-        return sorted(self._nodes)
-
     # ------------------------------------------------------------------
     # Transmission
     # ------------------------------------------------------------------

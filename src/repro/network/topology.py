@@ -6,27 +6,16 @@ directly when their Euclidean distance does not exceed the range (the classic
 unit-disk graph model, which is also what SENSE's free-space propagation with
 a fixed reception threshold produces).
 
-:class:`Topology` builds and queries that graph.  Construction runs through
-the uniform-grid spatial index (:class:`~repro.core.spatial.GridIndex`, cell
-size = transmission range): bucketing is one O(n log n) argsort and the edge
-set comes from per-cell block distance kernels, so a 16k-node deployment
-builds in tens of milliseconds where the historical all-pairs double loop
-took minutes.  That double loop is retained, selectable with
-``builder="brute"``, as the oracle the grid path is validated against --
-``tests/test_spatial.py`` proves both builders produce bit-identical edge
-sets on every registered layout generator.
-
-The hot queries (neighbors, BFS hop distances, shortest-path trees,
+:class:`Topology` builds and queries that graph.  The edge set comes from one
+all-pairs loop, ``math.hypot(dx, dy) <= range`` over ascending index pairs;
+the hot queries (neighbors, BFS hop distances, shortest-path trees,
 connectivity) run on CSR-style flat adjacency arrays built once at
-construction; a :mod:`networkx` view of the same graph is available behind
-the lazily-built :meth:`Topology.graph` compatibility accessor but is never
-needed on the simulation path.
+construction.
 
 Determinism: neighbor lists are exposed in ascending node-id order, BFS
 explores neighbors in that order with a FIFO frontier, so every derived
 structure (hop distances, shortest-path trees and their tie-breaks) is a
-pure function of the placement set -- and matches what the historical
-networkx traversals produced for id-ordered placements.
+pure function of the placement set.
 """
 
 from __future__ import annotations
@@ -38,9 +27,29 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from ..core.errors import TopologyError
-from ..core.spatial import GridIndex, brute_force_pairs
 
-__all__ = ["NodePlacement", "Topology"]
+__all__ = ["NodePlacement", "Topology", "unit_disk_pairs"]
+
+
+def unit_disk_pairs(
+    xs: Sequence[float], ys: Sequence[float], radius: float
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Every index pair ``i < j`` with ``math.hypot(dx, dy) <= radius``, in
+    ascending ``(i, j)`` order, as two int64 arrays."""
+    count = len(xs)
+    first: List[int] = []
+    second: List[int] = []
+    for i in range(count):
+        xi = xs[i]
+        yi = ys[i]
+        for j in range(i + 1, count):
+            if math.hypot(xi - xs[j], yi - ys[j]) <= radius:
+                first.append(i)
+                second.append(j)
+    return (
+        np.asarray(first, dtype=np.int64),
+        np.asarray(second, dtype=np.int64),
+    )
 
 
 @dataclass(frozen=True)
@@ -68,29 +77,18 @@ class Topology:
         Node placements; identifiers must be unique.
     transmission_range:
         Maximum distance (metres) at which two nodes hear each other.
-    builder:
-        ``"grid"`` (default) builds the edge set through the uniform-grid
-        spatial index; ``"brute"`` runs the historical O(n^2) double loop.
-        Both produce bit-identical edge sets -- ``"brute"`` exists as the
-        oracle for equivalence tests and benchmarks.
     """
 
     def __init__(
         self,
         placements: Iterable[NodePlacement],
         transmission_range: float,
-        builder: str = "grid",
     ) -> None:
         if transmission_range <= 0:
             raise TopologyError(
                 f"transmission range must be positive, got {transmission_range}"
             )
-        if builder not in ("grid", "brute"):
-            raise TopologyError(
-                f"unknown topology builder {builder!r}; expected 'grid' or 'brute'"
-            )
         self.transmission_range = float(transmission_range)
-        self.builder = builder
         self._placements: Dict[int, NodePlacement] = {}
         for placement in placements:
             if placement.node_id in self._placements:
@@ -105,25 +103,11 @@ class Topology:
         self._index_of: Dict[int, int] = {
             node_id: index for index, node_id in enumerate(self._node_ids)
         }
-        self._xs = np.array(
-            [self._placements[n].x for n in self._node_ids], dtype=np.float64
+        edge_a, edge_b = unit_disk_pairs(
+            [float(self._placements[n].x) for n in self._node_ids],
+            [float(self._placements[n].y) for n in self._node_ids],
+            self.transmission_range,
         )
-        self._ys = np.array(
-            [self._placements[n].y for n in self._node_ids], dtype=np.float64
-        )
-
-        self._grid: Optional[GridIndex] = None
-        if builder == "grid":
-            self._grid = GridIndex(
-                self._xs, self._ys, cell_size=self.transmission_range
-            )
-            edge_a, edge_b = self._grid.pairs_within_radius(
-                self.transmission_range
-            )
-        else:
-            edge_a, edge_b = brute_force_pairs(
-                self._xs, self._ys, self.transmission_range
-            )
         self._edge_a = edge_a
         self._edge_b = edge_b
 
@@ -159,21 +143,19 @@ class Topology:
         self._adjacency_cache: Optional[Dict[int, Set[int]]] = None
         self._connected: Optional[bool] = None
         self._components_cache: Optional[List[List[int]]] = None
-        self._nx_graph = None
 
     @classmethod
     def from_positions(
         cls,
         positions: Mapping[int, Tuple[float, float]],
         transmission_range: float,
-        builder: str = "grid",
     ) -> "Topology":
         """Build a topology from a ``{node_id: (x, y)}`` mapping."""
         placements = [
             NodePlacement(node_id, float(x), float(y))
             for node_id, (x, y) in positions.items()
         ]
-        return cls(placements, transmission_range, builder=builder)
+        return cls(placements, transmission_range)
 
     # ------------------------------------------------------------------
     # Queries
@@ -364,30 +346,12 @@ class Topology:
         visit_order, _, _ = self._bfs(self._index(source), max_hops=max_hops)
         return {self._node_ids[index] for index in visit_order}
 
-    def shortest_path(self, a: int, b: int) -> List[int]:
-        """One shortest path (as a list of node ids) between two nodes.
-
-        Deterministic: the path follows the ascending-id BFS tree rooted at
-        ``a``.
-        """
-        index_a = self._index(a)
-        index_b = self._index(b)
-        _, distances, parents = self._bfs(index_a, target_index=index_b)
-        if distances[index_b] < 0:
-            raise TopologyError(f"no path between nodes {a} and {b}")
-        reversed_path = [index_b]
-        while reversed_path[-1] != index_a:
-            reversed_path.append(parents[reversed_path[-1]])
-        return [self._node_ids[index] for index in reversed(reversed_path)]
-
     def shortest_path_tree(self, sink: int) -> Dict[int, Optional[int]]:
         """Next-hop table towards ``sink``: ``{node: next_hop_or_None}``.
 
         The sink maps to ``None``; unreachable nodes are absent.  A node's
         next hop is its parent in the BFS tree rooted at the sink, which is
-        exactly the predecessor relation the historical
-        ``networkx.single_source_shortest_path`` call produced.  Used by the
-        static-routing variant of the centralized baseline and as the ground
+        the first node that discovered it.  Used by the static-routing variant of the centralized baseline and as the ground
         truth AODV should discover.
         """
         sink_index = self._index(sink)
@@ -407,51 +371,6 @@ class Topology:
             _, distances, _ = self._bfs(index)
             worst = max(worst, max(distances))
         return worst
-
-    # ------------------------------------------------------------------
-    # Compatibility accessors
-    # ------------------------------------------------------------------
-    def spatial_index(self) -> GridIndex:
-        """The grid index over this topology's node positions.
-
-        Built during construction for the default builder; materialised on
-        first use for the brute-force oracle builder.  Point indices in the
-        returned :class:`~repro.core.spatial.GridIndex` are positions in
-        :attr:`node_ids` (ascending-id order).
-        """
-        if self._grid is None:
-            self._grid = GridIndex(
-                self._xs, self._ys, cell_size=self.transmission_range
-            )
-        return self._grid
-
-    def graph(self):
-        """A copy of the topology as a :class:`networkx.Graph`.
-
-        networkx is only needed by callers that want generic graph
-        algorithms on top of the topology; none of the simulation path does,
-        so the graph is built lazily on first access and cached.  Edge
-        ``distance`` attributes carry the same ``math.hypot`` values the
-        historical eager builder stored.
-        """
-        if self._nx_graph is None:
-            import networkx as nx
-
-            graph = nx.Graph()
-            for node_id in self._node_ids:
-                graph.add_node(node_id, pos=self._placements[node_id].position)
-            for a, b in zip(self._edge_a.tolist(), self._edge_b.tolist()):
-                id_a = self._node_ids[a]
-                id_b = self._node_ids[b]
-                graph.add_edge(
-                    id_a,
-                    id_b,
-                    distance=self._placements[id_a].distance_to(
-                        self._placements[id_b]
-                    ),
-                )
-            self._nx_graph = graph
-        return self._nx_graph.copy()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

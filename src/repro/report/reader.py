@@ -15,7 +15,7 @@ Everything the report site renders comes through here:
   :meth:`~repro.orchestrator.store.ResultStore.health`, so a report over a
   store with quarantined entries says so instead of silently rendering the
   survivors.
-* :func:`load_bench_artifacts` -- the five ``BENCH_*.json`` perf artifacts
+* :func:`load_bench_artifacts` -- the ``BENCH_hotpath.json`` perf artifact
   (plus the trajectory artifact), each validated against its schema
   (:mod:`repro.report.schemas`) before anything reads a number out of it.
 """

@@ -12,8 +12,7 @@ rejection per schema) against the same code.
 Each validator checks both *structure* (required keys, value types) and the
 *semantic invariants* an artifact must never violate regardless of the
 machine that produced it -- e.g. a hotpath artifact without its batched
-columns, or a setup artifact without a brute speedup below its brute cap,
-is invalid, not merely slow.
+columns is invalid, not merely slow.
 
 The validated benchmark kinds and their current schema versions are listed
 in :data:`SCHEMA_VERSIONS`; ``trajectory`` is the cross-PR perf-trajectory
@@ -41,7 +40,6 @@ __all__ = [
 #: ``benchmark`` field -> current schema version, for every artifact kind.
 SCHEMA_VERSIONS: Dict[str, int] = {
     "hotpath": 3,
-    "setup": 1,
     "trajectory": 1,
 }
 
@@ -121,21 +119,6 @@ def _validate_hotpath(payload: Mapping[str, Any]) -> None:
             _positive(cell, "speedup", context)
 
 
-def _validate_setup(payload: Mapping[str, Any]) -> None:
-    _header(payload, "setup")
-    brute_cap = _positive(payload, "brute_cap", "setup")
-    for row in _rows(payload, "sizes", "setup"):
-        context = f"setup size {row.get('nodes')!r}"
-        nodes = _positive(row, "nodes", context)
-        _positive(row, "grid_ms", context)
-        _positive(row, "layout_ms", context)
-        _positive(row, "edges", context)
-        _positive(row, "terrain", context)
-        if nodes <= brute_cap:
-            _positive(row, "brute_ms", context)
-            _positive(row, "speedup", context)
-
-
 def _validate_trajectory(payload: Mapping[str, Any]) -> None:
     _header(payload, "trajectory")
     for entry in _rows(payload, "entries", "trajectory"):
@@ -165,7 +148,6 @@ def _validate_trajectory(payload: Mapping[str, Any]) -> None:
 
 _VALIDATORS: Dict[str, Callable[[Mapping[str, Any]], None]] = {
     "hotpath": _validate_hotpath,
-    "setup": _validate_setup,
     "trajectory": _validate_trajectory,
 }
 

@@ -1,22 +1,22 @@
 """Cross-PR perf trajectory: extraction, the v1 artifact, regression diffs.
 
-The two committed ``BENCH_*.json`` measurement artifacts (hotpath and
-setup) each record one PR's measurement of one subsystem.  This module
-flattens them into a single namespace of **trajectory metrics** and
-maintains ``results/BENCH_trajectory.json`` (schema v1), which appends one
-entry per PR so the perf story of the repo is a diffable artifact instead
-of archaeology over git history.  Older entries also hold ``e2e.*`` keys
-from a single-run scenario suite that ``perfbench/`` has since replaced; no
-artifact produces them any more, so diffs list them as base-only.
+The committed ``BENCH_hotpath.json`` measurement artifact records one PR's
+measurement of the detector hot path.  This module flattens it into a
+namespace of **trajectory metrics** and maintains
+``results/BENCH_trajectory.json`` (schema v1), which appends one entry per
+PR so the perf story of the repo is a diffable artifact instead of
+archaeology over git history.  Older entries also hold ``e2e.*`` keys from
+a single-run scenario suite that ``perfbench/`` has since replaced, and
+``setup.*`` keys from a topology-build suite retired with the grid spatial
+index; no artifact produces them any more, so diffs list them as base-only.
 
 Metric keys are parameterised by the configuration that produced them --
-``hotpath.batched_speedup.w256``, ``setup.grid_ms.n4096`` -- because a number
-measured at a different window/network size is a *different metric*, not a
-comparable one.  A diff therefore only compares the **intersection** of two
-entries' keys: a quick CI run (windows 64/256, setup at 512/2048 nodes)
-gates against a committed full run exactly on the configurations both
-measured, and everything else is listed as skipped rather than silently
-compared across configs.
+``hotpath.batched_speedup.w256`` -- because a number measured at a
+different window size is a *different metric*, not a comparable one.  A
+diff therefore only compares the **intersection** of two entries' keys: a
+quick CI run (windows 64/256) gates against a committed full run exactly on
+the configurations both measured, and everything else is listed as skipped
+rather than silently compared across configs.
 
 Regression gating is deliberately restricted to **dimensionless speedup
 ratios**, with generous per-metric thresholds: raw latencies and
@@ -24,8 +24,8 @@ wall-clocks vary several-fold between a dev box and a shared CI runner, so
 they are tracked and rendered but never gated -- the absolute floors in
 CI's perf-smoke job already guard them at fixed configurations.  The gate
 here exists to catch the order-of-magnitude regressions (a batched path
-that stopped batching, a grid topology build that fell back to all-pairs)
-that a same-machine floor can miss when the floor itself is conservative.
+that stopped batching) that a same-machine floor can miss when the floor
+itself is conservative.
 """
 
 from __future__ import annotations
@@ -84,15 +84,6 @@ def extract_metrics(
                 row["batched_speedup"]
             )
 
-    setup = artifacts.get("setup")
-    if setup is not None:
-        for row in setup["sizes"]:
-            n = int(row["nodes"])
-            metrics[f"setup.layout_ms.n{n}"] = float(row["layout_ms"])
-            metrics[f"setup.grid_ms.n{n}"] = float(row["grid_ms"])
-            if row.get("speedup") is not None:
-                metrics[f"setup.speedup.n{n}"] = float(row["speedup"])
-
     return dict(sorted(metrics.items()))
 
 
@@ -120,7 +111,6 @@ class MetricGate:
 #: fires near 1x -- batching that no longer amortizes anything.
 GATES: Tuple[MetricGate, ...] = (
     MetricGate("hotpath.batched_speedup.", ratio=0.2),
-    MetricGate("setup.speedup.", ratio=0.25),
 )
 
 

@@ -377,11 +377,11 @@ class FaultRuntime:
         self.plan = plan
         self._nodes = nodes
         self._apps = apps
-        # Preferred: query neighborhoods lazily through the topology's
-        # spatial index / CSR adjacency, so a crash or recovery touches only
-        # the affected node's own neighborhood (O(degree)), never a
-        # whole-network adjacency materialisation.  The ``adjacency`` dict
-        # remains accepted for callers that assemble runtimes by hand.
+        # Preferred: query neighborhoods lazily through the topology's CSR
+        # adjacency, so a crash or recovery touches only the affected node's
+        # own neighborhood (O(degree)), never a whole-network adjacency
+        # materialisation.  The ``adjacency`` dict remains accepted for
+        # callers that assemble runtimes by hand.
         self._topology = topology
         self._adjacency = adjacency or {}
         self._down_depth: Dict[int, int] = {node_id: 0 for node_id in nodes}

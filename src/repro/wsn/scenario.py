@@ -197,9 +197,6 @@ class ScenarioConfig:
     def with_seed(self, seed: int) -> "ScenarioConfig":
         return replace(self, seed=seed)
 
-    def with_faults(self, faults: FaultConfig) -> "ScenarioConfig":
-        return replace(self, faults=faults)
-
     def label(self) -> str:
         """Plot label (delegates to the detection configuration)."""
         return self.detection.label()

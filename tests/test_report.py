@@ -76,7 +76,7 @@ RESULTS_DIR = Path(__file__).resolve().parent.parent / "results"
 GOLDEN_ROOT = Path(__file__).resolve().parent / "goldens" / "report"
 
 #: All committed benchmark measurement artifacts (kind -> filename).
-COMMITTED_KINDS = ("hotpath", "setup")
+COMMITTED_KINDS = ("hotpath",)
 
 
 @pytest.fixture(autouse=True)
@@ -400,6 +400,15 @@ class TestReader:
         (tmp_path / "BENCH_e2e.json").write_text("{}")
         assert sorted(load_bench_artifacts(tmp_path)) == ["hotpath"]
 
+    def test_load_bench_artifacts_ignores_a_stray_setup_file(self, tmp_path):
+        """``BENCH_setup.json`` left with the grid spatial index: a leftover
+        copy in a bench directory is neither validated nor read."""
+        (tmp_path / "BENCH_hotpath.json").write_text(
+            json.dumps(FIXTURE_HOTPATH)
+        )
+        (tmp_path / "BENCH_setup.json").write_text("{}")
+        assert sorted(load_bench_artifacts(tmp_path)) == ["hotpath"]
+
 
 # ----------------------------------------------------------------------
 # Schemas: every committed artifact validates; malformations are rejected
@@ -435,11 +444,20 @@ class TestSchemas:
             validate_bench(payload)
         assert not (RESULTS_DIR / "BENCH_e2e.json").exists()
 
-    def test_setup_rejects_missing_brute_cap(self):
-        payload = self._committed("setup")
-        del payload["brute_cap"]
-        with pytest.raises(SchemaError, match="brute_cap"):
+    def test_setup_payload_is_an_unknown_kind(self):
+        payload = {
+            "benchmark": "setup",
+            "schema": 1,
+            "brute_cap": 4096,
+            "sizes": [
+                {"nodes": 1024, "terrain": 219.8, "layout_ms": 1.0,
+                 "grid_ms": 10.0, "brute_ms": 70.0, "speedup": 7.0,
+                 "edges": 2548}
+            ],
+        }
+        with pytest.raises(SchemaError, match="unknown benchmark kind 'setup'"):
             validate_bench(payload)
+        assert not (RESULTS_DIR / "BENCH_setup.json").exists()
 
     def test_trajectory_rejects_non_numeric_metric(self):
         payload = copy.deepcopy(FIXTURE_TRAJECTORY)
@@ -623,12 +641,10 @@ class TestTrajectory:
     def test_extraction_over_committed_artifacts(self):
         metrics = extract_metrics(load_bench_artifacts(RESULTS_DIR))
         assert "hotpath.batched_speedup.w256" in metrics
-        assert "setup.speedup.n4096" in metrics
-        assert not any(key.startswith("e2e.") for key in metrics)
+        assert not any(key.startswith(("e2e.", "setup.")) for key in metrics)
 
     def test_gates_cover_ratios_but_not_raw_latencies(self):
         assert gate_for("hotpath.batched_speedup.w256") is not None
-        assert gate_for("setup.speedup.n4096") is not None
         assert gate_for("hotpath.indexed_ms.w256") is None
         assert gate_for("e2e.total_wallclock_s") is None
 
@@ -669,6 +685,26 @@ class TestTrajectory:
         assert e2e_keys <= set(report.only_base)
         assert not any(row.key.startswith("e2e.") for row in report.rows)
         assert all(gate_for(key) is None for key in e2e_keys)
+
+    def test_older_setup_keys_diff_as_base_only(self):
+        """Entries from before the grid spatial index's removal keep their
+        ``setup.*`` keys; diffing current artifacts against one lists them
+        as base-only and gates none of them."""
+        assert gate_for("setup.speedup.n4096") is None
+        payload = load_trajectory(RESULTS_DIR / "BENCH_trajectory.json")
+        older = [
+            entry for entry in payload["entries"]
+            if any(key.startswith("setup.") for key in entry["metrics"])
+        ]
+        assert older, "no committed entry carries setup keys"
+        artifacts = load_bench_artifacts(RESULTS_DIR)
+        artifacts.pop("trajectory", None)
+        report = diff_metrics(older[-1]["metrics"], extract_metrics(artifacts))
+        setup_keys = {k for k in older[-1]["metrics"] if k.startswith("setup.")}
+        assert "setup.speedup.n4096" in setup_keys
+        assert setup_keys <= set(report.only_base)
+        assert report.ok
+        assert all(gate_for(key) is None for key in setup_keys)
 
     def test_self_diff_is_clean(self):
         metrics = extract_metrics({"hotpath": FIXTURE_HOTPATH})

@@ -1,241 +1,249 @@
-"""Equivalence and correctness tests for the uniform-grid spatial index.
+"""Unit-disk topology construction and its CSR queries.
 
-The grid kernel (:mod:`repro.core.spatial`) replaced the O(n^2) all-pairs
-scan in topology construction and the all-placed-points scan in
-``random_layout``.  Its contract is *bit-identical* results against the
-retained brute-force oracles, so these tests sweep every layout generator
--- including the adversarial cases: pair distance exactly equal to the
-radius, many points sharing one grid cell, and mostly-empty grids.
+:class:`~repro.network.topology.Topology` builds its edge set with one
+all-pairs loop (:func:`~repro.network.topology.unit_disk_pairs`, the test
+``math.hypot(dx, dy) <= range`` over ascending index pairs) and answers
+neighbor, BFS and connectivity queries from flat CSR arrays.  These tests
+check the loop on its boundary cases -- pair distance exactly equal to the
+range, coincident points, empty and single-point inputs -- pin the edge
+sets of every layout generator, and check every query against a
+plain-Python oracle built here from the placements alone (an all-pairs
+adjacency dict and a dict BFS), independent of the CSR arrays.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
+from collections import deque
 
 import numpy as np
 import pytest
 
-from repro.core.errors import ConfigurationError, DatasetError
-from repro.core.spatial import GridIndex, brute_force_pairs
+from repro.core.errors import DatasetError, TopologyError
 from repro.datasets.layout import (
     DEFAULT_TRANSMISSION_RANGE,
     grid_layout,
     intel_lab_layout,
     random_layout,
 )
-from repro.network.topology import Topology
-
-
-def _coords(positions):
-    """(xs, ys) arrays in ascending-id order from a layout mapping."""
-    ids = sorted(positions)
-    xs = np.array([positions[i][0] for i in ids], dtype=np.float64)
-    ys = np.array([positions[i][1] for i in ids], dtype=np.float64)
-    return xs, ys
+from repro.experiments.sweeps import scaling_terrain
+from repro.network.topology import Topology, unit_disk_pairs
 
 
 def _pair_set(first, second):
     return set(zip(first.tolist(), second.tolist()))
 
 
-# Every registered layout generator, at the paper's range and at a range
-# that is NOT the grid cell size's natural fit.  The 10x10 grid at spacing
-# exactly equal to the range is the boundary case: every lattice edge sits
-# at distance == radius, where one misrounded comparison would flip
-# hundreds of edges.
-LAYOUTS = [
-    pytest.param(intel_lab_layout(), DEFAULT_TRANSMISSION_RANGE, id="lab53"),
-    pytest.param(
+def _oracle_adjacency(positions, radius):
+    """``{node: ascending neighbor list}`` straight from the placements."""
+    ids = sorted(positions)
+    adjacency = {node: [] for node in ids}
+    for a in ids:
+        ax, ay = positions[a]
+        for b in ids:
+            bx, by = positions[b]
+            if a != b and math.hypot(ax - bx, ay - by) <= radius:
+                adjacency[a].append(b)
+    return adjacency
+
+
+def _oracle_bfs(adjacency, source):
+    """Hop distances and BFS-tree parents of every node reachable from
+    ``source``: FIFO queue, neighbors in ascending id order."""
+    distances = {source: 0}
+    parents = {source: None}
+    queue = deque([source])
+    while queue:
+        node = queue.popleft()
+        for neighbor in adjacency[node]:
+            if neighbor not in distances:
+                distances[neighbor] = distances[node] + 1
+                parents[neighbor] = node
+                queue.append(neighbor)
+    return distances, parents
+
+
+def _edge_digest(topology):
+    text = "".join(
+        f"{a},{b}\n"
+        for a, b in zip(topology._edge_a.tolist(), topology._edge_b.tolist())
+    )
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+# Every registered layout generator, at the paper's range and at other
+# ranges.  The 10x10 grid at spacing exactly equal to the range is the
+# boundary case: every lattice edge sits at distance == range, where one
+# misrounded comparison would flip hundreds of edges.
+_LAYOUTS = {
+    "lab53": (intel_lab_layout(), DEFAULT_TRANSMISSION_RANGE),
+    "lab200-dense": (
         intel_lab_layout(node_count=200, terrain_size=50.0),
         DEFAULT_TRANSMISSION_RANGE,
-        id="lab200-dense",
     ),
-    pytest.param(grid_layout(12, 9, spacing=5.0), 6.0, id="grid12x9"),
-    pytest.param(
+    "grid12x9": (grid_layout(12, 9, spacing=5.0), 6.0),
+    "grid-boundary": (
         grid_layout(10, 10, spacing=DEFAULT_TRANSMISSION_RANGE),
         DEFAULT_TRANSMISSION_RANGE,
-        id="grid-boundary-distance-eq-range",
     ),
-    pytest.param(
-        random_layout(300, terrain_size=100.0, seed=7),
-        8.0,
-        id="random300",
-    ),
-    pytest.param(
-        random_layout(40, terrain_size=200.0, seed=3),
-        6.0,
-        id="random-sparse-empty-cells",
-    ),
-]
+    "random300": (random_layout(300, terrain_size=100.0, seed=7), 8.0),
+    "random-sparse": (random_layout(40, terrain_size=200.0, seed=3), 6.0),
+}
+LAYOUTS = [pytest.param(*layout, id=name) for name, layout in _LAYOUTS.items()]
+
+# (edge count, digest of the "i,j" lines) per layout, recorded from the
+# edge arrays of the grid spatial index this builder replaced; the
+# 1024-node entry is the smallest paper-profile ``scaling-nodes`` layout.
+PINNED_EDGES = {
+    "lab53": (113, "77e647d145810654"),
+    "lab200-dense": (1853, "1b951347efb1b715"),
+    "grid12x9": (195, "1d129cbd6dc36288"),
+    "grid-boundary": (140, "af0d5daf71c2dbcf"),
+    "random300": (800, "495f2eb5c4877c04"),
+    "random-sparse": (6, "34b73e815e9ad7d5"),
+    "scaling1024": (2548, "075f99373ba54c44"),
+}
 
 
 class TestPairsEquivalence:
-    @pytest.mark.parametrize("positions,radius", LAYOUTS)
-    def test_grid_pairs_bit_identical_to_brute_oracle(self, positions, radius):
-        xs, ys = _coords(positions)
-        grid = GridIndex(xs, ys, cell_size=radius)
-        ga, gb = grid.pairs_within_radius(radius)
-        ba, bb = brute_force_pairs(xs, ys, radius)
-        assert np.array_equal(ga, ba)
-        assert np.array_equal(gb, bb)
-        assert ga.dtype == ba.dtype == np.int64
-
-    @pytest.mark.parametrize("positions,radius", LAYOUTS)
-    def test_cell_size_mismatch_keeps_equivalence(self, positions, radius):
-        # The cell size is a performance knob, never a correctness one.
-        xs, ys = _coords(positions)
-        oracle = _pair_set(*brute_force_pairs(xs, ys, radius))
-        for cell in (radius / 3.0, radius * 2.5):
-            grid = GridIndex(xs, ys, cell_size=cell)
-            assert _pair_set(*grid.pairs_within_radius(radius)) == oracle
+    @pytest.mark.parametrize("name", list(PINNED_EDGES))
+    def test_edge_arrays_are_pinned(self, name):
+        if name == "scaling1024":
+            positions = intel_lab_layout(
+                node_count=1024, terrain_size=scaling_terrain(1024)
+            )
+            radius = DEFAULT_TRANSMISSION_RANGE
+        else:
+            positions, radius = _LAYOUTS[name]
+        topology = Topology.from_positions(positions, transmission_range=radius)
+        assert topology._edge_a.dtype == topology._edge_b.dtype == np.int64
+        assert (topology.edge_count, _edge_digest(topology)) == PINNED_EDGES[name]
 
     def test_distance_exactly_equal_to_radius_is_an_edge(self):
         # hypot(3, 4) == 5.0 exactly in floating point.
-        xs = np.array([0.0, 3.0, 100.0])
-        ys = np.array([0.0, 4.0, 100.0])
-        grid = GridIndex(xs, ys, cell_size=5.0)
-        assert _pair_set(*grid.pairs_within_radius(5.0)) == {(0, 1)}
-        # Nudging one coordinate by single ulps keeps the scalar-oracle
-        # agreement even while the true distance hovers within rounding
-        # error of the radius (math.hypot may legitimately still round to
-        # exactly 5.0 here -- the contract is oracle agreement, not a
-        # particular verdict).
+        ys = [0.0, 4.0, 100.0]
+        assert _pair_set(*unit_disk_pairs([0.0, 3.0, 100.0], ys, 5.0)) == {(0, 1)}
+        topology = Topology.from_positions(
+            {0: (0.0, 0.0), 1: (3.0, 4.0), 2: (100.0, 100.0)},
+            transmission_range=5.0,
+        )
+        assert topology.neighbors_sorted(0) == (1,)
+        # Nudged by single ulps the true distance hovers within rounding
+        # error of the range: the verdict is exactly the math.hypot
+        # comparison (which may legitimately still round to 5.0).
         for steps in range(1, 6):
             x = 3.0
             for _ in range(steps):
-                x = np.nextafter(x, 4.0)
-            xs_near = np.array([0.0, x, 100.0])
-            grid_near = GridIndex(xs_near, ys, cell_size=5.0)
-            assert _pair_set(*grid_near.pairs_within_radius(5.0)) == _pair_set(
-                *brute_force_pairs(xs_near, ys, 5.0)
-            )
+                x = math.nextafter(x, 4.0)
+            expected = {(0, 1)} if math.hypot(0.0 - x, 0.0 - 4.0) <= 5.0 else set()
+            assert _pair_set(*unit_disk_pairs([0.0, x, 100.0], ys, 5.0)) == expected
         # A clearly-outside pair is rejected.
-        xs_out = np.array([0.0, 3.001, 100.0])
-        grid_out = GridIndex(xs_out, ys, cell_size=5.0)
-        assert _pair_set(*grid_out.pairs_within_radius(5.0)) == set()
+        assert _pair_set(*unit_disk_pairs([0.0, 3.001, 100.0], ys, 5.0)) == set()
 
     def test_many_points_sharing_one_cell(self):
-        # Coincident and near-coincident points all land in the same cell;
-        # the intra-cell upper-triangle block must enumerate every pair once.
-        xs = np.array([1.0, 1.0, 1.0, 1.2, 1.4])
-        ys = np.array([2.0, 2.0, 2.1, 2.0, 2.3])
-        grid = GridIndex(xs, ys, cell_size=10.0)
-        ga, gb = grid.pairs_within_radius(1.0)
-        ba, bb = brute_force_pairs(xs, ys, 1.0)
-        assert np.array_equal(ga, ba) and np.array_equal(gb, bb)
-        assert len(_pair_set(ga, gb)) == 10  # all C(5,2) pairs within 1 m
+        # Coincident and near-coincident points: every pair is enumerated
+        # exactly once, in ascending (i, j) order.
+        xs = [1.0, 1.0, 1.0, 1.2, 1.4]
+        ys = [2.0, 2.0, 2.1, 2.0, 2.3]
+        first, second = unit_disk_pairs(xs, ys, 1.0)
+        pairs = list(zip(first.tolist(), second.tolist()))
+        assert pairs == [(i, j) for i in range(5) for j in range(i + 1, 5)]
 
     def test_zero_radius_pairs_coincident_points_only(self):
-        xs = np.array([0.0, 0.0, 5.0])
-        ys = np.array([1.0, 1.0, 1.0])
-        grid = GridIndex(xs, ys, cell_size=2.0)
-        assert _pair_set(*grid.pairs_within_radius(0.0)) == {(0, 1)}
+        first, second = unit_disk_pairs([0.0, 0.0, 5.0], [1.0, 1.0, 1.0], 0.0)
+        assert _pair_set(first, second) == {(0, 1)}
 
     def test_degenerate_sizes(self):
-        empty = GridIndex([], [], cell_size=1.0)
-        a, b = empty.pairs_within_radius(5.0)
-        assert a.size == b.size == 0
-        single = GridIndex([3.0], [4.0], cell_size=1.0)
-        a, b = single.pairs_within_radius(5.0)
-        assert a.size == b.size == 0
-
-    def test_invalid_arguments_rejected(self):
-        with pytest.raises(ConfigurationError):
-            GridIndex([0.0], [0.0], cell_size=0.0)
-        with pytest.raises(ConfigurationError):
-            GridIndex([0.0, 1.0], [0.0], cell_size=1.0)
-        grid = GridIndex([0.0], [0.0], cell_size=1.0)
-        with pytest.raises(ConfigurationError):
-            grid.pairs_within_radius(-1.0)
-
-
-class TestPointQueries:
-    def setup_method(self):
-        self.positions = random_layout(120, terrain_size=60.0, seed=11)
-        self.xs, self.ys = _coords(self.positions)
-        self.grid = GridIndex(self.xs, self.ys, cell_size=7.0)
-
-    def _brute_radius(self, x, y, radius):
-        return sorted(
-            i
-            for i in range(self.xs.size)
-            if math.hypot(x - self.xs[i], y - self.ys[i]) <= radius
-        )
-
-    def test_query_radius_matches_brute_scan(self):
-        # Query positions both on and off indexed points, including spots
-        # outside the terrain (whose cells were never occupied).
-        queries = [
-            (self.xs[0], self.ys[0]),
-            (30.0, 30.0),
-            (-5.0, 70.0),
-            (61.3, 2.7),
-        ]
-        for x, y in queries:
-            for radius in (0.0, 3.5, 7.0, 25.0):
-                found = self.grid.query_radius(x, y, radius)
-                assert found.tolist() == self._brute_radius(x, y, radius)
-
-    def test_k_nearest_matches_brute_ranking(self):
-        for x, y in ((30.0, 30.0), (self.xs[5], self.ys[5]), (-10.0, -10.0)):
-            distances = np.hypot(x - self.xs, y - self.ys)
-            ranking = np.lexsort((np.arange(self.xs.size), distances))
-            for k in (1, 4, 17, 120):
-                assert (
-                    self.grid.k_nearest(x, y, k).tolist()
-                    == ranking[:k].tolist()
-                )
-
-    def test_k_nearest_clamps_k_and_breaks_ties_by_index(self):
-        xs = np.array([0.0, 1.0, 1.0, 2.0])
-        ys = np.zeros(4)
-        grid = GridIndex(xs, ys, cell_size=1.0)
-        # Points 1 and 2 are equidistant from the query: ascending index wins.
-        assert grid.k_nearest(1.0, 0.0, 3).tolist()[:2] == [1, 2]
-        assert grid.k_nearest(0.0, 0.0, 99).size == 4
-        with pytest.raises(ConfigurationError):
-            grid.k_nearest(0.0, 0.0, 0)
+        for xs, ys in (([], []), ([3.0], [4.0])):
+            first, second = unit_disk_pairs(xs, ys, 5.0)
+            assert first.size == second.size == 0
+            assert first.dtype == second.dtype == np.int64
+        single = Topology.from_positions({7: (3.0, 4.0)}, transmission_range=5.0)
+        assert single.edge_count == 0
+        assert single.neighbors_sorted(7) == ()
+        assert single.is_connected() and single.diameter() == 0
 
 
 class TestTopologyBuilders:
-    @pytest.mark.parametrize("positions,radius", LAYOUTS)
-    def test_grid_and_brute_builders_agree(self, positions, radius):
-        grid = Topology.from_positions(positions, transmission_range=radius)
-        brute = Topology.from_positions(
-            positions, transmission_range=radius, builder="brute"
-        )
-        assert grid.builder == "grid" and brute.builder == "brute"
-        assert grid.edge_count == brute.edge_count
-        for node_id in grid.node_ids:
-            assert grid.neighbors_sorted(node_id) == brute.neighbors_sorted(
-                node_id
-            )
-
-    def test_unknown_builder_rejected(self):
-        from repro.core.errors import TopologyError
-
-        with pytest.raises(TopologyError):
+    def test_topology_takes_no_builder_argument(self):
+        with pytest.raises(TypeError):
             Topology.from_positions(
-                {0: (0.0, 0.0)}, transmission_range=1.0, builder="kdtree"
+                {0: (0.0, 0.0)}, transmission_range=1.0, builder="grid"
             )
 
-    def test_csr_queries_match_networkx(self):
+    @pytest.mark.parametrize("positions,radius", LAYOUTS)
+    def test_neighbors_match_the_oracle(self, positions, radius):
+        topology = Topology.from_positions(positions, transmission_range=radius)
+        oracle = _oracle_adjacency(positions, radius)
+        assert topology.node_ids == sorted(oracle)
+        assert topology.edge_count == sum(map(len, oracle.values())) // 2
+        for node_id, neighbors in oracle.items():
+            assert topology.neighbors_sorted(node_id) == tuple(neighbors)
+            assert topology.neighbors(node_id) == set(neighbors)
+        assert topology.adjacency() == {n: set(v) for n, v in oracle.items()}
+        degrees = [len(v) for v in oracle.values()]
+        assert topology.degree_statistics() == (
+            min(degrees), sum(degrees) / len(degrees), max(degrees)
+        )
+
+    @pytest.mark.parametrize("positions,radius", LAYOUTS)
+    def test_bfs_queries_match_the_oracle(self, positions, radius):
+        topology = Topology.from_positions(positions, transmission_range=radius)
+        oracle = _oracle_adjacency(positions, radius)
+        ids = sorted(oracle)
+        for source in ids:
+            distances, parents = _oracle_bfs(oracle, source)
+            assert topology.hop_distances_from(source) == distances
+            assert topology.shortest_path_tree(source) == parents
+            for hops in (0, 1, 3):
+                assert topology.nodes_within_hops(source, hops) == {
+                    n for n, d in distances.items() if d <= hops
+                }
+        for a, b in zip(ids, reversed(ids)):
+            distances, _ = _oracle_bfs(oracle, a)
+            if b in distances:
+                assert topology.hop_distance(a, b) == distances[b]
+            else:
+                with pytest.raises(TopologyError):
+                    topology.hop_distance(a, b)
+
+    @pytest.mark.parametrize("positions,radius", LAYOUTS)
+    def test_connectivity_and_diameter_match_the_oracle(self, positions, radius):
+        topology = Topology.from_positions(positions, transmission_range=radius)
+        oracle = _oracle_adjacency(positions, radius)
+        ids = sorted(oracle)
+        unseen = set(ids)
+        components = 0
+        for node in ids:
+            if node in unseen:
+                components += 1
+                unseen -= set(_oracle_bfs(oracle, node)[0])
+        assert topology.is_connected() == (components == 1)
+        if components == 1:
+            topology.require_connected()
+            assert topology.diameter() == max(
+                max(_oracle_bfs(oracle, n)[0].values()) for n in ids
+            )
+        else:
+            with pytest.raises(TopologyError, match=f"{components} components"):
+                topology.require_connected()
+
+    def test_csr_queries_match_plain_oracle(self):
         positions = random_layout(80, terrain_size=40.0, seed=5)
         topology = Topology.from_positions(
             positions, transmission_range=DEFAULT_TRANSMISSION_RANGE
         )
-        graph = topology.graph()
-        import networkx as nx
-
-        assert set(graph.nodes) == set(topology.node_ids)
-        for node_id in topology.node_ids:
-            assert set(graph.neighbors(node_id)) == topology.neighbors(node_id)
+        oracle = _oracle_adjacency(positions, DEFAULT_TRANSMISSION_RANGE)
+        for node_id, neighbors in oracle.items():
+            assert topology.neighbors(node_id) == set(neighbors)
         source = topology.node_ids[0]
-        assert topology.hop_distances_from(source) == dict(
-            nx.single_source_shortest_path_length(graph, source)
-        )
+        distances, _ = _oracle_bfs(oracle, source)
+        assert topology.hop_distances_from(source) == distances
         if topology.is_connected():
-            assert topology.diameter() == nx.diameter(graph)
+            assert topology.diameter() == max(
+                max(_oracle_bfs(oracle, n)[0].values()) for n in oracle
+            )
 
     def test_nodes_within_hops_is_a_depth_cutoff(self):
         positions = intel_lab_layout()
@@ -260,17 +268,6 @@ class TestTopologyBuilders:
             type(n) is int
             for n in topology.neighbors_sorted(topology.node_ids[0])
         )
-
-    def test_spatial_index_available_from_both_builders(self):
-        positions = grid_layout(4, 4, spacing=3.0)
-        for builder in ("grid", "brute"):
-            topology = Topology.from_positions(
-                positions, transmission_range=5.0, builder=builder
-            )
-            index = topology.spatial_index()
-            hits = index.query_radius(0.0, 0.0, 3.5)
-            # Point indices are ranks in node_ids: (0,0), (3,0) and (0,3).
-            assert hits.tolist() == [0, 1, 4]
 
 
 class TestRandomLayoutScaling:
