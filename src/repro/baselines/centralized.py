@@ -45,11 +45,10 @@ class CentralizedAggregator:
 
     Deferring the index writes is exact: at query time the index holds
     exactly the union, as eager per-upload writes would leave it.  Only
-    slot numbers can differ, and they never reach an output -- neighbor
-    rows order by ``(distance, ≺ key, slot)`` and the score cache by
-    ``(score, ≺ key, slot)``, so the slot breaks ties only between hop
-    variants sharing a ``≺`` key, whose presence degrades the cache to the
-    slot-free fallback ranking.
+    slot numbers can differ, and they never reach an output: neighbor rows
+    order by ``(distance, ≺ key)`` and the score cache by
+    ``(score, ≺ key)``, and the index holds one copy per observation, so
+    no two entries tie on both.
     """
 
     def __init__(self, query: OutlierQuery) -> None:
@@ -132,7 +131,7 @@ class CentralizedAggregator:
         """``O_n`` over the union of all reported windows (ordered)."""
         self._sync_index()
         cache = self._cache
-        if cache is not None and not cache.degraded:
+        if cache is not None:
             return cache.top_n(self.query.n)
         return self.query.outliers(self.union(), index=self._index)
 

@@ -76,7 +76,6 @@ from .points import (
 )
 from .ranking import (
     DEFICIT_UNIT,
-    INFINITE_SCORE,
     AverageKNNDistance,
     KthNearestNeighborDistance,
     NearestNeighborDistance,
@@ -134,7 +133,6 @@ __all__ = [
     "NeighborCountWithinRadius",
     "ranking_from_name",
     "DEFICIT_UNIT",
-    "INFINITE_SCORE",
     # queries / reference answers
     "OutlierQuery",
     "top_n_outliers",

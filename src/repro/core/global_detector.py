@@ -169,8 +169,17 @@ class GlobalOutlierDetector(OutlierDetector):
             raise ProtocolError(
                 f"sensor {self.sensor_id} received points from non-neighbor {sender}"
             )
-        self.stats.messages_received += 1
         delivered = list(points)
+        # The global algorithm forwards held points unchanged, so every
+        # point on the wire was sampled at hop 0 -- and a copy of a held
+        # observation at another hop would be a second copy in the index.
+        for point in delivered:
+            if point.hop != 0:
+                raise ProtocolError(
+                    f"the global algorithm only exchanges hop-0 points, "
+                    f"got {point!r} from sensor {sender}"
+                )
+        self.stats.messages_received += 1
         if not delivered:
             return None
         # Only points not already in P_i are added to D_{j,i}; duplicates are
@@ -253,17 +262,13 @@ class GlobalOutlierDetector(OutlierDetector):
         """This event's eq. 2 fixpoint, from a neighbor's shared slots to
         ``Z``'s slots; :meth:`_process` builds it on the event's first run.
 
-        P_i is exactly the index content, so with a built-in ranking and a
-        trusted cache the slot kernel starts every neighbor's run from the
-        cache's ``O_n(P_i)``.  Other rankings and a degraded cache take
+        P_i is exactly the index content, so with a built-in ranking the
+        slot kernel starts every neighbor's run from the cache's
+        ``O_n(P_i)``.  Other rankings take
         :func:`~repro.core.sufficient.index_free_fixpoint`.
         """
         cache = self._cache
-        if (
-            cache is not None
-            and not cache.degraded
-            and SlotFixpoint.handles(self.query.ranking)
-        ):
+        if cache is not None and SlotFixpoint.handles(self.query.ranking):
             estimate = cache.top_slots(self.query.n)
             return SlotFixpoint(self.query, self._index, None, estimate, {}).run
         return partial(

@@ -55,9 +55,11 @@ what lets the dirty-set rescoring engine
 (:class:`~repro.core.rescoring.ScoreCache`) decide in ``O(1)`` per neighbor
 whose k-neighbor frontier the change perturbed.
 
-Copies of the same observation (equal ``≺`` keys, e.g. hop variants) are
-excluded from each other's neighbor arrays, mirroring the
-candidate-exclusion rule of the brute-force paths.
+The index holds at most one copy of each observation: adding a point whose
+``≺`` key is already indexed (a hop variant, say) raises
+:class:`~repro.core.errors.RankingError`, and :meth:`replace` is the way to
+swap one copy for another.  So every neighbor array holds every other
+indexed point, and ``(distance, ≺)`` orders it strictly.
 """
 
 from __future__ import annotations
@@ -72,7 +74,6 @@ from typing import (
     List,
     Optional,
     Sequence,
-    Set,
     Tuple,
 )
 
@@ -122,9 +123,15 @@ SPLICE_CHUNK_ROWS = 24
 #: One neighbor-list entry as exposed by :meth:`NeighborhoodIndex.entries`:
 #: ``(distance, ≺-key of the neighbor, slot)``.  Sequences of these are
 #: ordered exactly like the brute-force ``_sorted_by_distance`` (distance
-#: first, then the fixed total order; the slot only disambiguates hop
-#: variants, which share a ``≺`` key).
+#: first, then the fixed total order).
 NeighborEntry = Tuple[float, RestKey, int]
+
+
+def _second_copy(point: DataPoint) -> RankingError:
+    return RankingError(
+        f"{point!r} would be a second copy of its observation; the index "
+        f"holds one copy per observation (replace() swaps copies)"
+    )
 
 
 class IndexSubset:
@@ -168,7 +175,7 @@ class NeighborhoodIndex:
         "_dists",
         "_nbrs",
         "_free",
-        "_key_slots",
+        "_slot_of_key",
         "_dimension",
         "_metric",
         "_occ_slots",
@@ -198,8 +205,8 @@ class NeighborhoodIndex:
         self._nbrs: List[Optional[array]] = []
         #: recycled slot numbers.
         self._free: List[int] = []
-        #: ``≺`` key -> slots holding a copy of that observation.
-        self._key_slots: Dict[RestKey, Set[int]] = {}
+        #: ``≺`` key -> the slot holding that observation's one copy.
+        self._slot_of_key: Dict[RestKey, int] = {}
         #: Compact parallel buffers over the *occupied* slots: ``add`` feeds
         #: ``metric.rows`` straight from ``_occ_values`` instead of walking
         #: the point->slot dict per event.  Maintained by O(1) swap-removal;
@@ -260,15 +267,11 @@ class NeighborhoodIndex:
         return slot
 
     def slot_for_key(self, key: RestKey) -> int:
-        """The slot holding the one indexed copy of the observation with
-        ``≺`` key ``key`` (:class:`RankingError` unless exactly one copy is
-        indexed)."""
-        slots = self._key_slots.get(key, ())
-        if len(slots) != 1:
-            raise RankingError(
-                f"{len(slots)} indexed copies of {key!r}, expected exactly one"
-            )
-        (slot,) = slots
+        """The slot holding the indexed copy of the observation with ``≺``
+        key ``key`` (:class:`RankingError` if none is indexed)."""
+        slot = self._slot_of_key.get(key)
+        if slot is None:
+            raise RankingError(f"no indexed copy of {key!r}")
         return slot
 
     def slot_tables(
@@ -290,27 +293,24 @@ class NeighborhoodIndex:
     def attach(self, observer) -> None:
         """Register a mutation observer.
 
-        Observers are duck-typed with three callbacks, each invoked *after*
+        Observers implement all five callbacks below, each invoked *after*
         the index structures are consistent:
 
         * ``point_added(slot, point, nbr_slots, nbr_dists)`` -- the new
-          point's own parallel arrays (sorted, twins excluded);
+          point's own parallel arrays (sorted);
         * ``point_removed(slot, point, nbr_slots, nbr_dists)`` -- the
           departed point's arrays, passed before they are freed;
-        * ``point_relabeled(slot, old, new)`` -- a hop-only replace.
-
-        Block mutations (:meth:`apply_batch` above the small-batch
-        threshold) are delivered through two *optional* hooks --
-        ``points_added_batch(records, rows_mat, slots_mat)`` and
-        ``points_removed_batch(records)`` with ``records`` a sequence of
-        ``(slot, point, nbr_slots, nbr_dists)`` tuples in application
-        order; observers without them receive the per-point callbacks once
-        per record instead.  ``rows_mat``/``slots_mat`` are either ``None``
-        or the block's shared unsorted distance/slot matrices, whose row
-        ``j`` holds the same entries as record ``j``'s sorted arrays.
-        Removal records are delivered while the departing slots are still
-        labelled (``key_at`` works) but may precede the strip of the
-        surviving arrays.
+        * ``point_relabeled(slot, old, new)`` -- a hop-only replace;
+        * ``points_added_batch(records, rows, slots)`` and
+          ``points_removed_batch(records)`` -- the block mutations of
+          :meth:`apply_batch` above the small-batch threshold, with
+          ``records`` a sequence of ``(slot, point, nbr_slots, nbr_dists)``
+          tuples in application order.  ``rows``/``slots`` are the block's
+          shared unsorted ``(m, width)`` distance/slot matrices, whose row
+          ``j`` holds the same entries as record ``j``'s sorted arrays.
+          Removal records are delivered while the departing slots are still
+          labelled (``key_at`` works) but may precede the strip of the
+          surviving arrays.
 
         The arrays are the live internals: observers must only read them and
         must not retain them past the callback.
@@ -321,7 +321,9 @@ class NeighborhoodIndex:
     # Mutations
     # ------------------------------------------------------------------
     def add(self, point: DataPoint) -> bool:
-        """Index ``point``.  Returns ``False`` if it is already present.
+        """Index ``point``.  Returns ``False`` if it is already present;
+        raises :class:`RankingError` if another copy of its observation is
+        indexed (:meth:`replace` swaps copies).
 
         Cost: one ``metric.rows`` kernel call over the parallel value buffer
         (``O(n · d)`` distance work, the only Python-level arithmetic) plus
@@ -340,7 +342,8 @@ class NeighborhoodIndex:
                 f"points, got {point.dimension}-dimensional {point!r}"
             )
         key = sort_key(point)
-        same_key = self._key_slots.get(key)
+        if key in self._slot_of_key:
+            raise _second_copy(point)
 
         if self._free:
             slot = self._free.pop()
@@ -360,30 +363,18 @@ class NeighborhoodIndex:
             # amortises the numpy dispatch over the row.
             row = self._metric.rows(point.values, self._occ_values)
             slot_row = np.frombuffer(occ_slots, dtype=SLOT_DTYPE)
-            if same_key:
-                keep = np.ones(len(row), dtype=bool)
-                for twin in same_key:
-                    keep &= slot_row != twin
-                row = row[keep]
-                slot_row = slot_row[keep]
             own_dists, own_nbrs = self._ordered_arrays(row, slot_row)
             # Splice (distance, slot) into every neighbor's parallel arrays.
             keys = self._keys
             dists_tbl = self._dists
             nbrs_tbl = self._nbrs
-            key_slot = (key, slot)
             insert_at = bisect_right
             for d, s in zip(own_dists, own_nbrs):
                 od = dists_tbl[s]
                 on = nbrs_tbl[s]
                 pos = insert_at(od, d)
-                if pos and od[pos - 1] == d:
-                    while (
-                        pos
-                        and od[pos - 1] == d
-                        and (keys[on[pos - 1]], on[pos - 1]) > key_slot
-                    ):
-                        pos -= 1
+                while pos and od[pos - 1] == d and keys[on[pos - 1]] > key:
+                    pos -= 1
                 od.insert(pos, d)
                 on.insert(pos, slot)
             # Release the no-copy view before the buffer is resized below.
@@ -399,7 +390,7 @@ class NeighborhoodIndex:
         self._occ_pos[slot] = len(occ_slots)
         occ_slots.append(slot)
         self._occ_values.append(point.values)
-        self._key_slots.setdefault(key, set()).add(slot)
+        self._slot_of_key[key] = slot
         for observer in self._observers:
             observer.point_added(slot, point, own_nbrs, own_dists)
         return True
@@ -449,15 +440,12 @@ class NeighborhoodIndex:
             self._occ_values[pos] = last_values
             self._occ_pos[last_slot] = pos
         self._occ_pos[slot] = -1
-        group = self._key_slots[key]
-        group.discard(slot)
-        if not group:
-            del self._key_slots[key]
+        del self._slot_of_key[key]
         return True
 
     def replace(self, old: DataPoint, new: DataPoint) -> bool:
-        """Swap ``old`` for ``new``, which must be a hop variant of the same
-        observation (equal ``≺`` keys, hence equal value vectors).
+        """Swap ``old`` for ``new``, another copy of the same observation
+        (equal ``≺`` keys, hence equal value vectors; only the hop differs).
 
         This is the min-hop-merge invalidation hook of the semi-global
         detector: ``[·]^min`` keeps the smallest-hop copy of each
@@ -469,7 +457,7 @@ class NeighborhoodIndex:
             return old in self._slot_of
         if sort_key(old) != sort_key(new):
             raise RankingError(
-                f"replace() requires hop variants of the same observation; "
+                f"replace() requires copies of the same observation; "
                 f"got {old!r} and {new!r}"
             )
         slot = self._slot_of.pop(old, None)
@@ -498,9 +486,11 @@ class NeighborhoodIndex:
         machinery costs a fixed number of numpy dispatches per surviving
         array regardless of batch size, which only pays for itself once
         several points share them.  One deliberate divergence: the block
-        path validates the dimension of *every* pending addition before
-        mutating anything, so a mixed-dimension batch raises without the
-        partial application the sequential path would leave behind.
+        path checks *every* pending addition -- its dimension, and that no
+        other copy of its observation is indexed once the evictions are
+        applied or listed earlier in the batch -- before adding any, so a
+        bad batch raises with every eviction applied and no addition made,
+        not with the partial application the sequential path leaves.
         """
         evicts = batch.evicts
         adds = batch.adds
@@ -548,7 +538,8 @@ class NeighborhoodIndex:
             return 0, None
         # Observers see the departing rows while the slots are still
         # labelled (the rescoring cache reads ``key_at`` during `_leave`).
-        self._notify_removed(departing)
+        for observer in self._observers:
+            observer.points_removed_batch(departing)
         # Free the bookkeeping in eviction order so the free-list and the
         # compact occupied buffers end up exactly as after sequential
         # ``discard`` calls (slot reuse must replay identically).
@@ -567,10 +558,7 @@ class NeighborhoodIndex:
                 self._occ_values[pos] = last_values
                 self._occ_pos[last_slot] = pos
             self._occ_pos[slot] = -1
-            group = self._key_slots[key]
-            group.discard(slot)
-            if not group:
-                del self._key_slots[key]
+            del self._slot_of_key[key]
         if not self._occ_slots:
             return len(departing), None
         lut = np.zeros(len(self._points), dtype=bool)
@@ -594,8 +582,6 @@ class NeighborhoodIndex:
         for survivor in self._occ_slots:
             slot_view = np.frombuffer(nbrs_tbl[survivor], dtype=SLOT_DTYPE)
             keep = keep_lut[slot_view]
-            if keep.all():  # twins of every departed point -- rare
-                continue
             new_dists = array("d")
             new_dists.frombytes(
                 np.frombuffer(dists_tbl[survivor])[keep].tobytes()
@@ -614,20 +600,27 @@ class NeighborhoodIndex:
         one ``metric.pairwise`` call the batch-internal pairs -- bitwise the
         same distances as per-point ``metric.rows`` (the vectorized metrics
         reduce row-by-row, so block shape never changes summation order).
-        Each pending point's own arrays come from the shared
-        :meth:`_ordered_arrays` kernel, and each existing array absorbs all
+        The pending points' own arrays are sorted off one shared matrix by
+        :meth:`_ordered_arrays_block`, and each existing array absorbs all
         its new entries through a single ``searchsorted`` merge scatter.
         When ``strip`` (a departing-slot lookup table from
         :meth:`_evict_block`) is given, the same rebuild also drops the
         departed entries, so survivors are reconstructed exactly once per
         batch.
         """
-        pending: List[DataPoint] = []
-        seen: Set[DataPoint] = set()
+        # ``≺`` key -> pending point, checked against the index after the
+        # evictions before any addition (see :meth:`apply_batch`).
+        pending: Dict[RestKey, DataPoint] = {}
         try:
             for point in adds:
-                if point in self._slot_of or point in seen:
+                if point in self._slot_of:
                     continue
+                key = sort_key(point)
+                listed = pending.get(key)
+                if listed is not None and listed == point:
+                    continue
+                if listed is not None or key in self._slot_of_key:
+                    raise _second_copy(point)
                 if self._dimension is None:
                     self._dimension = point.dimension
                 elif point.dimension != self._dimension:
@@ -636,8 +629,7 @@ class NeighborhoodIndex:
                         f"dimensional points, got {point.dimension}-"
                         f"dimensional {point!r}"
                     )
-                pending.append(point)
-                seen.add(point)
+                pending[key] = point
         except RankingError:
             # The survivors still owe the deferred eviction strip; leave
             # the index consistent (all evictions applied, no additions)
@@ -650,35 +642,14 @@ class NeighborhoodIndex:
                 self._strip_block(strip)
             return 0
         m = len(pending)
-        keys = [sort_key(point) for point in pending]
-
-        # Twin exclusions, looked up against the *pre-batch* index state
-        # plus the batch itself (copies of one observation never appear in
-        # each other's neighbor arrays).
-        base_count = len(self._occ_slots)
-        excl_base: Dict[int, List[int]] = {}
-        key_members: Dict[RestKey, List[int]] = {}
-        for j, key in enumerate(keys):
-            key_members.setdefault(key, []).append(j)
-            twins = self._key_slots.get(key)
-            if twins:
-                excl_base[j] = [self._occ_pos[t] for t in twins]
-        excl_batch: Dict[int, Set[int]] = {}
-        for members in key_members.values():
-            if len(members) > 1:
-                for j in members:
-                    excl_batch[j] = {i for i in members if i != j}
+        values = [point.values for point in pending.values()]
 
         # The shared distance blocks, computed against the pre-batch value
         # buffer before any registration mutates it.
-        values = [point.values for point in pending]
+        base_count = len(self._occ_slots)
         if base_count:
             cross = self._metric.cross(values, self._occ_values)
             base_slot_row = np.frombuffer(self._occ_slots, dtype=SLOT_DTYPE).copy()
-        else:
-            cross = np.zeros((m, 0))
-            base_slot_row = np.zeros(0, dtype=SLOT_DTYPE)
-        inner = self._metric.pairwise(values) if m > 1 else None
 
         # Allocate slots in list order (the sequential path pops the same
         # LIFO free-list) and label them up front: :meth:`_repair_tie_runs`
@@ -695,74 +666,35 @@ class NeighborhoodIndex:
                 self._nbrs.append(None)
                 self._occ_pos.append(-1)
             new_slots.append(slot)
-        for slot, key in zip(new_slots, keys):
+        for slot, key in zip(new_slots, pending):
             self._keys[slot] = key
         new_slot_row = np.asarray(new_slots, dtype=SLOT_DTYPE)
 
-        # Without any twin exclusion (the overwhelmingly common case) every
-        # pending point's unsorted own row is base distances followed by its
-        # batch-mates, so the rows for the whole batch are two matrix writes
-        # -- one cross copy, one off-diagonal gather of ``inner`` -- instead
-        # of per-point concatenations and fancy-indexed mate picks.
-        shared_rows = shared_slots = None
-        if not excl_base and not excl_batch and base_count:
-            own_width = base_count + m - 1
-            shared_rows = np.empty((m, own_width))
-            shared_slots = np.empty((m, own_width), dtype=SLOT_DTYPE)
-            shared_rows[:, :base_count] = cross
-            shared_slots[:, :base_count] = base_slot_row
-            if m > 1:
-                off_diag = ~np.eye(m, dtype=bool)
-                shared_rows[:, base_count:] = inner[off_diag].reshape(m, m - 1)
-                shared_slots[:, base_count:] = np.broadcast_to(
-                    new_slot_row, (m, m)
-                )[off_diag].reshape(m, m - 1)
+        # Every pending point's unsorted own row is the base distances
+        # followed by its batch-mates, so the rows for the whole batch are
+        # two matrix writes: one cross copy, one off-diagonal gather of the
+        # batch-internal block.
+        own_width = base_count + m - 1
+        own_rows = np.empty((m, own_width))
+        own_slots = np.empty((m, own_width), dtype=SLOT_DTYPE)
+        if base_count:
+            own_rows[:, :base_count] = cross
+            own_slots[:, :base_count] = base_slot_row
+        if m > 1:
+            off_diag = ~np.eye(m, dtype=bool)
+            inner = self._metric.pairwise(values)
+            own_rows[:, base_count:] = inner[off_diag].reshape(m, m - 1)
+            own_slots[:, base_count:] = np.broadcast_to(
+                new_slot_row, (m, m)
+            )[off_diag].reshape(m, m - 1)
 
-        block_arrays = (
-            None
-            if shared_rows is None
-            else self._ordered_arrays_block(shared_rows, shared_slots)
-        )
         added_records: List[Tuple[int, DataPoint, array, array]] = []
-        for j, point in enumerate(pending):
-            if block_arrays is not None:
-                own_dists, own_nbrs = block_arrays[j]
-            else:
-                row_parts: List[np.ndarray] = []
-                slot_parts: List[np.ndarray] = []
-                if base_count:
-                    base_row = cross[j]
-                    base_slots = base_slot_row
-                    dropped = excl_base.get(j)
-                    if dropped:
-                        keep = np.ones(base_count, dtype=bool)
-                        keep[dropped] = False
-                        base_row = base_row[keep]
-                        base_slots = base_slots[keep]
-                    row_parts.append(base_row)
-                    slot_parts.append(base_slots)
-                if m > 1:
-                    drop = excl_batch.get(j, frozenset())
-                    mates = [i for i in range(m) if i != j and i not in drop]
-                    if mates:
-                        row_parts.append(inner[j, mates])
-                        slot_parts.append(new_slot_row[mates])
-                if row_parts:
-                    row = (
-                        np.concatenate(row_parts)
-                        if len(row_parts) > 1
-                        else row_parts[0]
-                    )
-                    slot_row = (
-                        np.concatenate(slot_parts)
-                        if len(slot_parts) > 1
-                        else slot_parts[0]
-                    )
-                    own_dists, own_nbrs = self._ordered_arrays(row, slot_row)
-                else:
-                    own_dists = array("d")
-                    own_nbrs = array(SLOT_TYPECODE)
-            slot = new_slots[j]
+        for slot, (key, point), (own_dists, own_nbrs) in zip(
+            new_slots,
+            pending.items(),
+            self._ordered_arrays_block(own_rows, own_slots),
+        ):
+            self._slot_of_key[key] = slot
             self._slot_of[point] = slot
             self._points[slot] = point
             self._dists[slot] = own_dists
@@ -770,7 +702,6 @@ class NeighborhoodIndex:
             self._occ_pos[slot] = len(self._occ_slots)
             self._occ_slots.append(slot)
             self._occ_values.append(point.values)
-            self._key_slots.setdefault(keys[j], set()).add(slot)
             added_records.append((slot, point, own_nbrs, own_dists))
 
         # Rebuild every pre-existing array exactly once: strip the departed
@@ -782,168 +713,73 @@ class NeighborhoodIndex:
         # walk-back; the walk-back itself is replayed by
         # :meth:`_repair_tie_runs`, which re-sorts only the tied runs.
         if base_count:
-            col_excl: Dict[int, List[int]] = {}
-            for j, positions in excl_base.items():
-                for pos in positions:
-                    col_excl.setdefault(pos, []).append(j)
-            dists_tbl = self._dists
-            nbrs_tbl = self._nbrs
-            keep_lut = None if strip is None else ~strip
             # One argsort for the whole block: row ``i`` of the transposed
             # sorted matrices is the batch pre-ordered for survivor ``i``'s
             # merge.  Sorting the transpose row-wise keeps every sort and
             # gather contiguous.  Introsort, not a stable sort: any two
             # batch entries with equal distance to a survivor land adjacent
             # in the merged row, where :meth:`_repair_tie_runs` re-sorts
-            # the whole run by ``(≺ key, slot)`` -- the pre-merge order of
-            # equal entries never reaches the final arrays.
+            # the whole run by ``≺`` key -- the pre-merge order of equal
+            # entries never reaches the final arrays.
             crossT = np.ascontiguousarray(cross.T)
             orderT = crossT.argsort(axis=1)
             colsT = np.take_along_axis(crossT, orderT, axis=1)
             slotsT = new_slot_row[orderT]
             base_targets = base_slot_row.tolist()
-            # Rows of exactly this width are *complete*: unique entries
-            # drawn from (survivors ∪ departing) minus the row's own slot,
-            # so a full-width row provably holds every departing slot
-            # exactly once and the chunked strip can skip its per-row
-            # uniformity count.
+            keep_lut = None if strip is None else ~strip
             n_depart = 0 if strip is None else int(strip.sum())
-            full_width = base_count + n_depart - 1
-            arange_m = np.arange(m)
-            empty_d = np.empty(0)
-            empty_n = np.empty(0, dtype=SLOT_DTYPE)
-
-            def splice_row(i: int) -> None:
-                """Strip-and-merge one survivor's arrays (scalar path)."""
-                dropped = col_excl.get(i)
-                if dropped is None:
-                    col = colsT[i]
-                    scol = slotsT[i]
-                    offsets = arange_m
-                else:  # twins in the batch -- rare
-                    keep = np.ones(m, dtype=bool)
-                    keep[dropped] = False
-                    keep = keep[orderT[i]]
-                    col = colsT[i][keep]
-                    scol = slotsT[i][keep]
-                    offsets = arange_m[: len(col)]
-                    if not len(col):
-                        if keep_lut is None:
-                            return  # nothing to insert, nothing to strip
-                        col = empty_d
-                        scol = empty_n
-                target = base_targets[i]
-                old_d = np.frombuffer(dists_tbl[target])
-                old_n = np.frombuffer(nbrs_tbl[target], dtype=SLOT_DTYPE)
-                if keep_lut is not None:
-                    keep_rows = keep_lut[old_n]
-                    old_d = old_d[keep_rows]
-                    old_n = old_n[keep_rows]
-                pos = old_d.searchsorted(col, side="right")
-                targets = pos + offsets
-                total = old_d.shape[0] + col.shape[0]
-                out_d = np.empty(total)
-                out_n = np.empty(total, dtype=SLOT_DTYPE)
-                out_d[targets] = col
-                out_n[targets] = scol
-                gaps = np.ones(total, dtype=bool)
-                gaps[targets] = False
-                out_d[gaps] = old_d
-                out_n[gaps] = old_n
-                self._repair_tie_runs(out_d, out_n)
-                new_dists = array("d")
-                new_dists.frombytes(out_d.tobytes())
-                new_nbrs = array(SLOT_TYPECODE)
-                new_nbrs.frombytes(out_n.tobytes())
-                dists_tbl[target] = new_dists
-                nbrs_tbl[target] = new_nbrs
-
-            if col_excl:
-                for i in range(base_count):
-                    splice_row(i)
-            else:
-                # Chunked rectangular path: survivors whose arrays share a
-                # length are rebuilt a cache-sized block of rows at a time,
-                # collapsing the per-survivor numpy dispatch into a handful
-                # of matrix operations while the working set stays L2-hot.
-                # Any chunk that breaks the rectangle (ragged lengths, or a
-                # strip that removes different counts per row -- both only
-                # happen around ``≺``-key twins) falls back to the scalar
-                # splice for its rows; the results are identical.
-                lo = 0
-                while lo < base_count:
-                    hi = min(lo + SPLICE_CHUNK_ROWS, base_count)
-                    if not self._splice_chunk(
-                        base_targets,
-                        colsT,
-                        slotsT,
-                        keep_lut,
-                        lo,
-                        hi,
-                        m,
-                        full_width,
-                        n_depart,
-                    ):
-                        for i in range(lo, hi):
-                            splice_row(i)
-                    lo = hi
-        self._notify_added(added_records, shared_rows, shared_slots)
+            # Survivors are rebuilt a cache-sized block of rows at a time,
+            # collapsing the per-survivor numpy dispatch into a handful of
+            # matrix operations while the working set stays L2-hot.
+            for lo in range(0, base_count, SPLICE_CHUNK_ROWS):
+                hi = lo + SPLICE_CHUNK_ROWS
+                self._splice_chunk(
+                    base_targets[lo:hi],
+                    colsT[lo:hi],
+                    slotsT[lo:hi],
+                    keep_lut,
+                    base_count - 1 + n_depart,
+                    n_depart,
+                )
+        for observer in self._observers:
+            observer.points_added_batch(added_records, own_rows, own_slots)
         return m
 
     def _splice_chunk(
         self,
-        base_targets: List[int],
-        colsT: np.ndarray,
-        slotsT: np.ndarray,
+        rows: List[int],
+        cols: np.ndarray,
+        scols: np.ndarray,
         keep_lut: Optional[np.ndarray],
-        lo: int,
-        hi: int,
-        m: int,
-        full_width: int,
+        width: int,
         n_depart: int,
-    ) -> bool:
-        """Strip-and-merge survivors ``lo..hi`` as one rectangular matrix.
+    ) -> None:
+        """Strip-and-merge the arrays of survivor slots ``rows`` as one
+        rectangular matrix.
 
-        Requires every row in the chunk to have the same array length and
-        (when a strip table is given) to lose the same number of entries --
-        true away from ``≺``-key twins, since every survivor then holds
-        every departing slot.  Returns ``False`` without mutating anything
-        when the rectangle does not hold, so the caller can fall back to
-        the scalar splice.  The merged rows are byte-identical to the
-        scalar path: same ``side='right'`` searchsorted targets, same
-        stable batch order, same tie-run repair.
+        Each survivor's arrays hold every other point indexed before the
+        batch, so all have ``width`` entries, and a strip (``keep_lut``)
+        drops exactly the ``n_depart`` departed ones from each.  Row ``r``
+        of ``cols``/``scols`` holds the batch's distances and slots for
+        ``rows[r]``, in ascending distance order.  The merged rows are
+        byte-identical to the sequential splice: each new entry lands after
+        its equal-distance run (``side='right'``), and the tie-run repair
+        replays the key-ordered walk-back.
         """
         dists_tbl = self._dists
         nbrs_tbl = self._nbrs
-        rows = base_targets[lo:hi]
-        nrows = len(rows)
-        width = len(dists_tbl[rows[0]])
-        for target in rows:
-            if len(dists_tbl[target]) != width:
-                return False
+        nrows, m = cols.shape
         big_d = np.concatenate(
             [np.frombuffer(dists_tbl[t]) for t in rows]
         ).reshape(nrows, width)
         big_n = np.concatenate(
             [np.frombuffer(nbrs_tbl[t], dtype=SLOT_DTYPE) for t in rows]
         ).reshape(nrows, width)
-        if keep_lut is not None and width:
+        if keep_lut is not None:
             keep = keep_lut[big_n]
-            if width == full_width:
-                # Complete rows (see caller): every departing slot appears
-                # exactly once per row, no uniformity count needed.
-                kept = width - n_depart
-            else:
-                counts = keep.sum(axis=1)
-                kept = int(counts[0])
-                if not (counts == kept).all():
-                    return False
-            if kept != width:
-                big_d = big_d[keep].reshape(nrows, kept)
-                big_n = big_n[keep].reshape(nrows, kept)
-                width = kept
-        cols = colsT[lo:hi]
-        scols = slotsT[lo:hi]
+            width -= n_depart
+            big_d = big_d[keep].reshape(nrows, width)
+            big_n = big_n[keep].reshape(nrows, width)
         pos = np.empty((nrows, m), dtype=np.intp)
         for r in range(nrows):
             pos[r] = big_d[r].searchsorted(cols[r], side="right")
@@ -973,11 +809,9 @@ class NeighborhoodIndex:
             new_nbrs.frombytes(out_n_mv[r * n_stride : (r + 1) * n_stride])
             dists_tbl[target] = new_dists
             nbrs_tbl[target] = new_nbrs
-        return True
 
     def _repair_tie_runs(self, dists: np.ndarray, slots: np.ndarray) -> None:
-        """Re-sort every equal-distance run's slots by ``(≺ key, slot)``,
-        in place.
+        """Re-sort every equal-distance run's slots by ``≺`` key, in place.
 
         ``dists``/``slots`` are one row or a C-contiguous ``(rows, width)``
         block whose rows are sorted by distance.  One vectorized compare
@@ -1003,7 +837,7 @@ class NeighborhoodIndex:
         flat = slots.reshape(-1)
         for start, end in zip(starts.tolist(), ends.tolist()):
             run = flat[start:end].tolist()
-            run.sort(key=lambda s: (keys[s], s))
+            run.sort(key=keys.__getitem__)
             flat[start:end] = run
 
     def _ordered_arrays(
@@ -1012,22 +846,21 @@ class NeighborhoodIndex:
         """Sort one distance row into a point's own parallel arrays.
 
         Distance-first order; ties (equal doubles) must then be re-ordered
-        by ``(≺ key, slot)`` so the arrays match the brute-force
-        ``(distance, ≺)`` order exactly -- :meth:`_repair_tie_runs` re-sorts
-        just the tied runs, so a row without ties is a pure C argsort.
-        Shared by :meth:`add` and the batched insertion path.
+        by ``≺`` key so the arrays match the brute-force ``(distance, ≺)``
+        order exactly -- :meth:`_repair_tie_runs` re-sorts just the tied
+        runs, so a row without ties is a pure C argsort.  :meth:`add`'s
+        kernel; the batched insertion path sorts a whole block with
+        :meth:`_ordered_arrays_block`.
         """
-        own_dists = array("d")
-        own_nbrs = array(SLOT_TYPECODE)
-        if not len(row):
-            return own_dists, own_nbrs
         # Introsort, not a stable sort: without ties the order is unique
-        # anyway, and the repair re-sorts every tied run by (≺ key, slot)
-        # -- so sort stability buys nothing at ~2x the sort cost.
+        # anyway, and the repair re-sorts every tied run by ≺ key -- so
+        # sort stability buys nothing at ~2x the sort cost.
         order = row.argsort()
         sorted_dists = row[order]
         sorted_slots = slot_row[order]
         self._repair_tie_runs(sorted_dists, sorted_slots)
+        own_dists = array("d")
+        own_nbrs = array(SLOT_TYPECODE)
         own_dists.frombytes(sorted_dists.tobytes())
         own_nbrs.frombytes(sorted_slots.tobytes())
         return own_dists, own_nbrs
@@ -1042,6 +875,10 @@ class NeighborhoodIndex:
         sorting each row on its own.
         """
         m, width = rows.shape
+        if not width:
+            # A lone point into an empty index: ``memoryview.cast`` below
+            # rejects the zero strides of an empty matrix.
+            return [(array("d"), array(SLOT_TYPECODE)) for _ in range(m)]
         order = rows.argsort(axis=1)
         sorted_dists = np.take_along_axis(rows, order, axis=1)
         sorted_slots = np.take_along_axis(slot_rows, order, axis=1)
@@ -1058,39 +895,6 @@ class NeighborhoodIndex:
             own_nbrs.frombytes(slots_mv[j * n_stride : (j + 1) * n_stride])
             out.append((own_dists, own_nbrs))
         return out
-
-    def _notify_added(
-        self,
-        records: Sequence[Tuple[int, DataPoint, array, array]],
-        rows_mat: Optional[np.ndarray] = None,
-        slots_mat: Optional[np.ndarray] = None,
-    ) -> None:
-        """Notify observers of a block addition.
-
-        ``rows_mat``/``slots_mat`` are the block's shared (unsorted)
-        distance/slot matrices when the twin-free fast path built them --
-        row ``j`` holds the same (multi)set of entries as record ``j``'s
-        sorted arrays, so set-semantics consumers (dirty marking) can scan
-        the matrix in one vectorized pass instead of row by row.
-        """
-        for observer in self._observers:
-            hook = getattr(observer, "points_added_batch", None)
-            if hook is not None:
-                hook(records, rows_mat, slots_mat)
-            else:
-                for slot, point, own_nbrs, own_dists in records:
-                    observer.point_added(slot, point, own_nbrs, own_dists)
-
-    def _notify_removed(
-        self, records: Sequence[Tuple[int, DataPoint, array, array]]
-    ) -> None:
-        for observer in self._observers:
-            hook = getattr(observer, "points_removed_batch", None)
-            if hook is not None:
-                hook(records)
-            else:
-                for slot, point, own_nbrs, own_dists in records:
-                    observer.point_removed(slot, point, own_nbrs, own_dists)
 
     # ------------------------------------------------------------------
     # Queries

@@ -57,8 +57,6 @@ __all__ = [
     "AverageKNNDistance",
     "NeighborCountWithinRadius",
     "DEFICIT_UNIT",
-    "INFINITE_SCORE",
-    "rank_key",
     "ranking_from_name",
 ]
 
@@ -72,11 +70,6 @@ __all__ = [
 #: chosen far above any realistic inter-point distance so a deficient point
 #: always outranks a non-deficient one.
 DEFICIT_UNIT = 1.0e18
-
-#: Backwards-compatible alias: the score of a point with the maximum possible
-#: neighbor deficit of 1 (kept for callers that only need "a very large
-#: score").
-INFINITE_SCORE = DEFICIT_UNIT
 
 
 def _neighbors(x: DataPoint, Q: Iterable[DataPoint]) -> list[DataPoint]:
@@ -248,11 +241,6 @@ class RankingFunction(ABC):
     # ------------------------------------------------------------------
     # Shared helpers
     # ------------------------------------------------------------------
-    def scores(self, Q: Iterable[DataPoint]) -> dict[DataPoint, float]:
-        """Score every point of ``Q`` against ``Q`` itself."""
-        pts = list(Q)
-        return dict(zip(pts, self.bulk_scores(pts)))
-
     def bulk_scores(self, Q: Sequence[DataPoint]) -> List[float]:
         """Score every point of ``Q`` against ``Q`` itself, in order.
 
@@ -541,18 +529,6 @@ _BUILTIN_RANKINGS = (
     AverageKNNDistance,
     NeighborCountWithinRadius,
 )
-
-
-def rank_key(
-    ranking: RankingFunction, x: DataPoint, Q: Iterable[DataPoint]
-) -> Tuple[float, Tuple]:
-    """Strict total-order key used to select the top-n outliers.
-
-    The primary key is the score ``R(x, Q)``; ties are broken by the fixed
-    total order ``≺`` on the data space, exactly as the paper assumes.  Keys
-    compare *descending*: callers sort with ``reverse=True`` (or negate).
-    """
-    return (ranking.score(x, Q), sort_key(x))
 
 
 _RANKING_FACTORIES = {

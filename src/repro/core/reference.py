@@ -11,7 +11,7 @@ test oracle for the convergence theorems.
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, Iterable, List, Mapping, Sequence, Set
+from typing import Dict, Iterable, List, Mapping, Set
 
 from .outliers import OutlierQuery
 from .points import DataPoint
@@ -88,14 +88,36 @@ def semi_global_reference_all(
 ) -> Dict[int, List[DataPoint]]:
     """``O_n(D_i^{<=d})`` for every sensor, keyed by sensor id.
 
-    Each answer is a brute-force :func:`semi_global_reference`: this module
-    is the ground truth the accuracy experiments validate the detectors
-    (and their indexes) against, so it must not share code with the
-    subsystem under test.
+    Each answer is :func:`semi_global_reference`'s, computed the same
+    brute-force way: the undirected graph is built once, and each sensor's
+    breadth-first walk stops at depth ``hop_diameter``, so only the
+    datasets of the sensors it reaches are ranked.  This module is the
+    ground truth the accuracy experiments validate the detectors (and
+    their indexes) against, so it must not share code with the subsystem
+    under test.
     """
-    return {
-        sensor_id: semi_global_reference(
-            query, datasets, adjacency, sensor_id, hop_diameter
-        )
-        for sensor_id in datasets
-    }
+    undirected: Dict[int, Set[int]] = {node: set() for node in adjacency}
+    for node, neighbors in adjacency.items():
+        for other in neighbors:
+            undirected[node].add(other)
+            undirected.setdefault(other, set()).add(node)
+    answers: Dict[int, List[DataPoint]] = {}
+    for sensor_id in datasets:
+        reached = {sensor_id}
+        frontier = [sensor_id]
+        depth = 0
+        while frontier and depth < hop_diameter:
+            depth += 1
+            ahead = []
+            for node in frontier:
+                for other in undirected.get(node, ()):
+                    if other not in reached:
+                        reached.add(other)
+                        ahead.append(other)
+            frontier = ahead
+        relevant: Set[DataPoint] = set()
+        for other in reached:
+            if other in datasets:
+                relevant |= {p.with_hop(0) for p in datasets[other]}
+        answers[sensor_id] = query.outliers(relevant)
+    return answers

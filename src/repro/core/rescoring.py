@@ -17,16 +17,10 @@ flat arrays) and repairs a persistently sorted ``(score, ≺)`` order by
 bisection.  The top-n estimate becomes an ``O(n_outliers)`` tail read
 instead of an ``O(n·k)`` full rescore plus ``O(n log n)`` sort per event.
 
-Exactness is preserved by construction -- a clean point's score is the very
-float the last rescore produced, and rescoring goes through the same
-``score_indexed`` walks the non-cached path uses -- with one exception the
-cache detects itself: when two *hop variants* of the same observation are
-simultaneously members, full ties ``(score, ≺)`` are broken by internal
-slot order, which may differ from the set-iteration order of the oracle
-path.  The cache then reports itself :attr:`~ScoreCache.degraded` and the
-detectors fall back to the legacy full computation until the twin leaves
-(the distributed protocols never hold two hop variants at once, so in
-practice this never triggers).
+Exactness is preserved by construction: a clean point's score is the very
+float the last rescore produced, rescoring goes through the same
+``score_indexed`` walks the non-cached path uses, and the index holds one
+copy per observation, so ``(score, ≺)`` has no full ties to break.
 
 A cache can cover the whole index (the global detector's estimate) or the
 sub-population with ``hop <= max_hop`` (one per hop level of the
@@ -110,8 +104,6 @@ class ScoreCache:
         "_dirty",
         "_mask",
         "_members",
-        "_key_count",
-        "_twins",
         "supported",
     )
 
@@ -146,13 +138,10 @@ class ScoreCache:
         #: membership mask (level caches only; ``None`` = whole index).
         self._mask: Optional[bytearray] = None if max_hop is None else bytearray()
         self._members = 0
-        #: ``≺`` key -> member multiplicity, to detect hop-variant twins.
-        self._key_count: Dict[RestKey, int] = {}
-        self._twins = 0
         if not self.supported:
             # Fully initialized but inert: queries answer over an empty
-            # membership and ``degraded`` stays True, so a caller that skips
-            # the :meth:`if_supported` factory still gets defined behavior.
+            # membership, so a caller that skips the :meth:`if_supported`
+            # factory still gets defined behavior.
             return
         for point in index.points():
             slot = index.slot_for(point)
@@ -176,13 +165,6 @@ class ScoreCache:
     # ------------------------------------------------------------------
     # State predicates
     # ------------------------------------------------------------------
-    @property
-    def degraded(self) -> bool:
-        """True while the maintained order cannot be trusted: the ranking is
-        structure-free, or two hop variants of one observation are members
-        (full-tie order would depend on internal slot numbering)."""
-        return not self.supported or self._twins > 0
-
     def __len__(self) -> int:
         return self._members
 
@@ -206,30 +188,17 @@ class ScoreCache:
         if self._mask is not None:
             self._mask[slot] = 1
         self._members += 1
-        key = self._index.key_at(slot)
-        count = self._key_count.get(key, 0) + 1
-        self._key_count[key] = count
-        if count == 2:
-            self._twins += 1
         self._dirty.add(slot)
 
     def _leave(self, slot: int) -> None:
         if self._mask is not None:
             self._mask[slot] = 0
         self._members -= 1
-        key = self._index.key_at(slot)
-        count = self._key_count[key] - 1
-        if count:
-            self._key_count[key] = count
-            if count == 1:
-                self._twins -= 1
-        else:
-            del self._key_count[key]
         self._dirty.discard(slot)
         self._tau[slot] = -inf
         score = self._score.pop(slot, None)
         if score is not None:
-            self._order_remove(score, key, slot)
+            self._order_remove(score, self._index.key_at(slot), slot)
 
     def _order_remove(self, score: float, key: RestKey, slot: int) -> None:
         entry = (score, key, slot)
@@ -297,29 +266,23 @@ class ScoreCache:
         self._leave(slot)
         self._mark_row_dirty(nbr_slots, nbr_dists)
 
-    def points_added_batch(self, records, rows_mat=None, slots_mat=None) -> None:
+    def points_added_batch(self, records, rows_mat, slots_mat) -> None:
         """Block-mutation hook: all membership joins, then one vectorized
         mark over the member rows (see :meth:`_mark_rows_dirty` for why
         this equals the per-point sequence).
 
-        When the index hands over the block's shared unsorted matrices and
-        every record is a member, the mark collapses to a single
-        matrix-vs-τ compare -- same elements tested (marking is order- and
-        sort-insensitive), a fraction of the dispatches."""
+        When every record is a member, the mark is a single compare of the
+        block's shared unsorted matrices against τ -- same elements tested
+        (marking is order- and sort-insensitive), a fraction of the
+        dispatches."""
         rows = []
-        members = 0
         for slot, point, nbr_slots, nbr_dists in records:
             self._ensure_capacity(slot)
             if not self._is_member(point):
                 continue
             self._join(slot, point)
-            members += 1
             rows.append((nbr_slots, nbr_dists))
-        if (
-            rows_mat is not None
-            and members == len(records)
-            and rows_mat.shape[1]
-        ):
+        if len(rows) == len(records):
             hits = slots_mat[rows_mat <= self._tau[slots_mat]]
             if hits.size:
                 self._dirty.update(hits.tolist())
@@ -469,6 +432,5 @@ class ScoreCache:
 
     def top_n(self, n: int) -> List[DataPoint]:
         """``O_n(members)``, ordered most to least outlying -- identical to
-        ``top_n_outliers(ranking, members, n, index=index)`` whenever the
-        cache is not :attr:`degraded`."""
+        ``top_n_outliers(ranking, members, n, index=index)``."""
         return [self._index.point_at(slot) for slot in self.top_slots(n)]

@@ -348,19 +348,15 @@ class SemiGlobalOutlierDetector(OutlierDetector):
         ``P_i^{<=h}``, from a neighbor's shared slots to ``Z``'s slots;
         :meth:`_process` builds it on the level's first run.
 
-        With a built-in ranking and trusted level caches, the slot kernel
-        starts from the level cache's ``O_n(P_i^{<=h})`` and walks its
-        membership mask, and ``outlier_memo`` is the event's one ``O_n``
-        memo for every level and neighbor.  Other rankings and degraded
-        caches take :func:`~repro.core.sufficient.index_free_fixpoint`.
+        With a built-in ranking, the slot kernel starts from the level
+        cache's ``O_n(P_i^{<=h})`` and walks its membership mask, and
+        ``outlier_memo`` is the event's one ``O_n`` memo for every level
+        and neighbor.  Other rankings take
+        :func:`~repro.core.sufficient.index_free_fixpoint`.
         """
         query = self.query
         caches = self._caches
-        if (
-            caches is not None
-            and not any(cache.degraded for cache in caches)
-            and SlotFixpoint.handles(query.ranking)
-        ):
+        if caches is not None and SlotFixpoint.handles(query.ranking):
             cache = caches[level]
             return SlotFixpoint(
                 query, self._index, cache.subset(), cache.top_slots(query.n),

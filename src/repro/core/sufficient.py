@@ -88,7 +88,7 @@ def index_free_fixpoint(
 ) -> FrozenSet[int]:
     """:func:`compute_sufficient_set` with slot ids in and out: ``shared``
     and the returned ``Z`` are slots of ``index``, which holds every point
-    of ``holdings``.  The detectors run it for the rankings and caches
+    of ``holdings``.  The detectors run it for the rankings
     :class:`SlotFixpoint` does not serve."""
     Z = compute_sufficient_set(query, holdings, map(index.point_at, shared))
     return frozenset(map(index.slot_for, Z))
@@ -142,12 +142,11 @@ class SlotFixpoint:
     learns ``O_n(P) = estimate`` here).  The support memo maps ``x`` to
     ``[P|x]``, which depends on ``P``, so each instance keeps its own.
 
-    Preconditions: ``type(query.ranking)`` is a built-in ranking (see
-    :meth:`handles`), and no two indexed slots share a ``≺`` key -- the
-    state a non-degraded :class:`~repro.core.rescoring.ScoreCache`
-    certifies -- so the ``(score, ≺)`` order has no full ties.  An index
-    sorted under another metric than the ranking's is rejected with
-    :class:`~repro.core.errors.RankingError`.
+    Precondition: ``type(query.ranking)`` is a built-in ranking (see
+    :meth:`handles`).  The index holds one copy per observation, so no two
+    slots share a ``≺`` key and the ``(score, ≺)`` order has no full ties.
+    An index sorted under another metric than the ranking's is rejected
+    with :class:`~repro.core.errors.RankingError`.
     """
 
     __slots__ = (

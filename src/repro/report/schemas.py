@@ -7,7 +7,8 @@ test covered.  The validators here are that knowledge as a library: the CI
 perf-smoke job runs ``python -m repro.report FILE...``, the report
 pipeline validates artifacts before reading them, and
 ``tests/test_report.py`` pins every committed artifact (plus a malformed
-rejection per schema) against the same code.
+rejection per schema) against the same code.  Run as a module, this file
+validates nothing: it names that command and exits 2.
 
 Each validator checks both *structure* (required keys, value types) and the
 *semantic invariants* an artifact must never violate regardless of the
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Mapping, Union
 
@@ -186,3 +188,8 @@ def validate_bench_file(path: Union[str, Path]) -> Dict[str, Any]:
     except SchemaError as error:
         raise SchemaError(f"{path}: {error}") from None
     return payload
+
+
+if __name__ == "__main__":  # pragma: no cover - run as a subprocess by the tests
+    print("validate artifacts with: python -m repro.report FILE...", file=sys.stderr)
+    sys.exit(2)

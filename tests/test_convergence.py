@@ -21,10 +21,12 @@ from repro.core import (
     OutlierQuery,
     SemiGlobalOutlierDetector,
     global_reference,
+    hop_distances,
     make_point,
     metric_from_name,
     registered_metrics,
     semi_global_reference,
+    semi_global_reference_all,
 )
 
 
@@ -241,6 +243,31 @@ class TestSemiGlobalConvergence:
                 exact += reference == estimate
                 total += 1
         assert exact / total >= 0.8
+
+    def test_reference_all_matches_the_per_sensor_reference(self):
+        """``semi_global_reference_all`` walks each sensor's graph only to
+        depth d; every answer must equal the whole-network BFS of
+        ``semi_global_reference``."""
+        rng = random.Random(31)
+        queries = (
+            OutlierQuery(NearestNeighborDistance(), n=2),
+            OutlierQuery(AverageKNNDistance(k=2), n=2),
+        )
+        for trial in range(8):
+            sensors = rng.randint(3, 9)
+            adjacency = random_connected_adjacency(rng, sensors)
+            datasets = random_dataset(rng, sensors, per_sensor=3)
+            diameter = max(
+                max(hop_distances(adjacency, i).values()) for i in adjacency
+            )
+            query = queries[trial % 2]
+            for d in sorted({1, 2, diameter, 50}):
+                assert semi_global_reference_all(
+                    query, datasets, adjacency, d
+                ) == {
+                    i: semi_global_reference(query, datasets, adjacency, i, d)
+                    for i in datasets
+                }, (trial, d)
 
     def test_holdings_never_exceed_hop_budget(self):
         rng = random.Random(2)

@@ -163,7 +163,10 @@ def test_no_entry_point_calls_another(kind, monkeypatch):
     assert calls == []
     detector.update_local_data(points[2:], points[1:2])
     detector.initialize()
-    detector.handle_message(1, [make_point([4.0], origin=1, epoch=0, hop=1)])
+    # The global algorithm exchanges hop-0 points, the semi-global one
+    # forwards copies one hop further.
+    hop = 0 if kind == "global" else 1
+    detector.handle_message(1, [make_point([4.0], origin=1, epoch=0, hop=hop)])
     detector.neighborhood_changed([1, 2])
     assert calls == [
         "update_local_data", "initialize", "handle_message",

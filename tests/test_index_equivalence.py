@@ -33,9 +33,11 @@ import random
 
 import pytest
 
+import repro.core.index as index_mod
 from repro.baselines.centralized import CentralizedAggregator
 from repro.core import (
     AverageKNNDistance,
+    EventBatch,
     GlobalOutlierDetector,
     InMemoryNetwork,
     KthNearestNeighborDistance,
@@ -52,7 +54,7 @@ from repro.core import (
     support_of_set,
     top_n_outliers,
 )
-from repro.core.errors import RankingError
+from repro.core.errors import ProtocolError, RankingError
 from repro.core.metrics import metric_from_name, registered_metrics
 from repro.core.sufficient import SlotFixpoint
 
@@ -207,15 +209,50 @@ class TestIndexMechanics:
         with pytest.raises(RankingError):
             index.add(make_point([1.0], 0, 1))
 
-    def test_same_observation_copies_are_not_neighbors(self):
+    def test_same_observation_copies_are_not_neighbors(self, monkeypatch):
+        """The oracle scores any point set and skips same-key candidates;
+        the index holds one copy per observation and refuses a second."""
         base = make_point([0.0], origin=0, epoch=0)
         twin = base.with_hop(2)           # same ``rest``, different hop
         far = make_point([5.0], origin=0, epoch=1)
-        index = NeighborhoodIndex([base, twin, far])
         ranking = NearestNeighborDistance()
         # The hop twin must not count as base's nearest neighbor.
-        assert ranking.score_indexed(index, base) == 5.0
         assert ranking.score(base, [base, twin, far]) == 5.0
+        with pytest.raises(RankingError):
+            NeighborhoodIndex([base, twin, far])
+        index = NeighborhoodIndex([base, far])
+        assert ranking.score_indexed(index, base) == 5.0
+        before = _index_state(index)
+        with pytest.raises(RankingError):
+            index.add(twin)
+        with pytest.raises(RankingError):
+            index.apply_batch(EventBatch(adds=[twin]))  # the scalar path
+        assert _index_state(index) == before
+
+        # The block path checks every addition against the index after the
+        # evictions: a bad batch leaves the evictions alone applied.
+        monkeypatch.setattr(index_mod, "BATCH_BLOCK_THRESHOLD", -1)
+        rng = random.Random("second-copy")
+        pts = _cloud(rng, 8)
+        fresh = _cloud(rng, 2, start_epoch=50)
+        evicts = pts[:3]
+        for adds in (
+            [fresh[0], pts[5].with_hop(1)],  # a copy of an indexed point
+            [fresh[0], fresh[1], fresh[1].with_hop(1)],  # two in the batch
+        ):
+            blocked = NeighborhoodIndex(pts)
+            with pytest.raises(RankingError):
+                blocked.apply_batch(EventBatch(adds=adds, evicts=evicts))
+            oracle = NeighborhoodIndex(pts)
+            for point in evicts:
+                oracle.discard(point)
+            assert _index_state(blocked) == _index_state(oracle)
+        # One copy out and another in within a batch is legal.
+        blocked = NeighborhoodIndex(pts)
+        blocked.apply_batch(
+            EventBatch(adds=[fresh[0], pts[0].with_hop(1)], evicts=evicts)
+        )
+        assert pts[0].with_hop(1) in blocked and pts[0] not in blocked
 
     def test_try_subset_full_vs_partial(self):
         rng = random.Random(11)
@@ -349,6 +386,11 @@ def _slot_fixpoint(query, index, P):
 
 def _points_of(index, slots):
     return {index.point_at(slot) for slot in slots}
+
+
+def _index_state(index):
+    """Every indexed point with its neighbor list, and the free slots."""
+    return [(p, index.entries(p)) for p in index.points()], list(index._free)
 
 
 def _kernel_support(fixpoint, x):
@@ -932,10 +974,9 @@ def _assert_event_equal(fast, slow, fast_msg, slow_msg, query):
     _assert_bookkeeping_held(fast)
     assert fast.holdings == slow.holdings
     assert fast.estimate() == slow.estimate()
-    # The cache's maintained order must equal the oracle ranking whenever
-    # the detectors would trust it.
+    # The cache's maintained order must equal the oracle ranking.
     cache = getattr(fast, "_cache", None)
-    if cache is not None and not cache.degraded:
+    if cache is not None:
         assert cache.top_n(query.n) == fast.estimate()
 
 
@@ -1057,7 +1098,7 @@ def _replay_semiglobal_stream(rng, query):
         _assert_event_equal(fast, slow, events[0], events[1], query)
 
 
-def test_score_cache_matches_oracle_under_churn_and_degrades_on_twins():
+def test_score_cache_matches_oracle_under_churn():
     rng = random.Random("score-cache-churn")
     ranking = AverageKNNDistance(k=3)
     index = NeighborhoodIndex()
@@ -1075,18 +1116,16 @@ def test_score_cache_matches_oracle_under_churn_and_degrades_on_twins():
             victim = rng.choice(mirror)
             mirror.remove(victim)
             index.discard(victim)
-        assert not cache.degraded
         assert cache.top_n(4) == top_n_outliers(ranking, mirror, 4, index=index)
         assert len(cache) == len(mirror)
-    # Two hop variants of one observation break strict (score, ≺) ordering,
-    # so the cache must flag itself rather than return a slot-order answer...
-    twin = mirror[0].with_hop(7)
-    index.add(twin)
-    assert cache.degraded
-    # ...and recover (with correct answers) once the twin leaves.
-    index.discard(twin)
-    assert not cache.degraded
-    assert cache.top_n(4) == top_n_outliers(ranking, mirror, 4, index=index)
+    # Adding a second copy of an observation raises before the cache sees
+    # it, and the maintained order is unchanged.
+    expected = cache.top_n(4)
+    with pytest.raises(RankingError):
+        index.add(mirror[0].with_hop(7))
+    assert cache.top_n(4) == expected
+    assert expected == top_n_outliers(ranking, mirror, 4, index=index)
+    assert len(cache) == len(mirror)
 
 
 def test_ranking_subclass_takes_the_index_free_fixpoint(monkeypatch):
@@ -1107,41 +1146,39 @@ def test_ranking_subclass_takes_the_index_free_fixpoint(monkeypatch):
     _replay_semiglobal_stream(rng, OutlierQuery(Subclassed(k=2), n=2))
 
 
-def test_degraded_cache_takes_the_index_free_fixpoint(monkeypatch):
-    """While two copies of one observation are held, the global detector's
-    cache is degraded and its fixpoints skip the slot kernel; the kernel
-    returns once the copy leaves.  The copy leaves together with a fresh
-    point's arrival: alone, it would leave both neighbors holding all of
-    P_i, and no fixpoint would run."""
-    runs = []
-    run = SlotFixpoint.run
-
-    def counted(fixpoint, shared):
-        runs.append(shared)
-        return run(fixpoint, shared)
-
-    monkeypatch.setattr(SlotFixpoint, "run", counted)
-    rng = random.Random("degraded-cache")
+def test_global_detector_rejects_points_off_hop_zero():
+    """The global algorithm forwards held points unchanged, so every point
+    it exchanges has hop 0.  A delivery holding any other -- such as a hop-1
+    copy of a held observation, a second copy the index would refuse --
+    raises before the detector changes any state."""
+    rng = random.Random("hop-copy")
     query = OutlierQuery(AverageKNNDistance(k=2), n=2)
-    fast = GlobalOutlierDetector(0, query, neighbors=[1, 2])
-    slow = BruteGlobalDetector(0, query, neighbors=[1, 2])
+    detector = GlobalOutlierDetector(0, query, neighbors=[1, 2])
     points = _cloud(rng, 6)
-    fresh = _cloud(rng, 1, start_epoch=50)
-    later = _cloud(rng, 1, start_epoch=60)
-    twin = points[0].with_hop(1)
-    steps = [
-        lambda d: d.add_local_points(points),
-        lambda d: d.handle_message(1, [twin]),
-        lambda d: d.add_local_points(fresh),
-        lambda d: d.update_local_data(later, [twin]),
-    ]
-    kernel_ran = []
-    for step in steps:
-        del runs[:]
-        events = [step(d) for d in (fast, slow)]
-        _assert_event_equal(fast, slow, events[0], events[1], query)
-        kernel_ran.append((fast._cache.degraded, bool(runs)))
-    assert kernel_ran == [(False, True), (True, False), (True, False), (False, True)]
+    detector.add_local_points(points)
+    detector.handle_message(1, _cloud(rng, 2, origin=1, start_epoch=10))
+    index = detector._index
+
+    def state():
+        return (
+            detector.holdings,
+            detector.local_data,
+            [(detector.sent_to(j), detector.received_from(j)) for j in (1, 2)],
+            detector.stats.as_dict(),
+            _index_state(index),
+            detector._cache.top_n(query.n),
+        )
+
+    before = state()
+    fresh = _cloud(rng, 1, origin=2, start_epoch=20)[0]
+    for delivered in (
+        [points[0].with_hop(1)],
+        [fresh, points[0].with_hop(1)],
+        [fresh.with_hop(1)],
+    ):
+        with pytest.raises(ProtocolError):
+            detector.handle_message(2, delivered)
+        assert state() == before
 
 
 def test_score_cache_unsupported_without_frontier_spec():
@@ -1158,7 +1195,7 @@ def test_score_cache_unsupported_without_frontier_spec():
     assert ScoreCache.if_supported(index, OpaqueRanking(k=2)) is None
     # Direct construction still yields a fully initialized (inert) object.
     cache = ScoreCache(index, OpaqueRanking(k=2))
-    assert not cache.supported and cache.degraded
+    assert not cache.supported
     assert len(cache) == 0
     assert cache.top_n(3) == []
 

@@ -504,6 +504,19 @@ class TestSchemas:
         assert done.stderr == ""
         assert done.stdout.count(" ok\n") == len(paths)
 
+    def test_schemas_module_run_directly_exits_two(self, tmp_path):
+        """``python -m repro.report.schemas`` is not the validator CLI: it
+        must fail with the bad-input code instead of passing unchecked."""
+        env = {**os.environ, "PYTHONPATH": str(RESULTS_DIR.parent / "src")}
+        bad = tmp_path / "BENCH_hotpath.json"
+        bad.write_text("{}")
+        done = subprocess.run(
+            [sys.executable, "-m", "repro.report.schemas", str(bad)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert done.returncode == 2
+        assert "python -m repro.report FILE..." in done.stderr
+
 
 # ----------------------------------------------------------------------
 # Aggregation invariants (hypothesis)
