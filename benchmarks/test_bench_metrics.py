@@ -46,9 +46,13 @@ METRIC_PARAMS = {
 }
 
 #: Kernels are cheap enough to need several repetitions for a stable
-#: reading; the pointwise double loop at n=256 is 65k scalar calls, one
-#: repetition is plenty.
+#: reading.
 KERNEL_REPEATS = 5
+
+#: Each pairwise kernel and its pointwise double loop (65k scalar calls at
+#: n=256) are timed in turn, best of this many runs each, so a change in
+#: host speed reaches both sides of the speedup alike.
+PAIR_REPEATS = 3
 
 
 def _workload(count: int = POINTS, dim: int = DIMENSION):
@@ -58,12 +62,15 @@ def _workload(count: int = POINTS, dim: int = DIMENSION):
     ]
 
 
-def _time(fn, repeats: int) -> float:
-    best = float("inf")
+def _time(*fns, repeats: int):
+    """Best time of each callable over ``repeats`` rounds that run every
+    callable once, in turn."""
+    best = [float("inf")] * len(fns)
     for _ in range(repeats):
-        started = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - started)
+        for position, fn in enumerate(fns):
+            started = time.perf_counter()
+            fn()
+            best[position] = min(best[position], time.perf_counter() - started)
     return best
 
 
@@ -74,26 +81,24 @@ def test_bench_metric_kernels(benchmark):
     def kernel_sweep():
         for name in registered_metrics():
             metric = metric_from_name(name, **METRIC_PARAMS.get(name, {}))
-            timings[(name, "pairwise")] = _time(
-                lambda m=metric: m.pairwise(values), KERNEL_REPEATS
+            dist = metric.distance
+
+            def pointwise_matrix(d=dist):
+                return [[d(a, b) for b in values] for a in values]
+
+            timings[(name, "pairwise")], timings[(name, "loop")] = _time(
+                lambda m=metric: m.pairwise(values), pointwise_matrix,
+                repeats=PAIR_REPEATS,
             )
-            timings[(name, "rows")] = _time(
+            (rows,) = _time(
                 lambda m=metric: [m.rows(v, values) for v in values[:8]],
-                KERNEL_REPEATS,
-            ) / 8
+                repeats=KERNEL_REPEATS,
+            )
+            timings[(name, "rows")] = rows / 8
 
     # Tracked by pytest-benchmark so kernel regressions show up in the
     # BENCH_*.json trajectories.
     benchmark.pedantic(kernel_sweep, rounds=1, iterations=1)
-
-    for name in registered_metrics():
-        metric = metric_from_name(name, **METRIC_PARAMS.get(name, {}))
-        dist = metric.distance
-
-        def pointwise_matrix(d=dist):
-            return [[d(a, b) for b in values] for a in values]
-
-        timings[(name, "loop")] = _time(pointwise_matrix, 1)
 
     lines = [
         f"Metric kernels vs pointwise loops "

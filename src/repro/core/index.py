@@ -313,8 +313,14 @@ class NeighborhoodIndex:
           surviving arrays.
 
         The arrays are the live internals: observers must only read them and
-        must not retain them past the callback.
+        must not retain them past the callback.  An observer that is
+        already attached raises :class:`~repro.core.errors.RankingError`:
+        it would see every mutation twice.
         """
+        if observer in self._observers:
+            raise RankingError(
+                f"{type(observer).__name__} is already attached to this index"
+            )
         self._observers.append(observer)
 
     # ------------------------------------------------------------------

@@ -24,7 +24,7 @@ them with :func:`min_hop_merge` (the ``[Q]^min`` operator of the paper).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Tuple
 
 from .metrics import Metric
@@ -93,12 +93,22 @@ class DataPoint:
         """Return a copy of this point with the ``hop`` field replaced."""
         if hop < 0:
             raise ValueError(f"hop must be non-negative, got {hop}")
-        return replace(self, hop=hop)
+        return self._hop_copy(hop)
 
     def incremented(self) -> "DataPoint":
         """Return a copy with ``hop`` incremented by one (used before
         forwarding a point to a neighbor in the semi-global algorithm)."""
-        return replace(self, hop=self.hop + 1)
+        return self._hop_copy(self.hop + 1)
+
+    def _hop_copy(self, hop: int) -> "DataPoint":
+        # The fields are already normalised, so the copy skips
+        # ``__post_init__`` and recomputes only the hash, which covers hop.
+        copy = object.__new__(self.__class__)
+        fields = copy.__dict__
+        fields.update(self.__dict__)
+        fields["hop"] = hop
+        fields["_cached_hash"] = hash((self.values, self.origin, self.epoch, hop))
+        return copy
 
     def same_rest(self, other: "DataPoint") -> bool:
         """True when the two points differ at most in their ``hop`` field."""

@@ -3,9 +3,10 @@
 Every transmission is physically a broadcast: all nodes within transmission
 range of the sender overhear the packet and spend receive energy on it
 (promiscuous listening), regardless of whom the packet is addressed to.  The
-MAC layer of each node then decides whether to hand the packet to the
-application (it does so for link-layer broadcasts and for packets addressed
-to the node).
+channel decides which receivers the frame is delivered to: every receiver of
+a link-layer broadcast, and only the link destination of a unicast.  A
+unicast overheard by any other receiver is charged, counted and discarded at
+transmission time; it never becomes a simulator event.
 
 The channel models:
 
@@ -37,7 +38,7 @@ from typing import TYPE_CHECKING, Dict, Optional, Tuple
 from ..core.errors import ConfigurationError, SimulationError
 from ..simulator.engine import Simulator
 from ..simulator.rng import RandomStreams
-from .packet import Packet
+from .packet import BROADCAST_ADDRESS, Packet
 from .topology import Topology
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -155,6 +156,10 @@ class WirelessChannel:
         self._burst_bad: Dict[Tuple[int, int], bool] = {}
         self._nodes: Dict[int, "SimNode"] = {}
         self.stats = ChannelStatistics()
+        #: Overheard unicasts: counted in ``stats.deliveries`` but never
+        #: scheduled, and the latest arrival time among them.
+        self.overheard_receptions = 0
+        self.last_overheard_arrival = 0.0
 
     # ------------------------------------------------------------------
     # Registration
@@ -182,11 +187,13 @@ class WirelessChannel:
         """Put ``packet`` on the air from ``sender_id``.
 
         The sender is charged transmit energy once; every attached neighbor
-        within range is charged receive energy (promiscuous listening) and,
-        unless the loss draw discards the packet for that particular
-        receiver, gets the packet delivered after the airtime plus the
-        processing delay.  The airtime and the receive energy are computed
-        once per packet for each distinct
+        within range is charged receive energy (promiscuous listening) and
+        takes a loss draw, in receiver order.  A reception that survives the
+        draw counts in ``stats.deliveries``.  It is delivered after the
+        airtime plus the processing delay when the frame is a broadcast or
+        the receiver is its link destination; an overheard unicast is
+        discarded here instead.  The airtime and the receive energy are
+        computed once per packet for each distinct
         :class:`~repro.network.energy.EnergyModel`, and the deliveries are
         scheduled as one fan-out in receiver order.
         """
@@ -206,10 +213,13 @@ class WirelessChannel:
         # Without a burst model and with a zero loss probability ``_lost``
         # draws nothing and returns False, so skipping it changes no draw.
         lossy = self.burst is not None or self.loss_probability > 0
+        destination = packet.link_destination
+        broadcast = destination == BROADCAST_ADDRESS
         nodes = self._nodes
         rx_joules: Dict[int, float] = {}  # id(EnergyModel) -> joules
         rx_model = energy = None
         deliveries = []
+        overheard = 0
         # Cached ascending-id tuple: same iteration (and loss-draw) order the
         # historical ``sorted(set)`` produced, without rebuilding it per send.
         for neighbor_id in self.topology.neighbors_sorted(sender_id):
@@ -230,11 +240,21 @@ class WirelessChannel:
             if lossy and self._lost(sender_id, neighbor_id):
                 stats.losses += 1
                 continue
-            deliveries.append(receiver.deliver)
-        stats.deliveries += len(deliveries)
-        self.simulator.schedule_each(
-            airtime + self.processing_delay, deliveries, packet
-        )
+            if broadcast or neighbor_id == destination:
+                deliveries.append(receiver.deliver)
+            else:
+                # Unicast traffic meant for someone else: the energy has
+                # been spent, but the packet is not processed further.
+                receiver.packets_discarded += 1
+                overheard += 1
+        delay = airtime + self.processing_delay
+        if overheard:
+            self.overheard_receptions += overheard
+            self.last_overheard_arrival = max(
+                self.last_overheard_arrival, self.simulator.now + delay
+            )
+        stats.deliveries += len(deliveries) + overheard
+        self.simulator.schedule_each(delay, deliveries, packet)
 
     def _lost(self, sender_id: int, receiver_id: int) -> bool:
         """One loss decision for this delivery attempt.

@@ -2,10 +2,12 @@
 
 A :class:`SimNode` owns an energy meter and a stack of packet handlers
 (routing agents, applications).  Its MAC behaviour is deliberately simple, as
-in the paper: all transmissions are physical broadcasts; on reception the
-node keeps link-layer broadcasts and packets addressed to itself and hands
-them to the handler stack, discarding everything else (the receive energy has
-already been paid -- that is the cost of promiscuous listening).
+in the paper: all transmissions are physical broadcasts, and every node in
+range pays receive energy for them (promiscuous listening).  The channel
+decides which receivers a frame is delivered to -- link-layer broadcasts
+reach every receiver, unicasts only their link destination -- and counts an
+overheard unicast in the receiver's ``packets_discarded``; a delivered packet
+goes to the handler stack.
 """
 
 from __future__ import annotations
@@ -113,17 +115,12 @@ class SimNode:
     # Receiving
     # ------------------------------------------------------------------
     def deliver(self, packet: Packet) -> None:
-        """Called by the channel when a packet reaches this node's radio."""
+        """Called by the channel when a packet addressed to this node, or
+        broadcast, reaches its radio."""
         if not self.up:
             # The node went down between the loss draw and the delivery
             # instant (airtime + processing delay): the packet is gone.
             self.deliveries_missed_down += 1
-            return
-        destination = packet.link_destination
-        if destination != BROADCAST_ADDRESS and destination != self.node_id:
-            # Overheard unicast traffic meant for someone else: the energy
-            # has been spent, but the packet is not processed further.
-            self.packets_discarded += 1
             return
         for handler in self._handlers:
             if handler(self, packet):

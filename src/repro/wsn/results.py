@@ -59,7 +59,9 @@ class SimulationResult:
         empty -- and absent from the JSON encoding -- for fault-free runs,
         so their encodings are byte-identical to pre-fault-subsystem ones.
     events_executed:
-        Number of discrete events the simulator processed.
+        Number of events of the one-event-per-reception model: the events
+        the simulator dispatched plus the overheard unicasts the channel
+        counted without scheduling them.
     wallclock_seconds:
         Real time the run took (useful for reporting simulation cost).
     """

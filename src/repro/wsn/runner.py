@@ -14,6 +14,7 @@ from typing import Dict, List, Optional, Set
 
 from ..analysis.accuracy import compare_estimates, normalise
 from ..core.config import Algorithm
+from ..core.errors import SimulationError
 from ..core.points import DataPoint
 from ..core.reference import semi_global_reference_all
 from ..datasets.loader import build_intel_lab_dataset
@@ -122,15 +123,27 @@ def collect_result(
     The last step of :func:`run_scenario`, public so a caller that drives
     ``build_deployment -> schedule_workload -> Simulator.run`` itself gets
     the identical result.  ``started`` is a ``time.perf_counter`` origin
-    for the (non-canonical) wallclock field.
+    for the (non-canonical) wallclock field.  A deployment with events
+    still queued raises :class:`~repro.core.errors.SimulationError`.
+
+    The channel counts overheard unicasts at transmission time and never
+    schedules them, so they join the event count and the clock here: the
+    result is that of one event per reception.
     """
     scenario = deployment.scenario
     data = deployment.dataset
+    simulator = deployment.simulator
+    channel = deployment.channel
+    if simulator.pending:
+        raise SimulationError(
+            f"collect_result needs a drained run: {simulator.pending} events "
+            f"are still queued"
+        )
 
     # Idle-energy accounting over the full observation interval.  Every
     # algorithm is charged over the same duration so idle energy never skews
     # the comparison.
-    duration = max(deployment.simulator.now, scenario.duration)
+    duration = max(simulator.now, channel.last_overheard_arrival, scenario.duration)
     for node in deployment.nodes.values():
         node.energy.charge_idle(duration)
 
@@ -170,13 +183,13 @@ def collect_result(
     return SimulationResult(
         scenario=scenario,
         energy=energy,
-        channel=deployment.channel.stats,
+        channel=channel.stats,
         accuracy=accuracy,
         estimates={n: normalise(e) for n, e in estimates.items()},
         references={n: normalise(r) for n, r in references.items()},
         protocol_stats=protocol_stats,
         fault_stats=fault_stats,
-        events_executed=deployment.simulator.events_executed,
+        events_executed=simulator.events_executed + channel.overheard_receptions,
         wallclock_seconds=(
             time.perf_counter() - started if started is not None else 0.0
         ),

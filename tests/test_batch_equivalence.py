@@ -207,7 +207,6 @@ def test_scorecache_bulk_rescore_matches_scalar(ranking_factory, monkeypatch):
     for trial in range(12):
         index = NeighborhoodIndex()
         bulk = ScoreCache(index, ranking_factory(), max_hop=None)
-        index.attach(bulk)
         live = []
         for epoch in range(36):
             point = _make_point(rng, epoch)

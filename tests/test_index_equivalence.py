@@ -209,6 +209,18 @@ class TestIndexMechanics:
         with pytest.raises(RankingError):
             index.add(make_point([1.0], 0, 1))
 
+    def test_second_attach_of_an_observer_is_rejected(self):
+        """An observer attached twice would see every mutation twice."""
+        rng = random.Random(11)
+        index = NeighborhoodIndex(_cloud(rng, 5))
+        cache = ScoreCache(index, NearestNeighborDistance())  # attaches itself
+        observers = list(index._observers)
+        with pytest.raises(RankingError, match="already attached"):
+            index.attach(cache)
+        assert index._observers == observers
+        index.add(make_point([50.0, 50.0], origin=9, epoch=1))
+        assert len(cache) == len(index) == 6
+
     def test_same_observation_copies_are_not_neighbors(self, monkeypatch):
         """The oracle scores any point set and skips same-key candidates;
         the index holds one copy per observation and refuses a second."""

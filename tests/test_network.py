@@ -241,7 +241,8 @@ class TestChannelAndNodes:
 
 class TestChannelFanOut:
     """One transmission: one receive-energy figure per model, loss draws in
-    receiver order, and one fan-out of deliveries."""
+    receiver order, and one fan-out of deliveries -- to every receiver of a
+    broadcast, and to the link destination alone of a unicast."""
 
     #: Node 4 sits in the middle of a 3x3 grid and reaches the other eight.
     SENDER = 4
@@ -260,6 +261,11 @@ class TestChannelFanOut:
     def _broadcast(size=40):
         return Packet(PacketKind.APP_BROADCAST, source=0,
                       destination=BROADCAST_ADDRESS, size_bytes=size)
+
+    @classmethod
+    def _unicast(cls, destination, size=40):
+        return Packet(PacketKind.APP_DATA, source=cls.SENDER,
+                      destination=destination, size_bytes=size)
 
     def test_receivers_pay_their_own_models_rx_energy(self):
         slow = EnergyModel(rx_power_w=0.05, bitrate_bps=9_600.0)
@@ -330,21 +336,33 @@ class TestChannelFanOut:
                 lambda n, p: received.append((p.packet_id, n.node_id)) or True
             )
         expected = []
-        lost = 0
-        for _ in range(25):
-            packet = self._broadcast()
-            nodes[self.SENDER].broadcast(packet)
+        lost = delivered = 0
+        for sent in range(50):
+            unicast = sent % 2 == 1
+            if unicast:
+                # Every receiver draws; only the link destination (5)
+                # gets the packets that survive.
+                packet = self._unicast(5)
+                nodes[self.SENDER].send(packet)
+            else:
+                packet = self._broadcast()
+                nodes[self.SENDER].broadcast(packet)
             for receiver in reference.topology.neighbors_sorted(self.SENDER):
                 if receiver == 2:
                     continue
                 if reference._lost(self.SENDER, receiver):
                     lost += 1
-                else:
+                    continue
+                delivered += 1
+                if not unicast or receiver == 5:
                     expected.append((packet.packet_id, receiver))
         sim.run()
         assert received == expected
         assert channel.stats.losses == lost > 0
-        assert channel.stats.deliveries == len(expected)
+        assert channel.stats.deliveries == delivered
+        assert channel.overheard_receptions == delivered - len(expected)
+        rng = "_rng" if burst is None else "_burst_rng"
+        assert getattr(channel, rng).getstate() == getattr(reference, rng).getstate()
 
     def test_a_loss_free_channel_never_draws(self):
         sim, channel, nodes = self._stack(streams=RandomStreams(3))
@@ -375,3 +393,29 @@ class TestChannelFanOut:
         nodes[self.SENDER].broadcast(self._broadcast())
         sim.run()
         assert seen == [0, 1, 2, 3, 5, 6, 7, 8]
+
+    def test_a_unicast_is_delivered_to_its_link_destination_alone(self, monkeypatch):
+        sim, channel, nodes = self._stack()
+        seen = []
+        original = SimNode.deliver
+
+        def counted(node, packet):
+            seen.append(node.node_id)
+            return original(node, packet)
+
+        monkeypatch.setattr(SimNode, "deliver", counted)
+        for node in nodes.values():
+            node.add_handler(lambda n, p: True)
+        nodes[self.SENDER].send(self._unicast(5))
+        assert sim.pending == sim.events_scheduled == 1
+        sim.run()
+        assert seen == [5]
+        # The other seven receivers in range still pay for and count the
+        # reception; the channel discards it for them at transmission.
+        assert channel.stats.deliveries == 8
+        assert channel.overheard_receptions == 7
+        expected = CROSSBOW_MICA2.rx_energy(40)
+        for node_id, node in nodes.items():
+            if node_id != self.SENDER:
+                assert node.energy.rx_joules == expected
+                assert node.packets_discarded == (node_id != 5)

@@ -51,6 +51,18 @@ class TestConstruction:
     def test_incremented(self):
         assert make_point([1.0], 0, 0).incremented().hop == 1
 
+    @pytest.mark.parametrize(
+        "copy, hop",
+        [(lambda point: point.with_hop(5), 5), (DataPoint.incremented, 3)],
+        ids=["with_hop", "incremented"],
+    )
+    def test_hop_copy_equals_a_constructed_point(self, copy, hop):
+        point = DataPoint([1, 2.5], origin=3, epoch=7, timestamp=4.0, hop=2)
+        made = copy(point)
+        built = DataPoint((1.0, 2.5), 3, 7, 4.0, hop)
+        assert made == built and hash(made) == hash(built)
+        assert point == DataPoint((1.0, 2.5), 3, 7, 4.0, 2)  # untouched
+
 
 class TestOrdering:
     def test_sort_key_orders_by_values_then_origin_then_epoch(self):

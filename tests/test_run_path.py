@@ -7,6 +7,8 @@ These tests pin that both drivings produce a transcript
 (``SimulationResult.canonical_json``) byte-identical to ``run_scenario``
 on the paper's 53-node deployment: every algorithm with fault churn off
 and on, every registered metric space, and both channel-loss models.
+They also pin what ``collect_result`` adds for the overheard unicasts the
+channel never schedules, and that it refuses a run with events queued.
 """
 
 from __future__ import annotations
@@ -20,8 +22,10 @@ from typing import Dict
 import pytest
 
 from repro.core.config import Algorithm, DetectionConfig
+from repro.core.errors import SimulationError
 from repro.datasets.loader import build_intel_lab_dataset
 from repro.experiments.sweeps import METRIC_VARIANTS
+from repro.network import Packet, PacketKind
 from repro.wsn.deployment import build_deployment
 from repro.wsn.faults import FaultConfig
 from repro.wsn.runner import collect_result, run_scenario, schedule_workload
@@ -130,8 +134,18 @@ class TestStagedRun:
     @pytest.mark.parametrize("scenario", SCENARIOS)
     def test_staged_run_matches_run_scenario(self, scenario):
         deployment = deploy(scenario)
-        deployment.simulator.run()
-        assert collect_result(deployment).canonical_json() == golden(scenario)
+        simulator, channel = deployment.simulator, deployment.channel
+        simulator.run()
+        result = collect_result(deployment)
+        assert result.canonical_json() == golden(scenario)
+        # One event per reception: the overheard unicasts the channel did
+        # not schedule join the dispatched events.  Only the centralized
+        # baseline sends unicasts (AODV).
+        assert result.events_executed == (
+            simulator.events_executed + channel.overheard_receptions
+        )
+        centralized = scenario.detection.algorithm == Algorithm.CENTRALIZED
+        assert (channel.overheard_receptions > 0) == centralized
 
     @pytest.mark.parametrize("scenario", SCENARIOS)
     def test_event_slices_replay_the_uninterrupted_run(self, scenario):
@@ -147,6 +161,49 @@ class TestStagedRun:
             slices += 1
         assert slices > 1
         assert collect_result(deployment).canonical_json() == golden(scenario)
+
+
+class TestCollectResult:
+    SCENARIO = ScenarioConfig(
+        detection=_ALGORITHMS["centralized"], node_count=6, rounds=2, seed=0
+    )
+
+    def test_an_unscheduled_reception_moves_the_idle_horizon(self):
+        """A unicast whose destination is down leaves no heap entry, yet
+        its overheard receptions end the clock at their arrival, as their
+        delivery events would have."""
+        deployment = deploy(self.SCENARIO)
+        simulator, channel = deployment.simulator, deployment.channel
+        simulator.run()
+        assert simulator.now < self.SCENARIO.duration
+        topology = deployment.topology
+        sender = next(
+            node for node in topology.node_ids if len(topology.neighbors(node)) > 1
+        )
+        destination = topology.neighbors_sorted(sender)[0]
+        deployment.nodes[destination].power_down()
+        packet = Packet(PacketKind.APP_DATA, source=sender,
+                        destination=destination, size_bytes=40)
+        sent = self.SCENARIO.duration
+        simulator.schedule_at(sent, deployment.nodes[sender].send, packet)
+        overheard = channel.overheard_receptions
+        simulator.run()
+        assert simulator.now == sent and simulator.pending == 0
+        assert channel.overheard_receptions == (
+            overheard + len(topology.neighbors(sender)) - 1
+        )
+        model = deployment.nodes[sender].energy.model
+        arrival = sent + (model.airtime(40) + channel.processing_delay)
+        assert channel.last_overheard_arrival == arrival
+        collect_result(deployment)
+        for node in deployment.nodes.values():
+            assert node.energy.idle_joules == node.energy.model.idle_energy(arrival)
+
+    def test_a_run_with_events_queued_is_refused(self):
+        deployment = deploy(self.SCENARIO)
+        deployment.simulator.run(max_events=5)
+        with pytest.raises(SimulationError, match="still queued"):
+            collect_result(deployment)
 
 
 def test_run_path_loads_no_sweep_machinery():
