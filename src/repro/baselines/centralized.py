@@ -10,26 +10,28 @@ an offline reference implementation.
 
 Although each upload *replaces* a sensor's stored window wholesale, the
 windows slide by one or two samples per round, so the aggregator keeps a
-reference count per union point and mirrors the union in a
-:class:`~repro.core.index.NeighborhoodIndex` that it brings up to date
-lazily: uploads touch only the counts, and each outlier computation first
-applies the union's net change since the previous one as a single
-:class:`~repro.core.batch.EventBatch`.  Per publication the sink pays one
-block write for the few points that actually entered or left the union
-(about one per sensor) instead of one scalar index write per upload, or an
-``O(N² · d)`` rebuild.
+reference count per union point and one pairwise distance matrix over the
+union, which it brings up to date lazily: uploads touch only the counts,
+and each outlier computation first applies the union's net change since
+the previous one.  Per publication the sink computes distances only for the
+few points that entered the union (about one per sensor), scores every
+point from the matrix with the ranking's ``scores_from_distances`` -- the
+kernel the brute-force oracle runs on a fresh matrix -- and takes the top
+``n`` by ``(score, ≺)``.
 """
 
 from __future__ import annotations
 
+import heapq
 from collections import Counter
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Dict, Iterable, List, Set
 
-from ..core.batch import EventBatch
-from ..core.index import NeighborhoodIndex
+import numpy as np
+
+from ..core.errors import RankingError
 from ..core.outliers import OutlierQuery
-from ..core.points import DataPoint
-from ..core.rescoring import ScoreCache
+from ..core.points import DataPoint, RestKey, sort_key
+from ..core.ranking import _BUILTIN_RANKINGS
 
 __all__ = ["CentralizedAggregator"]
 
@@ -38,33 +40,27 @@ class CentralizedAggregator:
     """Sink-side state of the centralized baseline.
 
     The aggregator keeps the most recent window reported by every sensor and
-    recomputes the global outlier set on demand.  The union of all windows
-    is mirrored in an incremental neighborhood index, which
-    :meth:`compute_outliers` synchronises with one
-    :class:`~repro.core.batch.EventBatch` per call.
+    recomputes the global outlier set on demand, from a distance matrix
+    over the union that :meth:`compute_outliers` synchronises first.
 
-    Deferring the index writes is exact: at query time the index holds
-    exactly the union, as eager per-upload writes would leave it.  Only
-    slot numbers can differ, and they never reach an output: neighbor rows
-    order by ``(distance, ≺ key)`` and the score cache by
-    ``(score, ≺ key)``, and the index holds one copy per observation, so
-    no two entries tie on both.
+    Deferring the matrix writes is exact: at query time the matrix holds
+    the distances between exactly the union's points, each the float the
+    metric's kernels give that pair, and the union holds one copy per
+    observation, so ``(score, ≺)`` has no full ties and the matrix order
+    never reaches an output.
     """
 
     def __init__(self, query: OutlierQuery) -> None:
         self.query = query
         self._windows: Dict[int, Set[DataPoint]] = {}
         #: Number of reporting windows containing each union point; a point
-        #: enters the index on 0 -> 1 and leaves it on 1 -> 0.
+        #: enters the matrix on 0 -> 1 and leaves it on 1 -> 0.
         self._multiplicity: Counter = Counter()
-        self._index = NeighborhoodIndex(metric=query.ranking.metric)
-        # Dirty-set rescoring over the union: the per-round outlier
-        # publication becomes a tail read of the maintained (score, ≺) order
-        # instead of a full rescore of every reported window.
-        self._cache: Optional[ScoreCache] = ScoreCache.if_supported(
-            self._index, query.ranking
-        )
-        self.updates_received = 0
+        #: The union's points in matrix order, their ``≺`` keys, and their
+        #: pairwise distances with ``+inf`` on the diagonal.
+        self._points: List[DataPoint] = []
+        self._keys: List[RestKey] = []
+        self._distances = np.zeros((0, 0))
 
     # ------------------------------------------------------------------
     # Updates
@@ -73,7 +69,7 @@ class CentralizedAggregator:
         """Replace the stored window of ``node_id`` with ``points``.
 
         Only the symmetric difference against the previously stored window
-        touches the union bookkeeping; the index catches up at the next
+        touches the union bookkeeping; the matrix catches up at the next
         :meth:`compute_outliers`.
         """
         fresh = {p for p in points}
@@ -83,7 +79,6 @@ class CentralizedAggregator:
             self._multiplicity[point] += 1
         for point in previous - fresh:
             self._release(point)
-        self.updates_received += 1
 
     def forget(self, node_id: int) -> None:
         """Drop a sensor's contribution (e.g. when it leaves the network)."""
@@ -97,20 +92,49 @@ class CentralizedAggregator:
         else:
             del self._multiplicity[point]
 
-    def _sync_index(self) -> None:
-        """Apply the union's net change since the last query as one batch.
+    def _sync(self) -> None:
+        """Apply the union's net change since the last query to the matrix.
 
-        Both scans walk insertion-ordered dicts, so the batch order is
-        deterministic; a point that entered and left the union between two
-        queries never reaches the index.
+        The points still in the union keep their rows and columns (one
+        gather); the arrivals are appended in the union's insertion order,
+        so the matrix order is deterministic.  A point that entered and left
+        the union between two queries never reaches the matrix, and an
+        arrival that would be a second copy of a held observation raises
+        :class:`~repro.core.errors.RankingError` before anything changes.
         """
-        index = self._index
         union = self._multiplicity
-        batch = EventBatch()
-        batch.evicts.extend(p for p in index.points() if p not in union)
-        batch.adds.extend(p for p in union if p not in index)
-        if batch:
-            index.apply_batch(batch)
+        points = self._points
+        kept = [i for i, point in enumerate(points) if point in union]
+        held = set(points)
+        arrivals = [point for point in union if point not in held]
+        if not arrivals and len(kept) == len(points):
+            return
+        keys = [self._keys[i] for i in kept]
+        fresh_keys = [sort_key(point) for point in arrivals]
+        seen = set(keys)
+        for point, key in zip(arrivals, fresh_keys):
+            if key in seen:
+                raise RankingError(
+                    f"{point!r} would be a second copy of its observation; "
+                    f"the sink holds one copy per observation"
+                )
+            seen.add(key)
+        survivors = [points[i] for i in kept]
+        size = len(kept)
+        matrix = np.empty((size + len(arrivals),) * 2)
+        matrix[:size, :size] = self._distances[np.ix_(kept, kept)]
+        if arrivals:
+            metric = self.query.ranking.metric
+            values = [point.values for point in arrivals]
+            block = metric.cross(values, [point.values for point in survivors])
+            matrix[size:, :size] = block
+            matrix[:size, size:] = block.T
+            among = metric.pairwise(values)
+            np.fill_diagonal(among, np.inf)
+            matrix[size:, size:] = among
+        self._points = survivors + arrivals
+        self._keys = keys + fresh_keys
+        self._distances = matrix
 
     # ------------------------------------------------------------------
     # Queries
@@ -129,11 +153,15 @@ class CentralizedAggregator:
 
     def compute_outliers(self) -> List[DataPoint]:
         """``O_n`` over the union of all reported windows (ordered)."""
-        self._sync_index()
-        cache = self._cache
-        if cache is not None:
-            return cache.top_n(self.query.n)
-        return self.query.outliers(self.union(), index=self._index)
+        self._sync()
+        ranking = self.query.ranking
+        if type(ranking) not in _BUILTIN_RANKINGS:
+            return self.query.outliers(self.union())
+        scores = ranking.scores_from_distances(self._distances)
+        top = heapq.nlargest(
+            self.query.n, zip(scores, self._keys, range(len(scores)))
+        )
+        return [self._points[position] for _, _, position in top]
 
     def total_points(self) -> int:
         """Number of distinct points currently known to the sink."""

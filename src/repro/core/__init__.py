@@ -19,15 +19,17 @@ run in-network outlier detection over their own transport:
   :func:`semi_global_reference`;
 * the incremental hot-path engine: :class:`NeighborhoodIndex`, a persistent
   per-sensor structure caching every point's neighbor list sorted by
-  ``(distance, ≺)``.  Every detector and the centralized sink own one and
-  update it once per event (one :class:`EventBatch`) with ``O(Δ·n)``
-  distance computations (plus C-level sorted-list maintenance) instead of
-  rebuilding an ``O(n²·d)`` pairwise-distance matrix.  Every scoring
-  computation accepts an optional ``index`` to run against the cache, and
-  the detectors run the sufficient-set fixpoint, support sets included, on
-  its slot ids; without the index everything recomputes by brute force,
-  the path :mod:`repro.core.reference` and the test-suite's oracle
-  detectors use, and the two agree bit for bit;
+  ``(distance, ≺)``.  Every detector owns one and updates it once per
+  event (one :class:`EventBatch`) with ``O(Δ·n)`` distance computations
+  (plus C-level sorted-list maintenance) instead of rebuilding an
+  ``O(n²·d)`` pairwise-distance matrix.  (The centralized sink reads only
+  full-set scores, once per round, so it keeps that matrix instead and
+  updates it per publication with the same ``O(Δ·n)`` distances.)  Every
+  scoring computation accepts an optional ``index`` to run against the
+  cache, and the detectors run the sufficient-set fixpoint, support sets
+  included, on its slot ids; without the index everything recomputes by
+  brute force, the path :mod:`repro.core.reference` and the test-suite's
+  oracle detectors use, and the two agree bit for bit;
 * the distributed detectors: :class:`GlobalOutlierDetector`,
   :class:`SemiGlobalOutlierDetector` and their shared
   :class:`OutlierMessage` packet type;

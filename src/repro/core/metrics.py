@@ -27,7 +27,8 @@ Each metric therefore fixes one canonical arithmetic:
   metric is bit-identical to the historical behavior.  Its kernels map
   ``math.dist`` over one row at a time by design: a vectorised
   ``sqrt(((a-b)**2).sum())`` differs from ``math.dist`` (which scales to
-  avoid overflow) in the last ulp.
+  avoid overflow) in the last ulp.  ``math.dist`` is symmetric, so
+  ``pairwise`` computes each unordered pair once and mirrors it.
 * Every other metric derives from :class:`VectorizedMetric`, whose three
   entry points all reshape their differences into one shared reduction over
   a C-contiguous ``(rows, dimension)`` array.  Because numpy's
@@ -135,8 +136,9 @@ class EuclideanMetric(Metric):
 
     This is the repository's historical (and default) metric.  Every kernel
     is the ``math.dist`` row kernel, ``fromiter(map(partial(math.dist, x),
-    X))``: :meth:`rows` is one row, and :meth:`cross` and :meth:`pairwise`
-    stack one row per left-hand point.  ``math.dist`` uses a scaled
+    X))``: :meth:`rows` is one row, :meth:`cross` stacks one row per
+    left-hand point, and :meth:`pairwise` fills each row's upper part and
+    mirrors it into the column.  ``math.dist`` uses a scaled
     algorithm whose rounding a vectorised numpy recipe cannot reproduce
     exactly, and the default metric must stay bit-identical to the seed
     implementation so that every existing figure table, stored sweep result
@@ -160,11 +162,18 @@ class EuclideanMetric(Metric):
             raise RankingError(str(error)) from None
 
     def pairwise(self, X: Sequence[Vector]) -> np.ndarray:
-        # One row kernel per point.  ``math.dist`` is symmetric and
-        # ``dist(a, a) == 0.0``, so this is bitwise the matrix a loop over
-        # the upper triangle would fill.
+        # Each unordered pair once: row i's distances to the points after
+        # it, mirrored into column i.  ``math.dist`` is symmetric and
+        # ``dist(a, a) == 0.0``, so this is bitwise the matrix that stacking
+        # one full row per point would give.
         points = list(X)
-        return self.cross(points, points)
+        size = len(points)
+        matrix = np.zeros((size, size))
+        for i in range(size - 1):
+            row = self.rows(points[i], points[i + 1:])
+            matrix[i, i + 1:] = row
+            matrix[i + 1:, i] = row
+        return matrix
 
 
 class VectorizedMetric(Metric):

@@ -118,12 +118,24 @@ def _left_sum(values: Iterable[float]) -> float:
     not be empty).
 
     Every :class:`AverageKNNDistance` path adds its ``k`` distances through
-    this one chain, and :class:`~repro.core.rescoring.ScoreCache` adds numpy
-    columns in the same order, so all of them agree bit for bit.  The
+    this one chain, and its ``scores_from_distances`` and
+    :class:`~repro.core.rescoring.ScoreCache` add numpy columns in the same
+    order, so all of them agree bit for bit.  The
     builtin ``sum()`` of floats is compensated since Python 3.12 and may
     round differently.
     """
     return reduce(add, values)
+
+
+def _with_deficits(scores: np.ndarray, matrix: np.ndarray, k: int) -> List[float]:
+    """``scores`` of a k-NN ranking, one per row of ``matrix``, with each
+    ``+inf`` one -- a row with fewer than ``k`` finite entries -- replaced
+    by that row's deficit score ``(k - finite) · DEFICIT_UNIT``."""
+    short = np.isinf(scores)
+    if short.any():
+        finite = np.isfinite(matrix[short]).sum(axis=1)
+        scores[short] = (k - finite) * DEFICIT_UNIT
+    return scores.tolist()
 
 
 def _within_row(row, alpha: float, subset) -> list:
@@ -244,8 +256,9 @@ class RankingFunction(ABC):
     def bulk_scores(self, Q: Sequence[DataPoint]) -> List[float]:
         """Score every point of ``Q`` against ``Q`` itself, in order.
 
-        Subclasses override this with a vectorised implementation; the
-        default simply loops over :meth:`score`.  Semantically equivalent to
+        The built-in rankings override this with
+        ``scores_from_distances(_pairwise_distances(Q))``; the default
+        simply loops over :meth:`score`.  Semantically equivalent to
         ``[self.score(p, Q) for p in Q]``.
         """
         return [self.score(p, Q) for p in Q]
@@ -314,18 +327,20 @@ class KthNearestNeighborDistance(RankingFunction):
         return dists[self.k - 1]
 
     def bulk_scores(self, Q: Sequence[DataPoint]) -> List[float]:
-        if len(Q) <= 1:
-            return [self.k * DEFICIT_UNIT for _ in Q]
-        matrix = self._pairwise_distances(Q)
-        ordered = np.sort(matrix, axis=1)
-        scores: List[float] = []
-        for row in ordered:
-            finite = int(np.isfinite(row).sum())
-            if finite < self.k:
-                scores.append((self.k - finite) * DEFICIT_UNIT)
-            else:
-                scores.append(float(row[self.k - 1]))
-        return scores
+        return self.scores_from_distances(self._pairwise_distances(Q))
+
+    def scores_from_distances(self, matrix: np.ndarray) -> List[float]:
+        """One score per row of a distance matrix whose ``+inf`` entries
+        are not neighbors: the row's k-th smallest finite entry, the float
+        :meth:`score` returns."""
+        k = self.k
+        if len(matrix) < k:
+            kth = np.full(len(matrix), np.inf)
+        elif k == 1:
+            kth = matrix.min(axis=1)
+        else:
+            kth = np.partition(matrix, k - 1, axis=1)[:, k - 1]
+        return _with_deficits(kth, matrix, k)
 
     def support(self, x: DataPoint, P: Iterable[DataPoint]) -> FrozenSet[DataPoint]:
         candidates = _sorted_by_distance(x, _neighbors(x, P), self.metric)
@@ -403,22 +418,22 @@ class AverageKNNDistance(RankingFunction):
         return _left_sum(dists[: self.k]) / self.k
 
     def bulk_scores(self, Q: Sequence[DataPoint]) -> List[float]:
-        if len(Q) <= 1:
-            return [self.k * DEFICIT_UNIT for _ in Q]
-        matrix = self._pairwise_distances(Q)
-        ordered = np.sort(matrix, axis=1)
-        scores: List[float] = []
-        for row in ordered:
-            finite = int(np.isfinite(row).sum())
-            if finite < self.k:
-                scores.append((self.k - finite) * DEFICIT_UNIT)
-            else:
-                # Left-to-right summation, not numpy mean(): numpy switches
-                # to pairwise summation at >= 8 elements, which can differ in
-                # the last ulp from the scalar oracle and desynchronise
-                # tie-breaks.
-                scores.append(_left_sum(row[: self.k].tolist()) / self.k)
-        return scores
+        return self.scores_from_distances(self._pairwise_distances(Q))
+
+    def scores_from_distances(self, matrix: np.ndarray) -> List[float]:
+        """One score per row of a distance matrix whose ``+inf`` entries
+        are not neighbors: the float :meth:`score` returns."""
+        k = self.k
+        if len(matrix) < k:
+            return _with_deficits(np.full(len(matrix), np.inf), matrix, k)
+        head = np.sort(np.partition(matrix, k - 1, axis=1)[:, :k], axis=1)
+        # Column by column, left to right: the :func:`_left_sum` chain, not
+        # numpy's sum(), whose pairwise summation from 8 terms on can round
+        # differently in the last ulp and flip a tie-break.
+        total = head[:, 0].copy()
+        for column in range(1, k):
+            total += head[:, column]
+        return _with_deficits(total / k, matrix, k)
 
     def support(self, x: DataPoint, P: Iterable[DataPoint]) -> FrozenSet[DataPoint]:
         candidates = _sorted_by_distance(x, _neighbors(x, P), self.metric)
@@ -489,11 +504,13 @@ class NeighborCountWithinRadius(RankingFunction):
         return 1.0 / (1.0 + len(self._within(x, Q)))
 
     def bulk_scores(self, Q: Sequence[DataPoint]) -> List[float]:
-        if len(Q) <= 1:
-            return [1.0 for _ in Q]
-        matrix = self._pairwise_distances(Q)
+        return self.scores_from_distances(self._pairwise_distances(Q))
+
+    def scores_from_distances(self, matrix: np.ndarray) -> List[float]:
+        """One score per row of a distance matrix whose ``+inf`` entries
+        are not neighbors: the float :meth:`score` returns."""
         within = (matrix <= self.alpha).sum(axis=1)
-        return [1.0 / (1.0 + int(count)) for count in within]
+        return (1.0 / (1.0 + within)).tolist()
 
     def support(self, x: DataPoint, P: Iterable[DataPoint]) -> FrozenSet[DataPoint]:
         # The score depends only on the set of within-α neighbors, and every
@@ -518,11 +535,11 @@ class NeighborCountWithinRadius(RankingFunction):
         return f"NeighborCountWithinRadius(alpha={self.alpha!r})"
 
 
-#: The built-in rankings.  The index kernels that score a point from its
-#: cached row without calling ``score`` -- the slot fixpoint of
-#: :mod:`repro.core.sufficient` and the bulk rescoring of
-#: :class:`~repro.core.rescoring.ScoreCache` -- match these by exact type:
-#: a subclass may override ``score``.
+#: The built-in rankings.  The kernels that score a point without calling
+#: ``score`` -- the slot fixpoint of :mod:`repro.core.sufficient`, the bulk
+#: rescoring of :class:`~repro.core.rescoring.ScoreCache` and the
+#: centralized sink's ``scores_from_distances`` -- match these by exact
+#: type: a subclass may override ``score``.
 _BUILTIN_RANKINGS = (
     NearestNeighborDistance,
     KthNearestNeighborDistance,

@@ -1,16 +1,19 @@
 """Brute-force oracles for the lockstep suites.
 
 The production detectors (:class:`~repro.core.GlobalOutlierDetector`,
-:class:`~repro.core.SemiGlobalOutlierDetector`) and the centralized sink's
-:class:`~repro.baselines.centralized.CentralizedAggregator` keep an
-incremental :class:`~repro.core.index.NeighborhoodIndex`, dirty-set
-rescoring caches and per-event memos, and they skip work they can prove
-redundant.  The classes here keep none of that: every event recomputes
-``O_n(P_i)``, the supports and each neighbor's eq. 2 fixpoint through the
-index-free paths of the query layer, and the global oracle reruns the
-fixpoint even on a delivery of points it already holds.  The lockstep
-suites drive a production object and its oracle through identical event
-streams and require identical messages, holdings and estimates.
+:class:`~repro.core.SemiGlobalOutlierDetector`) keep an incremental
+:class:`~repro.core.index.NeighborhoodIndex`, dirty-set rescoring caches
+and per-event memos, and they skip work they can prove redundant; the
+centralized sink's
+:class:`~repro.baselines.centralized.CentralizedAggregator` keeps a
+distance matrix over the union that it updates by the union's net change.
+The classes here keep none of that: every event recomputes ``O_n(P_i)``,
+the supports and each neighbor's eq. 2 fixpoint through the index-free
+paths of the query layer, the sink oracle builds a fresh matrix over the
+union on every query, and the global oracle reruns the fixpoint even on a
+delivery of points it already holds.  The lockstep suites drive a
+production object and its oracle through identical event streams and
+require identical messages, holdings and estimates.
 """
 
 from __future__ import annotations

@@ -8,16 +8,20 @@ time through the per-point mutations.  These tests force the block
 machinery on at degenerate sizes (``BATCH_BLOCK_THRESHOLD = -1``), sweep
 the splice chunk width across its boundary cases, and drive randomized
 tie-heavy streams through every registered metric, comparing full
-structural snapshots against the sequential oracle.  At the detector and
-sink level, the one batched path runs twice on the same stream: once with
+structural snapshots against the sequential oracle.  At the detector
+level, the one batched path runs twice on the same stream: once with
 every batch forced onto the block path and once with every batch forced
-onto the scalar path (a threshold above any batch size).
+onto the scalar path (a threshold above any batch size).  The centralized
+sink applies each publication's net change to a distance matrix, not to
+an index; its window-replacement and churn script runs against the
+brute-force sink.
 """
 
 from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
 import repro.core.index as index_mod
@@ -36,6 +40,8 @@ from repro.core.ranking import (
 )
 from repro.core.rescoring import ScoreCache
 from repro.core.semiglobal_detector import SemiGlobalOutlierDetector
+
+from brute_oracle import BruteAggregator
 
 #: Every registered metric with the parameters it needs in 2-d.
 METRICS = [
@@ -315,38 +321,26 @@ def test_semiglobal_detector_transcripts_identical(monkeypatch):
         assert states[0] == states[1], metric_name
 
 
-def test_centralized_aggregator_batched_matches(monkeypatch):
-    """Window replacement and node churn through the aggregator: the block
-    path must publish the same outliers as the scalar path.  The sink
-    writes its index when it is queried, so the forced threshold wraps
-    each sink's ``compute_outliers``."""
+def test_centralized_aggregator_batched_matches():
+    """Window replacement and node churn through the aggregator: each
+    publication applies several uploads' net change to the sink's matrix
+    at once, and must publish the brute-force sink's outliers from exactly
+    the pairwise matrix over the union."""
     rng = random.Random(41)
     query = OutlierQuery(AverageKNNDistance(3), n=4)
-    block = CentralizedAggregator(query)
-    scalar = CentralizedAggregator(query)
-    block_writes = []
-    for name in ("_add_block", "_evict_block"):
-        original = getattr(NeighborhoodIndex, name)
-
-        def spy(index, *args, _original=original):
-            block_writes.append(index)
-            return _original(index, *args)
-
-        monkeypatch.setattr(NeighborhoodIndex, name, spy)
+    sink = CentralizedAggregator(query)
+    oracle = BruteAggregator(query)
 
     def update(node, points):
-        for aggregator in (block, scalar):
+        for aggregator in (sink, oracle):
             aggregator.update_window(node, points)
 
     def assert_same_outliers():
-        # One sink syncs its index through the block path, the other
-        # through the scalar path.
-        published = []
-        for aggregator, threshold in zip((block, scalar), FORCED_PATHS):
-            monkeypatch.setattr(index_mod, "BATCH_BLOCK_THRESHOLD", threshold)
-            published.append(aggregator.compute_outliers())
-        assert published[0] == published[1]
-        assert block.union() == scalar.union()
+        assert sink.compute_outliers() == oracle.compute_outliers()
+        assert sink.union() == oracle.union()
+        expected = query.ranking.metric.pairwise([p.values for p in sink._points])
+        np.fill_diagonal(expected, np.inf)
+        assert np.array_equal(sink._distances.view(np.int64), expected.view(np.int64))
 
     windows = {
         node: [_make_point(rng, node * 100 + e) for e in range(12)]
@@ -367,9 +361,6 @@ def test_centralized_aggregator_batched_matches(monkeypatch):
         windows[node] = kept + fresh
         update(node, windows[node])
         assert_same_outliers()
-    for aggregator in (block, scalar):
+    for aggregator in (sink, oracle):
         aggregator.forget(1)
     assert_same_outliers()
-    # The comparison is not vacuous: only the block sink took the block path.
-    assert any(index is block._index for index in block_writes)
-    assert not any(index is scalar._index for index in block_writes)

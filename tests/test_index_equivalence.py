@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
 import repro.core.index as index_mod
@@ -56,6 +57,7 @@ from repro.core import (
 )
 from repro.core.errors import ProtocolError, RankingError
 from repro.core.metrics import metric_from_name, registered_metrics
+from repro.core.points import sort_key
 from repro.core.sufficient import SlotFixpoint
 
 from brute_oracle import BruteAggregator, BruteGlobalDetector, BruteSemiGlobalDetector
@@ -364,6 +366,27 @@ def test_all_scoring_paths_bitwise_identical(ranking, grid):
             top_n_outliers(ranking, pts, 4, index=index)
             == top_n_outliers(ranking, pts, 4)
         )
+
+
+@pytest.mark.parametrize("grid", GRID_REGIMES)
+@pytest.mark.parametrize("ranking", RANKINGS, ids=RANKING_IDS)
+def test_scores_from_distances_match_scalar_scores(ranking, grid):
+    """The matrix kernel the bulk oracle and the centralized sink share
+    returns, bit for bit, the float ``score`` returns for every point --
+    also for sets of at most k points, where every score is a deficit
+    score, and for sets holding hop copies of one observation, which the
+    matrix marks ``+inf`` (not neighbors)."""
+    rng = random.Random(f"{type(ranking).__name__}-{grid}-from-distances")
+    for size in (0, 1, 2, 3, 4, 9, 10, 17):
+        Q = _cloud(rng, size, grid=grid)
+        Q += [p.with_hop(1 + i % 2) for i, p in enumerate(Q) if i % 3 == 0]
+        for points in (Q[:size], Q):
+            fast = ranking.scores_from_distances(ranking._pairwise_distances(points))
+            scalar = [ranking.score(p, points) for p in points]
+            assert np.array_equal(
+                np.array(fast, dtype=float).view(np.int64),
+                np.array(scalar, dtype=float).view(np.int64),
+            ), (size, len(points))
 
 
 @pytest.mark.parametrize("ranking", RANKINGS, ids=RANKING_IDS)
@@ -681,28 +704,39 @@ def _check_semiglobal_transcripts(rng, ranking, variant, hop_diameter):
 # ----------------------------------------------------------------------
 # Centralized baseline and reference computations
 # ----------------------------------------------------------------------
+def _assert_sink_matrix_is_pairwise(sink):
+    """The sink's state after a sync: one copy of every union point, their
+    ``≺`` keys, and exactly ``metric.pairwise`` over them with a ``+inf``
+    diagonal, bit for bit."""
+    points = sink._points
+    assert len(points) == sink.total_points() and set(points) == sink.union()
+    assert sink._keys == [sort_key(p) for p in points]
+    expected = sink.query.ranking.metric.pairwise([p.values for p in points])
+    np.fill_diagonal(expected, np.inf)
+    assert np.array_equal(sink._distances.view(np.int64), expected.view(np.int64))
+
+
 def _replay_sink_with_irregular_queries(query, rng, monkeypatch):
     """Query the sink at irregular points and check it against the oracle.
 
     Between two queries come 0-6 uploads or forgets, so the sink's lazily
-    synced index absorbs several uploads' net change in one batch, on
-    either side of the block threshold.  Integer-grid data makes distances
-    tie.  Midway, a point enters and leaves the union between two queries
-    (it must never reach the index), and a sensor is forgotten and then
-    re-uploads the same window (a zero net change: nothing is written).
+    synced matrix absorbs several uploads' net change at once.
+    Integer-grid data makes distances tie.  Midway, a point enters and
+    leaves the union between two queries (it must never reach the sink's
+    points), and a sensor is forgotten and then re-uploads the same window
+    (a zero net change: no distance is computed).
     """
     fast = CentralizedAggregator(query)
     slow = BruteAggregator(query)
-    added, evicted = [], []
-    apply_batch = NeighborhoodIndex.apply_batch
+    metric = query.ranking.metric
+    kernel_calls = []
+    for name in ("cross", "pairwise"):
 
-    def spy(index, batch):
-        if index is fast._index:
-            added.extend(batch.adds)
-            evicted.extend(batch.evicts)
-        return apply_batch(index, batch)
+        def spy(*args, _original=getattr(metric, name), _name=name):
+            kernel_calls.append(_name)
+            return _original(*args)
 
-    monkeypatch.setattr(NeighborhoodIndex, "apply_batch", spy)
+        monkeypatch.setattr(metric, name, spy)
     sensors = 4
     streams = {
         i: _cloud(rng, 40, origin=i, grid="int-grid") for i in range(sensors)
@@ -721,9 +755,15 @@ def _replay_sink_with_irregular_queries(query, rng, monkeypatch):
         slow.forget(node)
 
     def check():
+        """Compare with the oracle; return the kernels the sink's sync ran."""
         assert fast.union() == slow.union()
         assert fast.total_points() == slow.total_points()
-        assert fast.compute_outliers() == slow.compute_outliers()
+        expected = slow.compute_outliers()
+        kernel_calls.clear()
+        assert fast.compute_outliers() == expected
+        synced = list(kernel_calls)
+        _assert_sink_matrix_is_pairwise(fast)
+        return synced
 
     def irregular_rounds(count):
         for _ in range(count):
@@ -750,12 +790,10 @@ def _replay_sink_with_irregular_queries(query, rng, monkeypatch):
     upload(0, held + [transient])
     upload(0, held)
     check()
-    assert transient not in added
-    writes = len(added) + len(evicted)
+    assert transient not in fast._points
     forget(0)
     upload(0, held)
-    check()
-    assert len(added) + len(evicted) == writes
+    assert check() == []
     irregular_rounds(12)
 
 
@@ -782,6 +820,40 @@ def test_centralized_aggregator_matches_oracle(knn_query, monkeypatch):
     assert fast.union() == slow.union()
     assert fast.compute_outliers() == slow.compute_outliers()
     _replay_sink_with_irregular_queries(knn_query, rng, monkeypatch)
+
+
+def _sink_ranking(name, metric):
+    alpha = {"chebyshev": 5.0, "mahalanobis": 3.0}.get(metric.name, 8.0)
+    return {
+        "nn": NearestNeighborDistance(metric=metric),
+        "2nd-nn": KthNearestNeighborDistance(k=2, metric=metric),
+        "avg-3nn": AverageKNNDistance(k=3, metric=metric),
+        "count": NeighborCountWithinRadius(alpha=alpha, metric=metric),
+    }[name]
+
+
+@pytest.mark.parametrize("ranking_name", ["nn", "2nd-nn", "avg-3nn", "count"])
+@pytest.mark.parametrize("metric_name", registered_metrics())
+def test_matrix_sink_matches_oracle(metric_name, ranking_name, monkeypatch):
+    """The sink's maintained matrix publishes the oracle's ``O_n`` for
+    every built-in ranking under every metric, on integer-grid data.  It
+    starts from unions of 0, 1 and at most k points (every k-NN score a
+    deficit score), then replays overlapping windows, forgets and
+    re-uploads."""
+    query = OutlierQuery(_sink_ranking(ranking_name, _metric_for(metric_name)), n=3)
+    rng = random.Random(f"{metric_name}-{ranking_name}-matrix-sink")
+    fast = CentralizedAggregator(query)
+    slow = BruteAggregator(query)
+    pts = _cloud(rng, 3, origin=9, grid="int-grid")
+    script = [(0, pts[:1]), (1, pts[:2]), (0, pts[1:3]), (1, []), (0, [])]
+    assert fast.compute_outliers() == slow.compute_outliers() == []
+    for node, window in script:
+        fast.update_window(node, window)
+        slow.update_window(node, window)
+        assert fast.compute_outliers() == slow.compute_outliers()
+        _assert_sink_matrix_is_pairwise(fast)
+    assert fast.total_points() == 0
+    _replay_sink_with_irregular_queries(query, rng, monkeypatch)
 
 
 # ----------------------------------------------------------------------

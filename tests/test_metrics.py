@@ -25,6 +25,7 @@ import json
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -166,6 +167,42 @@ def test_euclidean_pairwise_is_the_pointwise_matrix(dim):
                 assert matrix[i, j] == EUCLIDEAN.distance(a, b), (i, j)
                 if a == b:
                     assert matrix[i, j] == 0.0
+
+
+def _int_grid(rng: random.Random, count: int, dim: int) -> list:
+    """Integer coordinates: many pairwise distances tie exactly."""
+    return [tuple(float(rng.randint(-8, 8)) for _ in range(dim)) for _ in range(count)]
+
+
+@pytest.mark.parametrize("count", [0, 1, 2, 53])
+def test_euclidean_pairwise_is_the_row_stacked_matrix(count):
+    """Each unordered pair is computed once and mirrored; the result must
+    be the matrix of one full row per point, bit for bit (sign bits
+    included)."""
+    rng = random.Random(f"euclidean-mirror-{count}")
+    X = _int_grid(rng, count, 3)
+    stacked = np.array([EUCLIDEAN.rows(a, X) for a in X]).reshape(count, count)
+    matrix = EUCLIDEAN.pairwise(X)
+    assert matrix.shape == (count, count)
+    assert np.array_equal(matrix.view(np.int64), stacked.view(np.int64))
+
+
+@pytest.mark.parametrize("name", registered_metrics())
+@pytest.mark.parametrize("dim", [1, 2, 12])
+def test_cross_transposed_is_the_swapped_block(name, dim):
+    """``cross(A, B).T == cross(B, A)`` bit for bit: the centralized sink
+    and the index's block path both fill one side of a symmetric distance
+    table from the transposed block."""
+    metric = metric_for(name, dim)
+    rng = random.Random(f"{name}-{dim}-cross")
+    for left, right in ((0, 4), (3, 0), (1, 1), (7, 23)):
+        A, B = _int_grid(rng, left, dim), _int_grid(rng, right, dim)
+        forward, backward = metric.cross(A, B), metric.cross(B, A)
+        assert forward.shape == (left, right)
+        assert np.array_equal(
+            np.ascontiguousarray(forward.T).view(np.int64),
+            backward.view(np.int64),
+        )
 
 
 def test_quantised_readings_tie_bitwise_across_paths():

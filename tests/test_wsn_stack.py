@@ -1,6 +1,8 @@
 """Tests for the WSN application layer, the scenario runner and the analysis
 utilities: small end-to-end simulations of every algorithm."""
 
+import dataclasses
+
 import pytest
 
 from repro.analysis import (
@@ -22,10 +24,12 @@ from repro.core import (
     OutlierQuery,
     SlidingWindow,
     make_point,
+    top_n_outliers,
 )
+from repro.core.errors import RankingError
 from repro.datasets import build_intel_lab_dataset
 from repro.network import Topology
-from repro.wsn import ScenarioConfig, run_scenario
+from repro.wsn import FaultConfig, ScenarioConfig, run_scenario
 
 
 class TestDetectionConfig:
@@ -137,6 +141,32 @@ class TestCentralizedAggregator:
         aggregator.forget(0)
         assert aggregator.reporting_nodes == []
 
+    @pytest.mark.parametrize("held_copy", [True, False])
+    def test_second_copy_raises_and_leaves_the_sink_unchanged(self, held_copy):
+        """A hop copy of an observation the sink holds, or two copies
+        arriving together, is refused before the matrix changes."""
+        query = OutlierQuery(NearestNeighborDistance(), n=1)
+        aggregator = CentralizedAggregator(query)
+        point = make_point([1.0], 0, 0)
+        aggregator.update_window(0, [point, make_point([3.0], 0, 1)])
+        aggregator.compute_outliers()
+        state = (
+            list(aggregator._points),
+            list(aggregator._keys),
+            aggregator._distances.copy(),
+        )
+        if held_copy:
+            copies = [point.with_hop(1)]
+        else:
+            aggregator.forget(0)
+            copies = [point.with_hop(1), point.with_hop(2)]
+        aggregator.update_window(1, copies)
+        with pytest.raises(RankingError, match="second copy"):
+            aggregator.compute_outliers()
+        assert aggregator._points == state[0]
+        assert aggregator._keys == state[1]
+        assert aggregator._distances.tobytes() == state[2].tobytes()
+
 
 class TestAnalysis:
     def test_jaccard(self):
@@ -184,6 +214,33 @@ class TestEndToEndSimulations:
         assert result.accuracy.exact_fraction == 1.0
         # The sink's neighborhood works hardest under centralisation.
         assert result.energy.maximum_node_total() > result.energy.average_per_node()
+
+    @pytest.mark.parametrize("ranking", ["nn", "knn"])
+    def test_every_centralized_publication_is_exact(self, ranking, monkeypatch):
+        """Under loss and crash/recovery churn the sink may publish from a
+        stale union, but every publication is ``O_n`` of the union it holds,
+        as the index-free oracle ranks it."""
+        published = []
+        compute_outliers = CentralizedAggregator.compute_outliers
+
+        def checked(aggregator):
+            result = compute_outliers(aggregator)
+            query = aggregator.query
+            expected = top_n_outliers(query.ranking, aggregator.union(), query.n)
+            assert result == expected
+            published.append(len(result))
+            return result
+
+        monkeypatch.setattr(CentralizedAggregator, "compute_outliers", checked)
+        scenario = self._scenario(Algorithm.CENTRALIZED, ranking=ranking, loss=0.1)
+        churn = FaultConfig(
+            crash_probability=0.3, recovery_probability=1.0,
+            min_downtime_rounds=1, max_downtime_rounds=2,
+        )
+        result = run_scenario(dataclasses.replace(scenario, faults=churn))
+        assert result.channel.losses > 0
+        assert result.mean_availability < 1.0
+        assert published and max(published) == 2
 
     def test_semi_global_simulation_is_accurate(self):
         result = run_scenario(self._scenario(Algorithm.SEMI_GLOBAL, hop=2))
