@@ -17,7 +17,8 @@ events (i) and (ii) stage their index changes in one
 :class:`~repro.core.batch.EventBatch`, commit it, and run the subclass's
 ``_process`` only when the sensor's state changed.  A subclass supplies the
 hooks ``_apply_local_additions``, ``_apply_evictions`` and ``_process``,
-plus the message and neighborhood events.
+plus the message and neighborhood events, and may follow each index
+commit with ``_batch_committed``.
 """
 
 from __future__ import annotations
@@ -188,10 +189,15 @@ class OutlierDetector(ABC):
     def _commit_batch(self, batch: EventBatch) -> None:
         if batch:
             self._index.apply_batch(batch)
+            self._batch_committed(batch)
 
     # ------------------------------------------------------------------
     # Hooks of the event template
     # ------------------------------------------------------------------
+    def _batch_committed(self, batch: EventBatch) -> None:
+        """``batch`` is in the index, which has given each addition its
+        slot; a subclass updates its slot-keyed state here."""
+
     def _apply_local_additions(
         self, points: Iterable[DataPoint], batch: EventBatch
     ) -> bool:

@@ -14,6 +14,13 @@ may propagate further).  The per-level sets are merged with the ``[·]^min``
 operator (keep the smallest hop per distinct point) and filtered against what
 the neighbor is already known to hold at an equal-or-smaller hop.
 
+So only a neighbor's *sendable* points can reach its payload: held points
+below hop ``d`` that it is not known to hold at hop + 1 or less.  The
+detector keeps that set per neighbor, updated where its inputs change
+(index commits, arrivals, sends, evictions, link changes), and runs level
+``h``'s fixpoint only until its ``Z`` holds the sendable points at hop
+``<= h`` that no lower level's ``Z`` holds.
+
 Each sensor's estimate ``O_n(P_i)`` is taken over everything it holds, i.e.
 over points that originated at most ``d`` hops away.
 
@@ -32,7 +39,6 @@ of sensors, while the worst cases occur on sparse chain-like topologies.
 from __future__ import annotations
 
 from functools import partial
-from itertools import repeat
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Set
 
 from .batch import EventBatch
@@ -93,6 +99,15 @@ class SemiGlobalOutlierDetector(OutlierDetector):
     event's additions, evictions and hop relabels reach the index as one
     :class:`~repro.core.batch.EventBatch`, so the per-hop-level rescoring
     caches see one batch mark per event instead of one per point.
+
+    Per neighbor ``j`` the detector keeps the sendable slots: held slots
+    below hop ``d`` whose recorded hop for ``j`` is unknown or above the
+    slot's hop + 1.  Only these can be sent, and level ``h``'s ``Z`` lies in
+    ``P_i^{<=h}``, so :meth:`_process` skips a neighbor with none and a
+    level whose sendable slots at hop ``<= h`` a lower level's ``Z``
+    already holds, and passes the rest to the level's fixpoint as the
+    ``target`` it may stop at (:meth:`~repro.core.sufficient.SlotFixpoint.run`).
+    Every payload equals the one the full fixpoints give.
     """
 
     VARIANTS = ("refined", "paper")
@@ -129,6 +144,9 @@ class SemiGlobalOutlierDetector(OutlierDetector):
             j: {} for j in self._neighbors
         }
         self._known: Dict[int, Dict[int, int]] = {j: {} for j in self._neighbors}
+        # Per neighbor, the held slots below hop d it is not known to hold
+        # at hop + 1 or less: the only slots a payload to it may carry.
+        self._sendable: Dict[int, Set[int]] = {j: set() for j in self._neighbors}
         # The index must sort its neighbor lists under the same metric the
         # query's ranking function scores in.
         self._index = NeighborhoodIndex(metric=query.ranking.metric)
@@ -213,7 +231,24 @@ class SemiGlobalOutlierDetector(OutlierDetector):
             for hops in maps.values():
                 for slot in slots:
                     hops.pop(slot, None)
+        for sendable in self._sendable.values():
+            sendable.difference_update(slots)
         return bool(slots)
+
+    def _batch_committed(self, batch: EventBatch) -> None:
+        # A new slot or a smaller-hop relabel may become sendable to any
+        # neighbor; nothing else a commit does can make a slot sendable.
+        depth = self.hop_diameter
+        slot_for_key = self._index.slot_for_key
+        keys = {point.rest for point in batch.adds}
+        keys.update(new.rest for _, new in batch.replaces)
+        for key in keys:
+            hop = self._holdings[key].hop
+            if hop < depth:
+                slot = slot_for_key(key)
+                for neighbor, sendable in self._sendable.items():
+                    if self._known[neighbor].get(slot, _UNKNOWN) > hop + 1:
+                        sendable.add(slot)
 
     def handle_message(
         self, sender: int, points: Iterable[DataPoint]
@@ -246,10 +281,12 @@ class SemiGlobalOutlierDetector(OutlierDetector):
         # hop is below the held one, so the arrival is the smallest record.
         received = self._received[sender]
         known = self._known[sender]
+        sendable = self._sendable[sender]
         slot_for_key = self._index.slot_for_key
         for key, hop in arrived.items():
             slot = slot_for_key(key)
             received[slot] = known[slot] = hop
+            sendable.discard(slot)
         self.stats.events_processed += 1
         return self._process()
 
@@ -264,6 +301,17 @@ class SemiGlobalOutlierDetector(OutlierDetector):
                 maps.pop(gone, None)
             for fresh in new_neighbors - self._neighbors:
                 maps.setdefault(fresh, {})
+        # A fresh neighbor is known to hold nothing.
+        slot_for = self._index.slot_for
+        below = [
+            slot_for(point)
+            for point in self._holdings.values()
+            if point.hop < self.hop_diameter
+        ]
+        self._sendable = {
+            j: self._sendable[j] if j in self._neighbors else set(below)
+            for j in new_neighbors
+        }
         self._neighbors = new_neighbors
         self.stats.events_processed += 1
         return self._process()
@@ -281,34 +329,26 @@ class SemiGlobalOutlierDetector(OutlierDetector):
         paper = self.variant == "paper"
         index = self._index
         point_at = index.point_at
-        # The held slots of each hop level below d: only those may be sent.
-        by_hop: List[List[int]] = [[] for _ in range(depth)]
-        for point in self._holdings.values():
-            if point.hop < depth:
-                by_hop[point.hop].append(index.slot_for(point))
         for neighbor in sorted(self._neighbors):
-            known = self._known[neighbor]
-            # A point is forwarded at hop + 1, so it is copied only when the
-            # neighbor is not already known to hold it at that hop or less.
-            # Level h's Z lies in P_i^{<=h}, so the levels below the lowest
-            # hop of a sendable point can add nothing to the payload.
-            lowest = next(
-                (
-                    hop
-                    for hop, slots in enumerate(by_hop)
-                    if max(map(known.get, slots, repeat(_UNKNOWN)), default=0)
-                    > hop + 1
-                ),
-                None,
-            )
-            if lowest is None:
+            sendable = self._sendable[neighbor]
+            if not sendable:
                 continue
+            known = self._known[neighbor]
             shared = frozenset(known)
-            # Every level's Z holds slots of held copies, one per
-            # observation, so the ``[·]^min`` merge of the levels' sets is
-            # their union.
-            merged: Set[int] = set()
-            for level in range(lowest, depth):
+            at_hop: List[List[int]] = [[] for _ in range(depth)]
+            for slot in sendable:
+                at_hop[point_at(slot).hop].append(slot)
+            # Level h's Z lies in P_i^{<=h}, so it reaches the payload only
+            # through the sendable slots at hop <= h that no lower level's
+            # Z holds: the level runs only until its Z covers them.  Every
+            # level's Z holds slots of held copies, one per observation, so
+            # the ``[·]^min`` merge of the levels' sets is their union.
+            target: FrozenSet[int] = frozenset()
+            outgoing: List[int] = []
+            for level in range(depth):
+                target = target.union(at_hop[level])
+                if not target:
+                    continue
                 sufficient = levels[level]
                 if sufficient is None:
                     sufficient = levels[level] = self._level_fixpoint(
@@ -318,12 +358,9 @@ class SemiGlobalOutlierDetector(OutlierDetector):
                     shared = frozenset(
                         slot for slot, hop in known.items() if hop <= level
                     )
-                merged.update(sufficient(shared))
-            outgoing = [
-                slot
-                for slot in merged
-                if known.get(slot, _UNKNOWN) > point_at(slot).hop + 1
-            ]
+                Z = sufficient(shared, target)
+                outgoing.extend(target & Z)
+                target -= Z
             if outgoing:
                 # The payload set iterates in insertion order among hash
                 # collisions, and the receiver's index batch follows it.
@@ -334,6 +371,7 @@ class SemiGlobalOutlierDetector(OutlierDetector):
                     copy = point_at(slot).incremented()
                     copies.append(copy)
                     sent[slot] = known[slot] = copy.hop
+                sendable.difference_update(outgoing)
                 payloads[neighbor] = frozenset(copies)
                 self.stats.points_sent += len(copies)
         if not payloads:
@@ -343,10 +381,10 @@ class SemiGlobalOutlierDetector(OutlierDetector):
 
     def _level_fixpoint(
         self, level: int, outlier_memo: dict
-    ) -> Callable[[FrozenSet[int]], FrozenSet[int]]:
+    ) -> Callable[[FrozenSet[int], FrozenSet[int]], FrozenSet[int]]:
         """Hop level ``h``'s eq. 2 fixpoint for this event, over
-        ``P_i^{<=h}``, from a neighbor's shared slots to ``Z``'s slots;
-        :meth:`_process` builds it on the level's first run.
+        ``P_i^{<=h}``, from a neighbor's shared slots and target slots to
+        ``Z``'s slots; :meth:`_process` builds it on the level's first run.
 
         With a built-in ranking, the slot kernel starts from the level
         cache's ``O_n(P_i^{<=h})`` and walks its membership mask, and

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from itertools import compress, count
-from typing import Dict, FrozenSet, Iterable, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, Optional, Sequence, Set, Tuple
 
 from .outliers import OutlierQuery
 from .ranking import _BUILTIN_RANKINGS, _masked_head, _within_row
@@ -85,11 +85,14 @@ def index_free_fixpoint(
     index,
     holdings: Sequence,
     shared: FrozenSet[int],
+    target: Optional[FrozenSet[int]] = None,
 ) -> FrozenSet[int]:
     """:func:`compute_sufficient_set` with slot ids in and out: ``shared``
     and the returned ``Z`` are slots of ``index``, which holds every point
     of ``holdings``.  The detectors run it for the rankings
-    :class:`SlotFixpoint` does not serve."""
+    :class:`SlotFixpoint` does not serve.  It always returns the full
+    fixpoint, which meets :meth:`SlotFixpoint.run`'s contract for any
+    ``target``."""
     Z = compute_sufficient_set(query, holdings, map(index.point_at, shared))
     return frozenset(map(index.slot_for, Z))
 
@@ -198,17 +201,28 @@ class SlotFixpoint:
         """Whether the kernel scores ``ranking`` (exact built-in types)."""
         return type(ranking) in _BUILTIN_RANKINGS
 
-    def run(self, shared: FrozenSet[int]) -> FrozenSet[int]:
+    def run(
+        self, shared: FrozenSet[int], target: Optional[FrozenSet[int]] = None
+    ) -> FrozenSet[int]:
         """``Z`` for one neighbor whose shared set is ``shared``.
 
         Every ``[P|x]`` lies in ``P``, so once ``Z`` holds all of ``P`` an
         iteration could only confirm it: a start set that already covers
         ``P`` is returned without scoring anything.
+
+        With a ``target``, the run stops as soon as ``Z`` covers it.  ``Z``
+        only grows, so the returned set is a subset of the full fixpoint
+        and agrees with it on ``target``: it holds all of ``target`` when
+        the full ``Z`` does, and is the full ``Z`` otherwise.  Such a
+        bounded ``Z`` need not satisfy eq. 2; it serves a caller that reads
+        only ``Z ∩ target`` (an empty ``target`` returns :attr:`start`).
         """
         Z = self.start
         size = self._size
         support = self.support
         while len(Z) < size:
+            if target is not None and target <= Z:
+                break
             grown = Z.union(*map(support, self.outliers(shared | Z)))
             if len(grown) == len(Z):
                 break

@@ -2,12 +2,15 @@
 
 Only points the neighbor is not already known to hold leave the sensor,
 and every ``Z ⊆ P``.  So the global detector skips a neighbor that already
-shares all of ``P_i``, and the semi-global detector runs a neighbor's hop
-levels only from the lowest hop of a point it may still be sent (one it is
-not known to hold at that hop + 1 or less).  The unit tests below pin each
-skip in lockstep with the brute-force oracle, which runs every fixpoint;
-the gate at the end pins the fixpoint work of two small benchmark-shaped
-scenarios, so a change that undoes a skip fails here.
+shares all of ``P_i``.  The semi-global detector keeps each neighbor's
+sendable slots (held below hop d, not known to the neighbor at hop + 1 or
+less): it skips a neighbor with none, and runs hop level h only while some
+sendable slot at hop <= h is outside every lower level's Z, stopping the
+level's fixpoint as soon as its Z covers those slots.  The unit tests below
+pin each skip in lockstep with the brute-force oracle, which runs every
+fixpoint to the end; the gate at the end pins the fixpoint work of two
+small benchmark-shaped scenarios, so a change that undoes a skip fails
+here.
 """
 
 from __future__ import annotations
@@ -46,17 +49,17 @@ def runs(monkeypatch):
     shared_sets = []
     kernel = SlotFixpoint.run
 
-    def counted_kernel(fixpoint, shared):
+    def counted_kernel(fixpoint, shared, target=None):
         shared_sets.append(shared)
-        return kernel(fixpoint, shared)
+        return kernel(fixpoint, shared, target)
 
     monkeypatch.setattr(SlotFixpoint, "run", counted_kernel)
     for module in (global_detector, semiglobal_detector):
 
-        def counted_fallback(query, index, holdings, shared,
+        def counted_fallback(query, index, holdings, shared, target=None,
                              _fallback=module.index_free_fixpoint):
             shared_sets.append(shared)
-            return _fallback(query, index, holdings, shared)
+            return _fallback(query, index, holdings, shared, target)
 
         monkeypatch.setattr(module, "index_free_fixpoint", counted_fallback)
     return shared_sets
@@ -71,9 +74,9 @@ def level_runs(monkeypatch):
     def recording(detector, level, outlier_memo):
         sufficient = build(detector, level, outlier_memo)
 
-        def run(shared):
+        def run(shared, target):
             levels.append(level)
-            return sufficient(shared)
+            return sufficient(shared, target)
 
         return run
 
@@ -165,14 +168,16 @@ def test_semiglobal_levels_below_the_lowest_sendable_hop_do_not_run(
     local = [_point(0.0, 0), _point(1.0, 1)]
     _lockstep(fast, slow, lambda d: d.add_local_points(local))
     # |P| = n, so Z = P and both neighbors now hold the local points at hop
-    # 1; each ran levels 0, 1 and 2.
-    assert level_runs == [0, 1, 2, 0, 1, 2]
+    # 1.  Each ran level 0 only: its Z already holds the sendable slots of
+    # levels 1 and 2 (both hop-0 points), so those levels have no target.
+    assert level_runs == [0, 0]
     del level_runs[:]
     remote = [_point(5.0, 0, hop=1, origin=2)]
     message = _lockstep(fast, slow, lambda d: d.handle_message(2, remote))
-    # Neighbor 1's lowest unknown hop is 1: level 0 does not run.  Neighbor
-    # 2 knows every point at a blocking hop and runs nothing.
-    assert level_runs == [1, 2]
+    # Neighbor 1's lowest unknown hop is 1: level 0 does not run, and level
+    # 1's Z holds the remote point, so level 2 does not either.  Neighbor 2
+    # knows every point at a blocking hop and runs nothing.
+    assert level_runs == [1]
     assert set(message.payloads) == {1}
 
 
@@ -197,42 +202,59 @@ def _toy_semiglobal_slide() -> ScenarioConfig:
 
 
 #: Per scenario: the sha256 of its canonical transcript (the toy digest
-#: ``perfbench/bench_workloads.py`` pins), ``SlotFixpoint`` constructions and
-#: ``SlotFixpoint.run`` calls.  Before the send-side skips the two scenarios
-#: ran 119 / 209 and 340 / 620.
+#: ``perfbench/bench_workloads.py`` pins), ``SlotFixpoint`` constructions,
+#: ``SlotFixpoint.run`` calls and ``O_n(C)`` scorings (``outliers`` calls
+#: that miss the event's memo with ``|C| > n``).  Before the send-side skips
+#: the two scenarios ran 119 / 209 and 340 / 620 (constructions / runs);
+#: before the semi-global runs stopped at their targets, semiglobal-slide
+#: ran 140 / 200 / 15.
 FIXPOINT_WORK = {
     "global-fill": (
         _toy_global_fill,
         "acdfe8c129ded7a259929db924ace294f933ea0769e0cc1d421ce4a59e1b85aa",
         97,
         115,
+        47,
     ),
     "semiglobal-slide": (
         _toy_semiglobal_slide,
         "10dc351e6c0485afa985246cb8cc714992fb075add809cf8dada985c69edb435",
-        140,
-        200,
+        100,
+        130,
+        1,
     ),
 }
 
 
 @pytest.mark.parametrize("workload", sorted(FIXPOINT_WORK))
 def test_toy_scenario_fixpoint_work_is_pinned(workload, monkeypatch):
-    scenario, pinned_digest, constructions, run_calls = FIXPOINT_WORK[workload]
-    counts = {"constructions": 0, "runs": 0}
-    init, run = SlotFixpoint.__init__, SlotFixpoint.run
+    scenario, pinned_digest, constructions, run_calls, scorings = (
+        FIXPOINT_WORK[workload]
+    )
+    counts = {"constructions": 0, "runs": 0, "scorings": 0}
+    init, run, outliers = (
+        SlotFixpoint.__init__, SlotFixpoint.run, SlotFixpoint.outliers
+    )
 
     def counted_init(fixpoint, *args):
         counts["constructions"] += 1
         init(fixpoint, *args)
 
-    def counted_run(fixpoint, shared):
+    def counted_run(fixpoint, shared, target=None):
         counts["runs"] += 1
-        return run(fixpoint, shared)
+        return run(fixpoint, shared, target)
+
+    def counted_outliers(fixpoint, C):
+        if C not in fixpoint._outliers and len(C) > fixpoint.query.n:
+            counts["scorings"] += 1
+        return outliers(fixpoint, C)
 
     monkeypatch.setattr(SlotFixpoint, "__init__", counted_init)
     monkeypatch.setattr(SlotFixpoint, "run", counted_run)
+    monkeypatch.setattr(SlotFixpoint, "outliers", counted_outliers)
     result = run_scenario(scenario())
     digest = hashlib.sha256(result.canonical_json().encode()).hexdigest()
     assert digest == pinned_digest
-    assert counts == {"constructions": constructions, "runs": run_calls}
+    assert counts == {
+        "constructions": constructions, "runs": run_calls, "scorings": scorings,
+    }

@@ -544,6 +544,45 @@ def test_slot_kernel_returns_a_covering_start_without_scoring(monkeypatch):
     assert _points_of(index, Z) == compute_sufficient_set(query, wide, others)
 
 
+def _uncovered_fixpoint(monkeypatch):
+    """A kernel whose start does not cover ``P`` (so an unbounded run
+    scores), the shared slots it is run with, and the ``O_n(C)`` scorings
+    it makes."""
+    scorings = []
+    outliers = SlotFixpoint.outliers
+
+    def counted(fixpoint, C):
+        scorings.append(C)
+        return outliers(fixpoint, C)
+
+    monkeypatch.setattr(SlotFixpoint, "outliers", counted)
+    query = OutlierQuery(NearestNeighborDistance(), n=2)
+    P = [make_point([v], 0, i) for i, v in enumerate([0.0, 1.0, 10.0, 5.0])]
+    others = [make_point([v], 1, i) for i, v in enumerate([0.5, 30.0])]
+    index = NeighborhoodIndex(P + others)
+    fixpoint = _slot_fixpoint(query, index, P)
+    assert len(fixpoint.start) < len(P)
+    return fixpoint, frozenset(map(index.slot_for, others)), scorings
+
+
+def test_slot_kernel_target_inside_the_start_scores_nothing(monkeypatch):
+    fixpoint, shared, scorings = _uncovered_fixpoint(monkeypatch)
+    for slot in fixpoint.start:
+        assert fixpoint.run(shared, frozenset({slot})) == fixpoint.start
+    assert fixpoint.run(shared, fixpoint.start) == fixpoint.start
+    assert scorings == []
+    # The same run without a target scores.
+    fixpoint.run(shared)
+    assert scorings
+
+
+def test_slot_kernel_empty_target_returns_the_start(monkeypatch):
+    fixpoint, shared, scorings = _uncovered_fixpoint(monkeypatch)
+    assert fixpoint.run(shared, frozenset()) == fixpoint.start
+    assert fixpoint.run(frozenset(), frozenset()) == fixpoint.start
+    assert scorings == []
+
+
 # ----------------------------------------------------------------------
 # Full protocol transcripts: production and oracle detectors in lockstep
 # ----------------------------------------------------------------------
@@ -1015,13 +1054,21 @@ KNN_FAMILIES = (AverageKNNDistance, KthNearestNeighborDistance)
 def fixpoint_oracle(monkeypatch):
     """Check every production detector fixpoint -- a run of the slot kernel
     -- against the index-free fixpoint on the points behind its slots, and
-    against eq. 2 itself.  Returns the checked sets, so a test can assert
-    that there were some."""
+    against eq. 2 itself.  A run bounded by a ``target`` is checked against
+    the same run to the end: its Z must be a subset of the full Z and agree
+    with it on ``target``, and the full Z is what is checked against the
+    index-free fixpoint and eq. 2 (a bounded Z need not satisfy eq. 2).
+    Returns the checked ``(Z, full Z)`` pairs, as points, so a test can
+    assert that there were some."""
     checked_results = []
     run = SlotFixpoint.run
 
-    def checked(fixpoint, shared):
-        Z = run(fixpoint, shared)
+    def checked(fixpoint, shared, target=None):
+        bounded = run(fixpoint, shared, target)
+        Z = bounded if target is None else run(fixpoint, shared)
+        assert bounded <= Z
+        if target is not None:
+            assert bounded & target == Z & target
         index = fixpoint.index
         if fixpoint.subset is None:
             holdings = list(index.points())
@@ -1034,8 +1081,8 @@ def fixpoint_oracle(monkeypatch):
             fixpoint.query, holdings, known_shared
         )
         assert satisfies_sufficiency(fixpoint.query, Z_points, holdings, known_shared)
-        checked_results.append(Z_points)
-        return Z
+        checked_results.append((_points_of(index, bounded), Z_points))
+        return bounded
 
     monkeypatch.setattr(SlotFixpoint, "run", checked)
     return checked_results
@@ -1127,9 +1174,9 @@ def _replay_global_stream(rng, query):
 def test_semiglobal_dirty_rescoring_event_stream_matches_oracle(
     metric_name, fixpoint_oracle
 ):
-    """Interleaved add/evict/replace/message streams: re-delivering a held
-    observation at a smaller hop exercises the O(1) relabel path and the
-    per-level caches' membership churn on every round."""
+    """Interleaved add/evict/replace/message/link streams: re-delivering a
+    held observation at a smaller hop exercises the O(1) relabel path and
+    the per-level caches' membership churn on every round."""
     metric = _metric_for(metric_name)
     for family in KNN_FAMILIES:
         rng = random.Random(f"{metric_name}-{family.__name__}-semiglobal-stream")
@@ -1139,28 +1186,89 @@ def test_semiglobal_dirty_rescoring_event_stream_matches_oracle(
     assert fixpoint_oracle
 
 
-def _replay_semiglobal_stream(rng, query):
-    fast = SemiGlobalOutlierDetector(0, query, hop_diameter=2, neighbors=[1, 2])
-    slow = BruteSemiGlobalDetector(0, query, hop_diameter=2, neighbors=[1, 2])
-    assert fast._caches is not None and len(fast._caches) == 2
+@pytest.mark.parametrize("hop_diameter", [1, 2, 3])
+@pytest.mark.parametrize("variant", ["refined", "paper"])
+def test_semiglobal_sendable_sets_hold_under_both_variants_and_diameters(
+    variant, hop_diameter, fixpoint_oracle
+):
+    """The replayed stream for each variant and d = 1, 2, 3: every event
+    matches the oracle, every kept sendable set its definition, and every
+    bounded fixpoint the full one; some bounded run stops short of it."""
+    for family in KNN_FAMILIES:
+        rng = random.Random(f"{variant}-d{hop_diameter}-{family.__name__}-sendable")
+        _replay_semiglobal_stream(
+            rng, OutlierQuery(family(k=2), n=2), hop_diameter, variant
+        )
+    assert any(bounded < full for bounded, full in fixpoint_oracle)
+
+
+def _assert_sendable_sets(detector):
+    """Each neighbor's kept sendable slots equal their definition, recomputed
+    from the held points and the neighbor's records: the held slots below
+    hop d that it is not known to hold at hop + 1 or less."""
+    index = detector._index
+    assert set(detector._sendable) == detector.neighbors
+    for neighbor in detector.neighbors:
+        known = {point.rest: point.hop for point in detector.known_shared_with(neighbor)}
+        expected = {
+            index.slot_for(point)
+            for point in detector.holdings
+            if point.hop < detector.hop_diameter
+            and known.get(point.rest, float("inf")) > point.hop + 1
+        }
+        assert detector._sendable[neighbor] == expected
+
+
+def _replay_semiglobal_stream(rng, query, hop_diameter=2, variant="refined"):
+    fast, slow = (
+        detector_class(
+            0, query, hop_diameter=hop_diameter, neighbors=[1, 2], variant=variant
+        )
+        for detector_class in (SemiGlobalOutlierDetector, BruteSemiGlobalDetector)
+    )
+    assert fast._caches is not None and len(fast._caches) == hop_diameter
 
     pool = []
     delivered_history = []
     epoch = 0
+    # Ticks whose additions took a slot their evictions freed, and links
+    # that came back after dropping.
+    reused = returned = 0
+    dropped = set()
     for step in range(60):
         roll = rng.random()
-        if roll < 0.30 or len(pool) < 4:
+        # Besides the random link changes, link 2 is down after step 25 and
+        # up again after step 40.
+        forced = {25: {1}, 40: {1, 2}}.get(step)
+        if forced is not None or 0.50 <= roll < 0.60:
+            neighbors = forced or rng.choice([{1}, {2}, {1, 2}])
+            returned += bool(dropped & (neighbors - fast.neighbors))
+            dropped |= fast.neighbors - neighbors
+            events = [d.neighborhood_changed(neighbors) for d in (fast, slow)]
+        elif roll < 0.25 or len(pool) < 4:
             fresh = _cloud(rng, rng.randint(1, 2), start_epoch=epoch)
             epoch += 2
             pool.extend(fresh)
             events = [d.add_local_points(fresh) for d in (fast, slow)]
-        elif roll < 0.50:
+        elif roll < 0.40:
             victims = rng.sample(pool, rng.randint(1, min(2, len(pool))))
             for victim in victims:
                 pool.remove(victim)
             events = [d.evict_points(victims) for d in (fast, slow)]
+        elif roll < 0.50:
+            # One tick evicts and samples: the samples reuse freed slots.
+            fresh = _cloud(rng, rng.randint(1, 2), start_epoch=epoch)
+            epoch += 2
+            victims = rng.sample(pool, min(2, len(pool)))
+            for victim in victims:
+                pool.remove(victim)
+            pool.extend(fresh)
+            slot_of = {p.rest: fast._index.slot_for(p) for p in fast.holdings}
+            freed = {slot_of[v.rest] for v in victims if v.rest in slot_of}
+            events = [d.update_local_data(fresh, victims) for d in (fast, slow)]
+            reused += bool(freed & {fast._index.slot_for(p) for p in fresh})
         else:
-            sender = rng.choice([1, 2])
+            sender = rng.choice(sorted(fast.neighbors))
             points = []
             for _ in range(rng.randint(1, 3)):
                 if delivered_history and rng.random() < 0.45:
@@ -1180,6 +1288,8 @@ def _replay_semiglobal_stream(rng, query):
                         {q.rest for q in pool})
             events = [d.handle_message(sender, points) for d in (fast, slow)]
         _assert_event_equal(fast, slow, events[0], events[1], query)
+        _assert_sendable_sets(fast)
+    assert reused and returned
 
 
 def test_score_cache_matches_oracle_under_churn():
@@ -1220,7 +1330,7 @@ def test_ranking_subclass_takes_the_index_free_fixpoint(monkeypatch):
     class Subclassed(AverageKNNDistance):
         pass
 
-    def kernel(fixpoint, shared):
+    def kernel(fixpoint, shared, target=None):
         raise AssertionError("the slot kernel ran for a ranking subclass")
 
     monkeypatch.setattr(SlotFixpoint, "run", kernel)
