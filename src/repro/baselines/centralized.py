@@ -11,20 +11,23 @@ an offline reference implementation.
 Although each upload *replaces* a sensor's stored window wholesale, the
 windows slide by one or two samples per round, so the aggregator keeps a
 reference count per union point and one pairwise distance matrix over the
-union, which it brings up to date lazily: uploads touch only the counts,
-and each outlier computation first applies the union's net change since
-the previous one.  Per publication the sink computes distances only for the
-few points that entered the union (about one per sensor), scores every
-point from the matrix with the ranking's ``scores_from_distances`` -- the
-kernel the brute-force oracle runs on a fresh matrix -- and takes the top
-``n`` by ``(score, ≺)``.
+union in fixed slots, which it brings up to date lazily: uploads touch only
+the counts, and each outlier computation first applies the union's net
+change since the previous one.  A departed point's slot gets an ``+inf``
+row and column and joins a free list; the arrivals fill free slots, and the
+matrix grows only past the largest union seen.  Per publication the sink
+computes distances only for the few points that entered the union (about
+one per sensor), scores every slot from the matrix with the ranking's
+``scores_from_distances`` -- the kernel the brute-force oracle runs on a
+fresh matrix, which counts ``+inf`` entries as non-neighbors -- and takes
+the top ``n`` occupied slots by ``(score, ≺)``.
 """
 
 from __future__ import annotations
 
 import heapq
 from collections import Counter
-from typing import Dict, Iterable, List, Set
+from typing import Dict, Iterable, List, Optional, Set
 
 import numpy as np
 
@@ -40,14 +43,15 @@ class CentralizedAggregator:
     """Sink-side state of the centralized baseline.
 
     The aggregator keeps the most recent window reported by every sensor and
-    recomputes the global outlier set on demand, from a distance matrix
-    over the union that :meth:`compute_outliers` synchronises first.
+    recomputes the global outlier set on demand, from a slotted distance
+    matrix over the union that :meth:`compute_outliers` synchronises first.
 
-    Deferring the matrix writes is exact: at query time the matrix holds
-    the distances between exactly the union's points, each the float the
-    metric's kernels give that pair, and the union holds one copy per
-    observation, so ``(score, ≺)`` has no full ties and the matrix order
-    never reaches an output.
+    Deferring the matrix writes is exact: at query time the occupied slots
+    hold exactly the union's points, their entries are the floats the
+    metric's kernels give each pair, and every free row and column is
+    ``+inf``, which no ranking counts as a neighbor.  The union holds one
+    copy per observation, so ``(score, ≺)`` has no full ties and the slot
+    order never reaches an output.
     """
 
     def __init__(self, query: OutlierQuery) -> None:
@@ -56,10 +60,13 @@ class CentralizedAggregator:
         #: Number of reporting windows containing each union point; a point
         #: enters the matrix on 0 -> 1 and leaves it on 1 -> 0.
         self._multiplicity: Counter = Counter()
-        #: The union's points in matrix order, their ``≺`` keys, and their
-        #: pairwise distances with ``+inf`` on the diagonal.
-        self._points: List[DataPoint] = []
-        self._keys: List[RestKey] = []
+        #: The point in each slot (``None`` when free), the key map from
+        #: each held point's ``≺`` key to its slot, the free slots, and the
+        #: slots' pairwise distances: ``+inf`` on the diagonal and in every
+        #: free row and column.
+        self._points: List[Optional[DataPoint]] = []
+        self._slot_of: Dict[RestKey, int] = {}
+        self._free: List[int] = []
         self._distances = np.zeros((0, 0))
 
     # ------------------------------------------------------------------
@@ -95,46 +102,68 @@ class CentralizedAggregator:
     def _sync(self) -> None:
         """Apply the union's net change since the last query to the matrix.
 
-        The points still in the union keep their rows and columns (one
-        gather); the arrivals are appended in the union's insertion order,
-        so the matrix order is deterministic.  A point that entered and left
-        the union between two queries never reaches the matrix, and an
-        arrival that would be a second copy of a held observation raises
-        :class:`~repro.core.errors.RankingError` before anything changes.
+        A point that entered and left the union between two queries never
+        reaches the matrix, and an arrival that would be a second copy of a
+        held observation raises :class:`~repro.core.errors.RankingError`
+        before any slot changes.  Then each departed point's slot gets an
+        ``+inf`` row and column and joins the free list, and the arrivals
+        take free slots (the matrix grows by the rest) and get their
+        distances from one ``cross`` against the held points and one
+        ``pairwise`` among themselves, written in place.
         """
         union = self._multiplicity
         points = self._points
-        kept = [i for i, point in enumerate(points) if point in union]
+        slot_of = self._slot_of
         held = set(points)
         arrivals = [point for point in union if point not in held]
-        if not arrivals and len(kept) == len(points):
+        departed = [
+            (key, slot) for key, slot in slot_of.items() if points[slot] not in union
+        ]
+        if not arrivals and not departed:
             return
-        keys = [self._keys[i] for i in kept]
         fresh_keys = [sort_key(point) for point in arrivals]
-        seen = set(keys)
+        seen = set()
         for point, key in zip(arrivals, fresh_keys):
-            if key in seen:
+            slot = slot_of.get(key)
+            if key in seen or (slot is not None and points[slot] in union):
                 raise RankingError(
                     f"{point!r} would be a second copy of its observation; "
                     f"the sink holds one copy per observation"
                 )
             seen.add(key)
-        survivors = [points[i] for i in kept]
-        size = len(kept)
-        matrix = np.empty((size + len(arrivals),) * 2)
-        matrix[:size, :size] = self._distances[np.ix_(kept, kept)]
-        if arrivals:
-            metric = self.query.ranking.metric
-            values = [point.values for point in arrivals]
-            block = metric.cross(values, [point.values for point in survivors])
-            matrix[size:, :size] = block
-            matrix[:size, size:] = block.T
-            among = metric.pairwise(values)
-            np.fill_diagonal(among, np.inf)
-            matrix[size:, size:] = among
-        self._points = survivors + arrivals
-        self._keys = keys + fresh_keys
-        self._distances = matrix
+        matrix = self._distances
+        free = self._free
+        if departed:
+            gone = [slot for _, slot in departed]
+            matrix[gone, :] = np.inf
+            matrix[:, gone] = np.inf
+            for key, slot in departed:
+                del slot_of[key]
+                points[slot] = None
+            free.extend(gone)
+        if not arrivals:
+            return
+        kept = list(slot_of.values())
+        slots = [free.pop() for _ in range(min(len(arrivals), len(free)))]
+        if len(slots) < len(arrivals):
+            size = len(points)
+            capacity = size + len(arrivals) - len(slots)
+            grown = np.full((capacity, capacity), np.inf)
+            grown[:size, :size] = matrix
+            self._distances = matrix = grown
+            slots.extend(range(size, capacity))
+            points.extend([None] * (capacity - size))
+        metric = self.query.ranking.metric
+        values = [point.values for point in arrivals]
+        block = metric.cross(values, [points[slot].values for slot in kept])
+        matrix[np.ix_(slots, kept)] = block
+        matrix[np.ix_(kept, slots)] = block.T
+        among = metric.pairwise(values)
+        np.fill_diagonal(among, np.inf)
+        matrix[np.ix_(slots, slots)] = among
+        for point, key, slot in zip(arrivals, fresh_keys, slots):
+            points[slot] = point
+            slot_of[key] = slot
 
     # ------------------------------------------------------------------
     # Queries
@@ -158,10 +187,12 @@ class CentralizedAggregator:
         if type(ranking) not in _BUILTIN_RANKINGS:
             return self.query.outliers(self.union())
         scores = ranking.scores_from_distances(self._distances)
+        slot_of = self._slot_of
+        slots = slot_of.values()
         top = heapq.nlargest(
-            self.query.n, zip(scores, self._keys, range(len(scores)))
+            self.query.n, zip(map(scores.__getitem__, slots), slot_of, slots)
         )
-        return [self._points[position] for _, _, position in top]
+        return [self._points[slot] for _, _, slot in top]
 
     def total_points(self) -> int:
         """Number of distinct points currently known to the sink."""

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from functools import partial
+from itertools import repeat
 from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
@@ -135,7 +135,7 @@ class EuclideanMetric(Metric):
     """Euclidean distance, computed entry-by-entry with :func:`math.dist`.
 
     This is the repository's historical (and default) metric.  Every kernel
-    is the ``math.dist`` row kernel, ``fromiter(map(partial(math.dist, x),
+    is the ``math.dist`` row kernel, ``fromiter(map(math.dist, repeat(x),
     X))``: :meth:`rows` is one row, :meth:`cross` stacks one row per
     left-hand point, and :meth:`pairwise` fills each row's upper part and
     mirrors it into the column.  ``math.dist`` uses a scaled
@@ -156,7 +156,7 @@ class EuclideanMetric(Metric):
         # are the very same ``math.dist`` results the seed produced.
         try:
             return np.fromiter(
-                map(partial(math.dist, x), X), dtype=float, count=len(X)
+                map(math.dist, repeat(x), X), dtype=float, count=len(X)
             )
         except ValueError as error:  # math.dist's dimension mismatch
             raise RankingError(str(error)) from None

@@ -24,6 +24,11 @@ transmit nor receive: a down sender's transmission evaporates without
 charging energy, and a down receiver is skipped entirely -- its radio is
 off, so it pays no promiscuous receive energy either.
 
+Each sender's receivers -- its attached in-range nodes in ascending id --
+are a table built on the sender's first transmission and dropped whenever a
+node attaches.  The channel charges energy by adding to the sender's and
+each receiver's :class:`~repro.network.energy.EnergyMeter` fields in place.
+
 Collisions are not modelled explicitly -- the paper relies on carrier-sense
 to avoid them and does not report collision statistics; their first-order
 effect (occasional missing packets) is covered by the loss probability.
@@ -155,6 +160,8 @@ class WirelessChannel:
         self._burst_rng = streams.stream("channel-burst") if burst else None
         self._burst_bad: Dict[Tuple[int, int], bool] = {}
         self._nodes: Dict[int, "SimNode"] = {}
+        #: Sender id -> its attached in-range nodes, in ascending id.
+        self._receivers: Dict[int, Tuple["SimNode", ...]] = {}
         self.stats = ChannelStatistics()
         #: Overheard unicasts: counted in ``stats.deliveries`` but never
         #: scheduled, and the latest arrival time among them.
@@ -173,6 +180,7 @@ class WirelessChannel:
         if node.node_id in self._nodes:
             raise SimulationError(f"node {node.node_id} attached twice")
         self._nodes[node.node_id] = node
+        self._receivers.clear()
 
     def node(self, node_id: int) -> "SimNode":
         try:
@@ -183,19 +191,31 @@ class WirelessChannel:
     # ------------------------------------------------------------------
     # Transmission
     # ------------------------------------------------------------------
+    def _receiver_table(self, sender_id: int) -> Tuple["SimNode", ...]:
+        """Build the receiver table of ``sender_id``: the attached nodes
+        within its range, in ascending id (the loss-draw order)."""
+        nodes = self._nodes
+        table = self._receivers[sender_id] = tuple(
+            nodes[neighbor_id]
+            for neighbor_id in self.topology.neighbors_sorted(sender_id)
+            if neighbor_id in nodes
+        )
+        return table
+
     def transmit(self, sender_id: int, packet: Packet) -> None:
         """Put ``packet`` on the air from ``sender_id``.
 
-        The sender is charged transmit energy once; every attached neighbor
-        within range is charged receive energy (promiscuous listening) and
-        takes a loss draw, in receiver order.  A reception that survives the
-        draw counts in ``stats.deliveries``.  It is delivered after the
-        airtime plus the processing delay when the frame is a broadcast or
-        the receiver is its link destination; an overheard unicast is
-        discarded here instead.  The airtime and the receive energy are
-        computed once per packet for each distinct
-        :class:`~repro.network.energy.EnergyModel`, and the deliveries are
-        scheduled as one fan-out in receiver order.
+        The sender is charged transmit energy once; every receiver in the
+        sender's table that is up is charged receive energy (promiscuous
+        listening) and takes a loss draw, in ascending id.  A reception
+        that survives the draw counts in ``stats.deliveries``.  It is
+        delivered after the airtime plus the processing delay when the
+        frame is a broadcast or the receiver is its link destination; an
+        overheard unicast is discarded here instead.  The airtime and the
+        receive energy are computed once per packet for each distinct
+        :class:`~repro.network.energy.EnergyModel`, added to the meters in
+        place, and the deliveries are scheduled as one fan-out in receiver
+        order.
         """
         sender = self.node(sender_id)
         if not sender.up:
@@ -203,9 +223,12 @@ class WirelessChannel:
             # reaches the air and no energy is spent.
             return
         size = packet.size_bytes
-        model = sender.energy.model
+        meter = sender.energy
+        model = meter.model
         airtime = model.airtime(size)
-        sender.energy.charge_tx(size, model.tx_energy_over(airtime))
+        meter.tx_joules += model.tx_energy_over(airtime)
+        meter.packets_sent += 1
+        meter.bytes_sent += size
         stats = self.stats
         stats.transmissions += 1
         stats.bytes_transmitted += size
@@ -215,16 +238,15 @@ class WirelessChannel:
         lossy = self.burst is not None or self.loss_probability > 0
         destination = packet.link_destination
         broadcast = destination == BROADCAST_ADDRESS
-        nodes = self._nodes
         rx_joules: Dict[int, float] = {}  # id(EnergyModel) -> joules
         rx_model = energy = None
         deliveries = []
         overheard = 0
-        # Cached ascending-id tuple: same iteration (and loss-draw) order the
-        # historical ``sorted(set)`` produced, without rebuilding it per send.
-        for neighbor_id in self.topology.neighbors_sorted(sender_id):
-            receiver = nodes.get(neighbor_id)
-            if receiver is None or not receiver.up:
+        receivers = self._receivers.get(sender_id)
+        if receivers is None:
+            receivers = self._receiver_table(sender_id)
+        for receiver in receivers:
+            if not receiver.up:
                 # A powered-down receiver's radio is off: no promiscuous
                 # receive energy, no delivery, no loss draw.
                 continue
@@ -236,11 +258,13 @@ class WirelessChannel:
                 if energy is None:
                     seconds = airtime if rx_model is model else rx_model.airtime(size)
                     energy = rx_joules[id(rx_model)] = rx_model.rx_energy_over(seconds)
-            meter.charge_rx(size, energy)
-            if lossy and self._lost(sender_id, neighbor_id):
+            meter.rx_joules += energy
+            meter.packets_received += 1
+            meter.bytes_received += size
+            if lossy and self._lost(sender_id, receiver.node_id):
                 stats.losses += 1
                 continue
-            if broadcast or neighbor_id == destination:
+            if broadcast or receiver.node_id == destination:
                 deliveries.append(receiver.deliver)
             else:
                 # Unicast traffic meant for someone else: the energy has

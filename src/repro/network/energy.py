@@ -84,8 +84,11 @@ CROSSBOW_MICA2 = EnergyModel()
 class EnergyMeter:
     """Per-node energy accumulator.
 
-    ``charge`` methods are called by the radio layer; the experiment harness
-    reads the totals after the simulation completes.
+    The channel adds each transmission's and reception's joules, packet and
+    byte counts to these fields in place (the energy from the airtime it
+    also delays the deliveries by); :meth:`charge_idle` books the idle
+    time at collection, and the experiment harness reads the totals after
+    the simulation completes.
     """
 
     model: EnergyModel = field(default_factory=lambda: CROSSBOW_MICA2)
@@ -100,24 +103,6 @@ class EnergyMeter:
     # ------------------------------------------------------------------
     # Charging
     # ------------------------------------------------------------------
-    def charge_tx(self, size_bytes: int, energy: float) -> float:
-        """Charge transmitting ``size_bytes``, which costs ``energy`` joules:
-        ``model.tx_energy(size_bytes)``, computed by the channel from the
-        airtime it also delays the deliveries by."""
-        self.tx_joules += energy
-        self.packets_sent += 1
-        self.bytes_sent += size_bytes
-        return energy
-
-    def charge_rx(self, size_bytes: int, energy: float) -> float:
-        """Charge receiving ``size_bytes``, which costs ``energy`` joules:
-        ``model.rx_energy(size_bytes)``, computed once by the channel for
-        every receiver of a packet that shares this meter's model."""
-        self.rx_joules += energy
-        self.packets_received += 1
-        self.bytes_received += size_bytes
-        return energy
-
     def charge_idle(self, seconds: float) -> float:
         energy = self.model.idle_energy(seconds)
         self.idle_joules += energy

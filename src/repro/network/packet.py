@@ -79,17 +79,20 @@ class Packet:
         return self.link_destination == BROADCAST_ADDRESS
 
     def next_hop_copy(self, link_source: int, link_destination: int) -> "Packet":
-        """A copy prepared for relaying over the next link."""
-        return Packet(
-            kind=self.kind,
-            source=self.source,
-            destination=self.destination,
-            size_bytes=self.size_bytes,
-            payload=self.payload,
-            link_source=link_source,
-            link_destination=link_destination,
-            hop_count=self.hop_count + 1,
-        )
+        """A copy prepared for relaying over the next link.
+
+        The copy shares the payload and takes a fresh ``packet_id``.  The
+        fields are already complete, so it copies them instead of running
+        the constructor again.
+        """
+        fields = self.__dict__.copy()
+        fields["link_source"] = link_source
+        fields["link_destination"] = link_destination
+        fields["hop_count"] = self.hop_count + 1
+        fields["packet_id"] = next(_packet_ids)
+        copy = object.__new__(self.__class__)
+        copy.__dict__ = fields
+        return copy
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         dest = "BCAST" if self.is_broadcast else str(self.link_destination)

@@ -130,16 +130,17 @@ class AodvAgent:
     # Packet handling
     # ------------------------------------------------------------------
     def handle_packet(self, node: SimNode, packet: Packet) -> bool:
-        if packet.kind == PacketKind.AODV_RREQ:
+        kind = packet.kind
+        if kind == PacketKind.AODV_RREQ:
             self._handle_rreq(packet)
             return True
-        if packet.kind == PacketKind.AODV_RREP:
+        if kind == PacketKind.AODV_RREP:
             self._handle_rrep(packet)
             return True
-        if packet.destination == self.node_id:
+        if packet.destination == node.node_id:
             # Terminates here: the application handler will take it.
             return False
-        if packet.is_broadcast:
+        if packet.link_destination == BROADCAST_ADDRESS:
             # Application broadcasts are none of AODV's business.
             return False
         # Unicast data packet addressed elsewhere but link-delivered to us:
@@ -154,8 +155,8 @@ class AodvAgent:
         destination = packet.destination
         entry = self.routing_table.get(destination)
         if entry is not None:
-            hop_packet = packet.next_hop_copy(self.node_id, entry.next_hop)
-            self.node.send(hop_packet)
+            node = self.node
+            node.send(packet.next_hop_copy(node.node_id, entry.next_hop))
             return
         self._pending.setdefault(destination, []).append(packet)
         self._start_discovery(destination)
@@ -170,8 +171,8 @@ class AodvAgent:
             self._start_discovery(destination)
             return
         self.data_packets_forwarded += 1
-        hop_packet = packet.next_hop_copy(self.node_id, entry.next_hop)
-        self.node.send(hop_packet)
+        node = self.node
+        node.send(packet.next_hop_copy(node.node_id, entry.next_hop))
 
     # ------------------------------------------------------------------
     # Route discovery

@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Tuple, Union
 from ..baselines.centralized import CentralizedAggregator
 from ..core.messages import HEADER_WIRE_BYTES, POINT_WIRE_BYTES
 from ..core.outliers import OutlierQuery
-from ..core.points import DataPoint
+from ..core.points import DataPoint, sort_key
 from ..core.sliding_window import SlidingWindow
 from ..network.node import SimNode
 from ..network.packet import Packet, PacketKind
@@ -110,7 +110,7 @@ class CentralizedClientApp:
         upload = WindowUpload(
             origin=self.node_id,
             round_index=self.round_index,
-            points=tuple(sorted(self.window.points)),
+            points=tuple(sorted(self.window.points, key=sort_key)),
         )
         packet = Packet(
             kind=PacketKind.APP_DATA,

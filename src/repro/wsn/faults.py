@@ -50,6 +50,7 @@ The four fault families:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
@@ -73,6 +74,19 @@ SLEEP = "sleep"
 #: Crash instants are drawn uniformly inside this fraction of the run, so a
 #: crash neither pre-empts the first windows nor lands after the last sample.
 _CRASH_WINDOW = (0.1, 0.85)
+
+#: :class:`FaultConfig` fields counted in rounds, and those in ``[0, 1]``;
+#: ``burst_to_good`` and ``duty_cycle`` lie in ``(0, 1]``.
+_ROUND_COUNTS = ("min_downtime_rounds", "max_downtime_rounds", "duty_period_rounds")
+_PROBABILITIES = (
+    "crash_probability",
+    "recovery_probability",
+    "burst_to_bad",
+    "burst_loss_good",
+    "burst_loss_bad",
+    "sensor_stuck_probability",
+    "sensor_drift_probability",
+)
 
 
 @dataclass(frozen=True)
@@ -119,15 +133,18 @@ class FaultConfig:
     sensor_drift_probability: float = 0.0
 
     def __post_init__(self) -> None:
-        probabilities = (
-            "crash_probability",
-            "recovery_probability",
-            "burst_to_bad",
-            "burst_loss_good",
-            "sensor_stuck_probability",
-            "sensor_drift_probability",
-        )
-        for name in probabilities:
+        # Types first, so a range check never compares a string or rounds
+        # a fractional count: the counts are ints, every other field a real
+        # number, and neither may be a bool (JSON ``true`` is not 1.0).
+        for name in _ROUND_COUNTS:
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+        for name in _PROBABILITIES + ("burst_to_good", "duty_cycle"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real) or isinstance(value, bool):
+                raise ConfigurationError(f"{name} must be a real number, got {value!r}")
+        for name in _PROBABILITIES:
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ConfigurationError(f"{name} must be in [0, 1], got {value}")
@@ -136,10 +153,6 @@ class FaultConfig:
             # eventually permanently dead -- almost certainly a typo.
             raise ConfigurationError(
                 f"burst_to_good must be in (0, 1], got {self.burst_to_good}"
-            )
-        if not 0.0 <= self.burst_loss_bad <= 1.0:
-            raise ConfigurationError(
-                f"burst_loss_bad must be in [0, 1], got {self.burst_loss_bad}"
             )
         if not 0.0 < self.duty_cycle <= 1.0:
             raise ConfigurationError(

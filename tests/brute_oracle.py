@@ -20,6 +20,8 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Set
 
+import numpy as np
+
 from repro.core import (
     DataPoint,
     OutlierDetector,
@@ -28,7 +30,7 @@ from repro.core import (
     compute_sufficient_set,
 )
 from repro.core.errors import ProtocolError
-from repro.core.points import RestKey
+from repro.core.points import RestKey, sort_key
 
 
 class BruteGlobalDetector(OutlierDetector):
@@ -277,3 +279,29 @@ class BruteAggregator:
 
     def total_points(self) -> int:
         return len(self.union())
+
+
+def assert_sink_slots_are_pairwise(sink) -> None:
+    """The slot layout of a synced
+    :class:`~repro.baselines.centralized.CentralizedAggregator`.
+
+    The occupied slots hold one copy of every union point, and the key map
+    sends each one's ``≺`` key to its slot.  The free list holds every
+    other slot, once.  The occupied slots' submatrix, in slot order, is
+    exactly ``metric.pairwise`` over their points with a ``+inf``
+    diagonal, bit for bit, and every free row and column is ``+inf``.
+    """
+    points = sink._points
+    occupied = [slot for slot, point in enumerate(points) if point is not None]
+    held = [points[slot] for slot in occupied]
+    assert len(held) == sink.total_points() and set(held) == sink.union()
+    assert sink._slot_of == {sort_key(points[slot]): slot for slot in occupied}
+    free = sink._free
+    assert sorted(free) == [slot for slot, point in enumerate(points) if point is None]
+    matrix = sink._distances
+    assert matrix.shape == (len(points), len(points))
+    expected = sink.query.ranking.metric.pairwise([point.values for point in held])
+    np.fill_diagonal(expected, np.inf)
+    occupied_block = matrix[np.ix_(occupied, occupied)]
+    assert np.array_equal(occupied_block.view(np.int64), expected.view(np.int64))
+    assert (matrix[free, :] == np.inf).all() and (matrix[:, free] == np.inf).all()

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import random
 
-import numpy as np
 import pytest
 
 import repro.core.index as index_mod
@@ -41,7 +40,7 @@ from repro.core.ranking import (
 from repro.core.rescoring import ScoreCache
 from repro.core.semiglobal_detector import SemiGlobalOutlierDetector
 
-from brute_oracle import BruteAggregator
+from brute_oracle import BruteAggregator, assert_sink_slots_are_pairwise
 
 #: Every registered metric with the parameters it needs in 2-d.
 METRICS = [
@@ -338,9 +337,7 @@ def test_centralized_aggregator_batched_matches():
     def assert_same_outliers():
         assert sink.compute_outliers() == oracle.compute_outliers()
         assert sink.union() == oracle.union()
-        expected = query.ranking.metric.pairwise([p.values for p in sink._points])
-        np.fill_diagonal(expected, np.inf)
-        assert np.array_equal(sink._distances.view(np.int64), expected.view(np.int64))
+        assert_sink_slots_are_pairwise(sink)
 
     windows = {
         node: [_make_point(rng, node * 100 + e) for e in range(12)]

@@ -135,6 +135,12 @@ class TestCli:
             ),
             pytest.param(["run", "--faults", "{"], id="faults-not-json"),
             pytest.param(
+                ["run", "--faults",
+                 '{"crash_probability": 0.5, "recovery_probability": 0.5, '
+                 '"min_downtime_rounds": 1.5, "max_downtime_rounds": 3}'],
+                id="faults-fractional-downtime",
+            ),
+            pytest.param(
                 ["run", "--metric", "weighted-euclidean"], id="weights-missing"
             ),
             pytest.param(

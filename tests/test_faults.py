@@ -129,11 +129,25 @@ class TestFaultConfigValidation:
             {"burst_to_good": 0.0},
             {"burst_loss_bad": -0.2},
             {"sensor_stuck_probability": 0.7, "sensor_drift_probability": 0.7},
+            # Wrong types: a fractional or boolean round count, a string or
+            # boolean probability.
+            {"crash_probability": 0.5, "recovery_probability": 0.5,
+             "min_downtime_rounds": 1.5, "max_downtime_rounds": 3},
+            {"max_downtime_rounds": 4.0},
+            {"duty_period_rounds": 2.5},
+            {"duty_period_rounds": True},
+            {"duty_cycle": "0.5"},
+            {"crash_probability": True},
+            {"burst_loss_bad": "0.8"},
+            {"burst_to_good": None},
         ],
     )
     def test_invalid_configurations_fail_eagerly(self, kwargs):
-        with pytest.raises(ConfigurationError):
+        """Each bad configuration raises a ``ConfigurationError`` naming
+        the field it rejects."""
+        with pytest.raises(ConfigurationError) as error:
             FaultConfig(**kwargs)
+        assert any(name in str(error.value) for name in kwargs)
 
     def test_scenario_json_round_trip_preserves_faults(self):
         faults = FaultConfig(

@@ -57,10 +57,14 @@ from repro.core import (
 )
 from repro.core.errors import ProtocolError, RankingError
 from repro.core.metrics import metric_from_name, registered_metrics
-from repro.core.points import sort_key
 from repro.core.sufficient import SlotFixpoint
 
-from brute_oracle import BruteAggregator, BruteGlobalDetector, BruteSemiGlobalDetector
+from brute_oracle import (
+    BruteAggregator,
+    BruteGlobalDetector,
+    BruteSemiGlobalDetector,
+    assert_sink_slots_are_pairwise,
+)
 
 
 def random_connected_adjacency(rng: random.Random, sensors: int):
@@ -743,18 +747,6 @@ def _check_semiglobal_transcripts(rng, ranking, variant, hop_diameter):
 # ----------------------------------------------------------------------
 # Centralized baseline and reference computations
 # ----------------------------------------------------------------------
-def _assert_sink_matrix_is_pairwise(sink):
-    """The sink's state after a sync: one copy of every union point, their
-    ``≺`` keys, and exactly ``metric.pairwise`` over them with a ``+inf``
-    diagonal, bit for bit."""
-    points = sink._points
-    assert len(points) == sink.total_points() and set(points) == sink.union()
-    assert sink._keys == [sort_key(p) for p in points]
-    expected = sink.query.ranking.metric.pairwise([p.values for p in points])
-    np.fill_diagonal(expected, np.inf)
-    assert np.array_equal(sink._distances.view(np.int64), expected.view(np.int64))
-
-
 def _replay_sink_with_irregular_queries(query, rng, monkeypatch):
     """Query the sink at irregular points and check it against the oracle.
 
@@ -801,7 +793,7 @@ def _replay_sink_with_irregular_queries(query, rng, monkeypatch):
         kernel_calls.clear()
         assert fast.compute_outliers() == expected
         synced = list(kernel_calls)
-        _assert_sink_matrix_is_pairwise(fast)
+        assert_sink_slots_are_pairwise(fast)
         return synced
 
     def irregular_rounds(count):
@@ -890,9 +882,65 @@ def test_matrix_sink_matches_oracle(metric_name, ranking_name, monkeypatch):
         fast.update_window(node, window)
         slow.update_window(node, window)
         assert fast.compute_outliers() == slow.compute_outliers()
-        _assert_sink_matrix_is_pairwise(fast)
+        assert_sink_slots_are_pairwise(fast)
     assert fast.total_points() == 0
     _replay_sink_with_irregular_queries(query, rng, monkeypatch)
+
+
+def test_sink_slides_keep_the_largest_union_and_compute_only_arrivals(
+    knn_query, monkeypatch
+):
+    """Forty rounds of one-point window slides per sensor, after windows
+    that fill up and with sensors that skip a round or are forgotten: the
+    matrix stays at the largest union seen, every sync's ``cross`` takes
+    only that sync's arrivals against the held points and its ``pairwise``
+    only the arrivals, and the sink publishes the oracle's answer."""
+    rng = random.Random(43)
+    sink = CentralizedAggregator(knn_query)
+    oracle = BruteAggregator(knn_query)
+    metric = knn_query.ranking.metric
+    calls = []
+    for name in ("cross", "pairwise"):
+
+        def spy(*args, _original=getattr(metric, name), _name=name):
+            calls.append((_name, [sorted(map(tuple, vectors)) for vectors in args]))
+            return _original(*args)
+
+        monkeypatch.setattr(metric, name, spy)
+    sensors, width = 5, 4
+    streams = {i: _cloud(rng, 44, origin=i) for i in range(sensors)}
+    previous, largest, most_free = set(), 0, 0
+    for round_index in range(40):
+        for node in range(sensors):
+            draw = rng.random()
+            if draw < 0.1:
+                continue  # no upload this round: the window stays
+            for aggregator in (sink, oracle):
+                if draw < 0.15:
+                    aggregator.forget(node)
+                else:
+                    start = max(0, round_index - width + 1)
+                    aggregator.update_window(
+                        node, streams[node][start: round_index + 1]
+                    )
+        union = oracle.union()
+        arrivals = sorted(point.values for point in union - previous)
+        held = sorted(point.values for point in union & previous)
+        largest = max(largest, len(union))
+        published = oracle.compute_outliers()
+        calls.clear()
+        assert sink.compute_outliers() == published
+        expected = (
+            [("cross", [arrivals, held]), ("pairwise", [arrivals])]
+            if arrivals
+            else []
+        )
+        assert calls == expected
+        assert len(sink._points) == largest
+        assert_sink_slots_are_pairwise(sink)
+        previous = union
+        most_free = max(most_free, len(sink._free))
+    assert most_free > 0
 
 
 # ----------------------------------------------------------------------

@@ -4,6 +4,8 @@ and nodes."""
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.errors import ConfigurationError, SimulationError, TopologyError
 from repro.network import (
@@ -116,15 +118,22 @@ class TestEnergyModel:
             EnergyModel(**{field: value})
 
     def test_meter_accumulates(self):
-        meter = EnergyMeter()
-        meter.charge_tx(100, meter.model.tx_energy(100))
-        meter.charge_rx(100, meter.model.rx_energy(100))
+        """One transmission charges the sender's and the receiver's meters;
+        idle time adds to the sender's."""
+        channel = WirelessChannel(Simulator(), square_topology())
+        sender, receiver = SimNode(0, channel), SimNode(1, channel)
+        channel.transmit(0, Packet(PacketKind.APP_DATA, source=0, destination=1,
+                                   size_bytes=100))
+        meter = sender.energy
         meter.charge_idle(10.0)
+        assert meter.tx_joules == meter.model.tx_energy(100)
+        assert receiver.energy.rx_joules == receiver.energy.model.rx_energy(100)
         assert meter.total_joules == pytest.approx(
             meter.tx_joules + meter.rx_joules + meter.idle_joules
         )
-        assert meter.packets_sent == 1 and meter.packets_received == 1
-        assert meter.bytes_sent == 100
+        assert meter.packets_sent == 1 and receiver.energy.packets_received == 1
+        assert meter.bytes_sent == 100 and receiver.energy.bytes_received == 100
+        assert meter.packets_received == receiver.energy.packets_sent == 0
 
 
 class TestEnergyReport:
@@ -232,6 +241,37 @@ class TestChannelAndNodes:
         relayed = packet.next_hop_copy(1, 3)
         assert relayed.hop_count == packet.hop_count + 1
         assert relayed.source == 0 and relayed.link_source == 1
+
+    def test_next_hop_copy_is_a_fresh_packet_sharing_the_payload(self):
+        payload = object()
+        packet = Packet(PacketKind.APP_DATA, source=0, destination=3, size_bytes=10,
+                        payload=payload)
+        before = dict(vars(packet))
+        relayed = packet.next_hop_copy(1, 2)
+        assert type(relayed) is Packet
+        assert relayed.packet_id > packet.packet_id
+        assert relayed.packet_id != packet.next_hop_copy(1, 2).packet_id
+        assert relayed.payload is payload
+        assert (relayed.kind, relayed.source, relayed.destination,
+                relayed.size_bytes) == (PacketKind.APP_DATA, 0, 3, 10)
+        assert (relayed.link_source, relayed.link_destination) == (1, 2)
+        relayed.link_source, relayed.link_destination = 2, BROADCAST_ADDRESS
+        relayed.hop_count = 7
+        assert vars(packet) == before
+        assert (packet.link_source, packet.link_destination) == (0, 3)
+
+    def test_a_node_attached_after_a_send_joins_the_receiver_table(self):
+        sim = Simulator()
+        channel = WirelessChannel(sim, square_topology())
+        nodes = {0: SimNode(0, channel)}
+        broadcast = Packet(PacketKind.APP_BROADCAST, source=0,
+                           destination=BROADCAST_ADDRESS, size_bytes=20)
+        channel.transmit(0, broadcast)
+        assert channel.stats.deliveries == 0
+        nodes[1] = SimNode(1, channel)
+        channel.transmit(0, broadcast)
+        assert channel.stats.deliveries == 1
+        assert nodes[1].energy.packets_received == 1
 
     @pytest.mark.parametrize("delay", [math.nan, math.inf, -1e-3])
     def test_invalid_processing_delay(self, delay):
@@ -419,3 +459,177 @@ class TestChannelFanOut:
             if node_id != self.SENDER:
                 assert node.energy.rx_joules == expected
                 assert node.packets_discarded == (node_id != 5)
+
+
+class PerReceiverChannel(WirelessChannel):
+    """The channel's transmit path before receiver tables: it walks the
+    topology's neighbor ids, looks each receiver up among the attached
+    nodes, and charges each meter through one call per packet, as the
+    removed ``EnergyMeter.charge_tx``/``charge_rx`` did.  It lives only
+    here, as the reference the receiver-table path must match bit for bit.
+    """
+
+    @staticmethod
+    def _charge_tx(meter, size_bytes, energy):
+        meter.tx_joules += energy
+        meter.packets_sent += 1
+        meter.bytes_sent += size_bytes
+
+    @staticmethod
+    def _charge_rx(meter, size_bytes, energy):
+        meter.rx_joules += energy
+        meter.packets_received += 1
+        meter.bytes_received += size_bytes
+
+    def transmit(self, sender_id, packet):
+        sender = self.node(sender_id)
+        if not sender.up:
+            return
+        size = packet.size_bytes
+        model = sender.energy.model
+        airtime = model.airtime(size)
+        self._charge_tx(sender.energy, size, model.tx_energy_over(airtime))
+        stats = self.stats
+        stats.transmissions += 1
+        stats.bytes_transmitted += size
+        lossy = self.burst is not None or self.loss_probability > 0
+        destination = packet.link_destination
+        broadcast = destination == BROADCAST_ADDRESS
+        nodes = self._nodes
+        rx_joules = {}
+        rx_model = energy = None
+        deliveries = []
+        overheard = 0
+        for neighbor_id in self.topology.neighbors_sorted(sender_id):
+            receiver = nodes.get(neighbor_id)
+            if receiver is None or not receiver.up:
+                continue
+            meter = receiver.energy
+            if meter.model is not rx_model:
+                rx_model = meter.model
+                energy = rx_joules.get(id(rx_model))
+                if energy is None:
+                    seconds = airtime if rx_model is model else rx_model.airtime(size)
+                    energy = rx_joules[id(rx_model)] = rx_model.rx_energy_over(seconds)
+            self._charge_rx(meter, size, energy)
+            if lossy and self._lost(sender_id, neighbor_id):
+                stats.losses += 1
+                continue
+            if broadcast or neighbor_id == destination:
+                deliveries.append(receiver.deliver)
+            else:
+                receiver.packets_discarded += 1
+                overheard += 1
+        delay = airtime + self.processing_delay
+        if overheard:
+            self.overheard_receptions += overheard
+            self.last_overheard_arrival = max(
+                self.last_overheard_arrival, self.simulator.now + delay
+            )
+        stats.deliveries += len(deliveries) + overheard
+        self.simulator.schedule_each(delay, deliveries, packet)
+
+
+@st.composite
+def radio_scripts(draw):
+    """A unit-disk topology of 3-12 nodes on two energy models, a loss
+    regime, and a script of sends, power flips and queue drains."""
+    count = draw(st.integers(min_value=3, max_value=12))
+    coordinate = st.integers(min_value=0, max_value=24)
+    positions = {
+        node_id: (draw(coordinate), draw(coordinate)) for node_id in range(count)
+    }
+    slow = draw(st.lists(st.booleans(), min_size=count, max_size=count))
+    loss = draw(st.sampled_from(["none", "iid", "burst"]))
+    node = st.integers(min_value=0, max_value=count - 1)
+    size = st.integers(min_value=1, max_value=120)
+    step = st.one_of(
+        st.tuples(st.just("broadcast"), node, size),
+        st.tuples(st.just("unicast"), node, node, size),
+        st.tuples(st.just("flip"), node),
+        st.tuples(st.just("drain")),
+    )
+    script = draw(st.lists(step, min_size=1, max_size=40))
+    return positions, slow, loss, draw(st.integers(0, 2**16)), script
+
+
+class TestReceiverTablePath:
+    """The receiver-table transmit path against :class:`PerReceiverChannel`
+    driven through the same random script."""
+
+    SLOW = EnergyModel(rx_power_w=0.05, tx_power_w=0.02, bitrate_bps=9_600.0)
+    BURST = GilbertElliottParams(p_good_to_bad=0.3, p_bad_to_good=0.4,
+                                 loss_good=0.1, loss_bad=0.9)
+
+    def _stack(self, channel_type, positions, slow, loss, seed):
+        sim = Simulator()
+        options = {"iid": {"loss_probability": 0.3},
+                   "burst": {"burst": self.BURST}}.get(loss, {})
+        channel = channel_type(sim, Topology.from_positions(positions, 9.0),
+                               streams=RandomStreams(seed), **options)
+        nodes = [
+            SimNode(node_id, channel, self.SLOW if slow[node_id] else CROSSBOW_MICA2)
+            for node_id in sorted(positions)
+        ]
+        delivered = []
+        for node in nodes:
+            node.add_handler(
+                lambda n, p: delivered.append((sim.now, n.node_id, p.payload)) or True
+            )
+        return sim, channel, nodes, delivered
+
+    @staticmethod
+    def _play(stack, script):
+        sim, channel, nodes, _ = stack
+        for tag, step in enumerate(script):
+            kind = step[0]
+            if kind == "drain":
+                sim.run()
+            elif kind == "flip":
+                node = nodes[step[1]]
+                if node.up:
+                    node.power_down()
+                else:
+                    node.power_up()
+            elif kind == "broadcast":
+                channel.transmit(step[1], Packet(
+                    PacketKind.APP_BROADCAST, source=step[1],
+                    destination=BROADCAST_ADDRESS, size_bytes=step[2], payload=tag))
+            else:
+                # Any other node: in range of the sender or not.
+                _, sender, destination, size = step
+                channel.transmit(sender, Packet(
+                    PacketKind.APP_DATA, source=sender, destination=destination,
+                    size_bytes=size, payload=tag))
+        sim.run()
+
+    @staticmethod
+    def _observed(stack):
+        _, channel, nodes, delivered = stack
+        meters = [
+            tuple(
+                value.hex() if isinstance(value, float) else value
+                for name, value in vars(node.energy).items() if name != "model"
+            ) + (node.packets_discarded, node.deliveries_missed_down)
+            for node in nodes
+        ]
+        rngs = [channel._rng.getstate(),
+                channel._burst_rng.getstate() if channel._burst_rng else None]
+        return {
+            "meters": meters,
+            "stats": channel.stats.as_dict(),
+            "overheard": channel.overheard_receptions,
+            "last_overheard": channel.last_overheard_arrival.hex(),
+            "rngs": rngs,
+            "delivered": [(now.hex(), node_id, tag) for now, node_id, tag in delivered],
+        }
+
+    @settings(max_examples=60, deadline=None)
+    @given(radio_scripts())
+    def test_matches_the_per_receiver_loop(self, case):
+        positions, slow, loss, seed, script = case
+        fast = self._stack(WirelessChannel, positions, slow, loss, seed)
+        reference = self._stack(PerReceiverChannel, positions, slow, loss, seed)
+        self._play(fast, script)
+        self._play(reference, script)
+        assert self._observed(fast) == self._observed(reference)

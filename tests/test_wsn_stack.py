@@ -144,7 +144,8 @@ class TestCentralizedAggregator:
     @pytest.mark.parametrize("held_copy", [True, False])
     def test_second_copy_raises_and_leaves_the_sink_unchanged(self, held_copy):
         """A hop copy of an observation the sink holds, or two copies
-        arriving together, is refused before the matrix changes."""
+        arriving together, is refused before any slot changes: the points,
+        the key map, the free list and the matrix stay as they were."""
         query = OutlierQuery(NearestNeighborDistance(), n=1)
         aggregator = CentralizedAggregator(query)
         point = make_point([1.0], 0, 0)
@@ -152,7 +153,8 @@ class TestCentralizedAggregator:
         aggregator.compute_outliers()
         state = (
             list(aggregator._points),
-            list(aggregator._keys),
+            dict(aggregator._slot_of),
+            list(aggregator._free),
             aggregator._distances.copy(),
         )
         if held_copy:
@@ -164,8 +166,9 @@ class TestCentralizedAggregator:
         with pytest.raises(RankingError, match="second copy"):
             aggregator.compute_outliers()
         assert aggregator._points == state[0]
-        assert aggregator._keys == state[1]
-        assert aggregator._distances.tobytes() == state[2].tobytes()
+        assert aggregator._slot_of == state[1]
+        assert aggregator._free == state[2]
+        assert aggregator._distances.tobytes() == state[3].tobytes()
 
 
 class TestAnalysis:
