@@ -11,12 +11,9 @@ among them.
 
 The measurement harness is shared with the ``repro-wsn bench`` CLI
 subcommand (:mod:`repro.bench`), which emits the machine-readable
-``BENCH_hotpath.json`` artifact CI thresholds; this
-pytest entry records the same sweep at ``n ∈ {64, 256, 1024}``, refreshes
-``results/hotpath.txt`` and asserts the acceptance criterion: at the
-largest window, 64-event ticks must amortize at least 2.5x below batch size
-1, the per-event latency (conservative CI floor; the reference machine
-measures 6-8x).
+``BENCH_hotpath.json`` artifact CI gates against the committed trajectory;
+this pytest entry records the same sweep at ``n ∈ {64, 256, 1024}`` and
+refreshes ``results/hotpath.txt``.
 """
 
 from __future__ import annotations
@@ -53,18 +50,7 @@ def test_bench_hotpath(benchmark):
     (RESULTS_DIR / "hotpath.txt").write_text(text)
     print()
     print(text)
-
-    rows = {row["window"]: row for row in payload["windows"]}
-    # Batched event application must amortize well below the per-event
-    # latency at the largest window.  The floor here is deliberately
-    # conservative (the reference machine measures 6-8x at batch size 64);
-    # the real numbers are recorded in the committed BENCH artifacts.
-    largest = rows[max(WINDOW_SIZES)]
-    assert largest["batched_speedup"] >= 2.5, (
-        f"batched application is only {largest['batched_speedup']:.1f}x "
-        f"faster than per-event at window {max(WINDOW_SIZES)} "
-        f"(batch size {largest['batch_size']}; conservative floor is 2.5x)"
-    )
+    assert [row["window"] for row in payload["windows"]] == list(WINDOW_SIZES)
 
 
 def test_bench_hotpath_harness_is_deterministic():

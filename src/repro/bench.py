@@ -17,10 +17,9 @@ Whole scenarios are timed end to end by ``perfbench/`` (declared in
 ``BENCHMARK.json``), not by this module.
 
 The artifact carries a stable ``schema`` number and enough configuration to
-interpret a trajectory of them across commits.  The CLI's ``--check`` mode
-turns it into a regression guard: the batched speedup (largest swept batch
-size over batch size 1) at :data:`BATCH_FLOOR_WINDOW` must reach
-:data:`BATCH_FLOOR`.
+interpret a trajectory of them across commits.  CI gates it with
+``repro-wsn report --diff``: each batched speedup (largest swept batch size
+over batch size 1) is compared with the newest committed trajectory entry.
 
 Methodology invariants (what makes two artifacts comparable):
 
@@ -33,9 +32,9 @@ Methodology invariants (what makes two artifacts comparable):
 * **identical work** -- every batch size replays the *same* deterministic
   event stream (same seed, same points), so the reported speedup isolates
   the batching, not the workload.
-* **floors are on ratios** -- ``--check`` thresholds speedups, never an
+* **gates are on ratios** -- the trajectory diff gates speedups, never an
   absolute latency, precisely so CI machines of different speeds share one
-  floor.
+  threshold.
 
 The module is import-light so ``repro-wsn bench`` stays snappy; the detector
 stack is imported lazily inside the harness functions.
@@ -55,14 +54,11 @@ __all__ = [
     "DEFAULT_WINDOWS",
     "QUICK_WINDOWS",
     "DEFAULT_BATCH_SIZES",
-    "BATCH_FLOOR",
-    "BATCH_FLOOR_WINDOW",
     "steady_state_detector",
     "measure_event_latency",
     "run_hotpath_bench",
     "render_hotpath_table",
     "write_bench_artifacts",
-    "check_batched_floor",
 ]
 
 #: Bump when the hotpath artifact layout changes incompatibly.
@@ -77,8 +73,8 @@ BENCH_HOTPATH_SCHEMA = 3
 #: Window sizes of the full hotpath sweep (matches ``results/hotpath.txt``).
 DEFAULT_WINDOWS: Tuple[int, ...] = (64, 256, 1024)
 
-#: Window sizes of the CI-friendly ``--quick`` sweep.  256 is included
-#: because the batched floor is evaluated there.
+#: Window sizes of the CI-friendly ``--quick`` sweep.  256 is included so
+#: CI's trajectory diff gates a window where 64-event ticks fit.
 QUICK_WINDOWS: Tuple[int, ...] = (64, 256)
 
 #: Events-per-tick sweep (1 is the per-event baseline and is always
@@ -86,12 +82,6 @@ QUICK_WINDOWS: Tuple[int, ...] = (64, 256)
 #: a coarse sampling tick).  Sizes larger than the window are skipped per
 #: window so the sliding-window workload stays well formed.
 DEFAULT_BATCH_SIZES: Tuple[int, ...] = (1, 4, 16, 64)
-
-#: ``--check`` fails when the batched speedup at :data:`BATCH_FLOOR_WINDOW`
-#: is below :data:`BATCH_FLOOR`.  Conservative, so the guard does not flap
-#: on shared runners, yet a batched path that stopped batching (~1x) fails.
-BATCH_FLOOR = 2.5
-BATCH_FLOOR_WINDOW = 256
 
 #: Measured events per window at batch size 1 (larger batch sizes measure
 #: at least four whole ticks).
@@ -268,32 +258,3 @@ def write_bench_artifacts(output_dir, hotpath: Dict) -> List[Path]:
     path.write_text(json.dumps(hotpath, indent=2, sort_keys=True) + "\n")
     return [path]
 
-
-def check_batched_floor(
-    hotpath: Dict, floor: float, floor_window: int
-) -> Tuple[bool, str]:
-    """Evaluate the regression guard: the amortized batched speedup over
-    batch size 1 at ``floor_window`` must be at least ``floor``.
-
-    Returns ``(ok, message)``; the guard never passes vacuously, so a
-    missing window *or* a row without batched measurements fails.
-    """
-    for row in hotpath["windows"]:
-        if row["window"] == floor_window:
-            speedup = row.get("batched_speedup")
-            if speedup is None:
-                return False, (
-                    f"batch guard error: window {floor_window} carries no "
-                    f"batched measurement (batch sweep empty?)"
-                )
-            ok = speedup >= floor
-            verdict = "ok" if ok else "REGRESSION"
-            return ok, (
-                f"batch guard {verdict}: batched speedup {speedup:.1f}x at "
-                f"window {floor_window} (floor {floor:.1f}x, batch size "
-                f"{row.get('batch_size')})"
-            )
-    return False, (
-        f"batch guard error: window {floor_window} not in the measured sweep "
-        f"{[row['window'] for row in hotpath['windows']]}"
-    )

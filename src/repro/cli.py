@@ -39,11 +39,11 @@ results persisted (rerunning is free; an interrupted sweep resumes)::
     repro-wsn sweep metric-sensitivity --workers 4 --store results/store
 
 Measure the per-event detector hot path, writing ``BENCH_hotpath.json``
-(the CI perf-smoke job runs the ``--quick --check`` form and fails when the
-batched speedup falls below its floor)::
+(the CI perf-smoke job runs the ``--quick`` form, then gates its batched
+speedups with ``report --diff`` against the committed trajectory)::
 
     repro-wsn bench
-    repro-wsn bench --quick --check --output-dir bench-artifacts
+    repro-wsn bench --quick --output-dir bench-artifacts
 
 Kill a sweep pool worker mid-sweep and watch the supervised pool retry
 its scenario on a fresh worker, landing the identical result::
@@ -70,7 +70,7 @@ from pathlib import Path
 from typing import List, Optional
 
 from .core.config import Algorithm, DetectionConfig
-from .core.errors import ReproError
+from .core.errors import ExperimentError, ReproError
 from .core.metrics import registered_metrics
 from .wsn.faults import FaultConfig
 from .wsn.runner import run_scenario
@@ -148,18 +148,13 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument(
         "--quick",
         action="store_true",
-        help="CI-friendly sweep: windows 64/256 (the floor still applies)",
+        help="CI-friendly sweep: windows 64/256",
     )
     bench.add_argument(
         "--output-dir",
         metavar="DIR",
         default="results",
         help="directory for BENCH_hotpath.json (default: results)",
-    )
-    bench.add_argument(
-        "--check",
-        action="store_true",
-        help="fail (exit 1) when the batched speedup falls below its floor",
     )
     sweep = sub.add_parser(
         "sweep",
@@ -385,27 +380,38 @@ def _command_figure(args: argparse.Namespace) -> int:
     return 0
 
 
+def _make_output_dir(path, source: str) -> None:
+    """Create the output directory ``path``, named on the command line by
+    ``source`` (a flag or environment variable), before any simulation or
+    measurement: one that cannot be created is bad input, not a failure
+    after the work is done."""
+    try:
+        Path(path).mkdir(parents=True, exist_ok=True)
+    except OSError as error:
+        raise ExperimentError(
+            f"{source}: cannot create directory {path} ({error.strerror})"
+        ) from None
+
+
 def _command_bench(args: argparse.Namespace) -> int:
     # Imported lazily so the other subcommands stay snappy.
     from . import bench
 
+    try:
+        _make_output_dir(args.output_dir, "--output-dir")
+    except ExperimentError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     hotpath = bench.run_hotpath_bench(quick=args.quick)
     print(bench.render_hotpath_table(hotpath))
     for path in bench.write_bench_artifacts(args.output_dir, hotpath):
         print(f"wrote {path}")
-    if not args.check:
-        return 0
-    ok, message = bench.check_batched_floor(
-        hotpath, bench.BATCH_FLOOR, bench.BATCH_FLOOR_WINDOW
-    )
-    print(message)
-    return 0 if ok else 1
+    return 0
 
 
 def _command_sweep(args: argparse.Namespace) -> int:
     # Importing the experiments package registers every sweep family.
     from . import experiments
-    from .core.errors import ExperimentError
     from .orchestrator import (
         ChaosPlan,
         RecoveryConfig,
@@ -456,15 +462,19 @@ def _command_sweep(args: argparse.Namespace) -> int:
 
     chaos = None
     recovery = None
-    if args.chaos or args.scenario_timeout is not None:
-        try:
+    try:
+        if args.chaos or args.scenario_timeout is not None:
             if args.chaos:
                 chaos = ChaosPlan.parse(args.chaos)
             recovery = RecoveryConfig(scenario_timeout=args.scenario_timeout)
             check_chaos(chaos, recovery)
-        except ReproError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
+        if store is not None:
+            _make_output_dir(
+                store.root, "--store" if args.store else "REPRO_RESULT_STORE"
+            )
+    except ReproError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     scenarios = list(family.build(profile))
 
     counts = {"memory": 0, "store": 0, "computed": 0}
@@ -546,7 +556,6 @@ def _command_sweep(args: argparse.Namespace) -> int:
 def _command_report(args: argparse.Namespace) -> int:
     # Importing the experiments package registers every sweep family.
     from . import experiments
-    from .core.errors import ExperimentError
     from .orchestrator import ResultStore, all_families, default_store, get_family
     from .report import (
         append_entry,
@@ -576,6 +585,11 @@ def _command_report(args: argparse.Namespace) -> int:
                 "a result store is required: pass --store DIR or set "
                 "REPRO_RESULT_STORE"
             )
+        if store is not None and not store.root.is_dir():
+            # A store the pages would find empty is a mistyped path, not an
+            # empty report.
+            source = "--store" if args.store else "REPRO_RESULT_STORE"
+            raise ExperimentError(f"{source} {store.root}: no such directory")
         if args.families:
             families = [
                 get_family(name.strip())
@@ -600,6 +614,12 @@ def _command_report(args: argparse.Namespace) -> int:
         # A missing or malformed BASE is bad input (exit 2), resolved before
         # any site build; only a detected regression exits 1.
         baseline = baseline_metrics(args.diff) if args.diff else None
+        if not bench_only:
+            _make_output_dir(args.out, "--out")
+        if args.update_trajectory:
+            _make_output_dir(
+                Path(args.update_trajectory).parent, "--update-trajectory"
+            )
     except ReproError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2

@@ -1,14 +1,12 @@
-"""Per-tick event batches: the unit of the vectorized application path.
+"""Per-tick event batches: one protocol event's index mutations, as a unit.
 
 Every protocol event delivers a *group* of data changes at once -- a
 sampling tick expires a handful of window points while adding the fresh
 reading, a crash reset evicts the whole window, a received message carries
-many points -- yet the per-event index path applies them one at a time: one
-``metric.rows`` call, one splice pass and one dirty-marking compare *per
-point*.  An :class:`EventBatch` collects one event's worth of mutations so
-:meth:`~repro.core.index.NeighborhoodIndex.apply_batch` can amortise that
-dispatch: one distance block for all additions, one mask rebuild for all
-evictions, one dirty-set union for the whole batch.
+many points.  An :class:`EventBatch` collects one event's worth of mutations
+so :meth:`~repro.core.index.NeighborhoodIndex.apply_batch` can apply them as
+a unit: a batch of many evictions is stripped from every surviving array in
+one pass, and the additions are checked together before any is made.
 
 Batch formation rules (what the detectors guarantee when they build one):
 

@@ -33,13 +33,12 @@ insertion) to 12 bytes of raw C doubles/ints moved by ``memmove``:
   field in ``O(1)`` -- the semi-global detector's ``[·]^min`` merge changes
   hop counters but never geometry, so the index only relabels the slot;
 * :meth:`apply_batch` applies one :class:`~repro.core.batch.EventBatch`
-  (a whole protocol event's evictions, additions and relabels) in block
-  form: all evictions become one boolean-mask rebuild per surviving array,
-  all additions share a single ``metric.cross``/``metric.pairwise``
-  distance block and are merged into each existing array by one
-  ``searchsorted`` scatter instead of one bisected memmove per pair.  The
-  resulting structure is *identical* -- entry for entry, slot for slot --
-  to applying the same mutations one at a time.
+  (a whole protocol event's evictions, additions and relabels): a batch of
+  many evictions becomes one boolean-mask rebuild per surviving array
+  instead of one bisected memmove per pair, and every addition goes through
+  :meth:`add`, after a check that makes a batch's additions all-or-nothing.
+  The resulting structure is *identical* -- entry for entry, slot for slot
+  -- to applying the same mutations one at a time.
 
 Queries never mutate the index.  Scoring a point against the *full* index
 reads the head of its distance array in ``O(k)`` (``O(1)`` for the k-th
@@ -96,29 +95,21 @@ __all__ = [
 #: Typecode of the slot-id buffers.  C ``int`` (4 bytes on every supported
 #: platform) rather than ``long``: slot ids are bounded by the window size
 #: plus one batch, so 32 bits halves the neighbor-array traffic of the
-#: block splice, which is memory-bound at the paper's window sizes.
+#: splices and strips, which are memory-bound at the paper's window sizes.
 SLOT_TYPECODE = "i"
 
 #: Numpy dtype matching the ``array(SLOT_TYPECODE)`` slot buffers (used to
 #: view them without copying, e.g. by the dirty-set rescoring engine).
 SLOT_DTYPE = np.dtype(f"i{array(SLOT_TYPECODE).itemsize}")
 
-#: ``apply_batch`` routes batches with at most this many additions
-#: (respectively evictions) through the per-point mutations: the block path
-#: costs a fixed number of numpy dispatches per surviving array regardless
-#: of batch size, which only pays for itself once several points share
-#: them.  A typical sampling tick (one arrival, one expiry) stays on the
-#: cheap per-point path; crash resets, received messages and coarse-tick
-#: batches take the block path.
+#: ``apply_batch`` routes batches with at most this many evictions through
+#: :meth:`NeighborhoodIndex.discard`: the block strip costs a fixed number
+#: of numpy dispatches per surviving array regardless of batch size, which
+#: only pays for itself once several departures share them.  A typical
+#: sampling tick (one expiry) stays on ``discard``; crash resets and
+#: window slides that also expire the points received from neighbors take
+#: the block strip.
 BATCH_BLOCK_THRESHOLD = 4
-
-#: Row count of the rectangular splice kernel inside the block-addition
-#: path.  Chunks of this many equal-length survivor arrays are merged as one
-#: matrix (a handful of numpy dispatches instead of ~20 per survivor) while
-#: the chunk's working set -- a few hundred KB at the paper's window sizes --
-#: stays cache-resident; whole-index matrices would stream every pass
-#: through memory instead.
-SPLICE_CHUNK_ROWS = 24
 
 #: One neighbor-list entry as exposed by :meth:`NeighborhoodIndex.entries`:
 #: ``(distance, ≺-key of the neighbor, slot)``.  Sequences of these are
@@ -131,6 +122,13 @@ def _second_copy(point: DataPoint) -> RankingError:
     return RankingError(
         f"{point!r} would be a second copy of its observation; the index "
         f"holds one copy per observation (replace() swaps copies)"
+    )
+
+
+def _dimension_mismatch(dimension: int, point: DataPoint) -> RankingError:
+    return RankingError(
+        f"dimension mismatch: index holds {dimension}-dimensional points, "
+        f"got {point.dimension}-dimensional {point!r}"
     )
 
 
@@ -293,7 +291,7 @@ class NeighborhoodIndex:
     def attach(self, observer) -> None:
         """Register a mutation observer.
 
-        Observers implement all five callbacks below, each invoked *after*
+        Observers implement all four callbacks below, each invoked *after*
         the index structures are consistent:
 
         * ``point_added(slot, point, nbr_slots, nbr_dists)`` -- the new
@@ -301,15 +299,11 @@ class NeighborhoodIndex:
         * ``point_removed(slot, point, nbr_slots, nbr_dists)`` -- the
           departed point's arrays, passed before they are freed;
         * ``point_relabeled(slot, old, new)`` -- a hop-only replace;
-        * ``points_added_batch(records, rows, slots)`` and
-          ``points_removed_batch(records)`` -- the block mutations of
-          :meth:`apply_batch` above the small-batch threshold, with
+        * ``points_removed_batch(records)`` -- the block eviction of
+          :meth:`apply_batch` above :data:`BATCH_BLOCK_THRESHOLD`, with
           ``records`` a sequence of ``(slot, point, nbr_slots, nbr_dists)``
-          tuples in application order.  ``rows``/``slots`` are the block's
-          shared unsorted ``(m, width)`` distance/slot matrices, whose row
-          ``j`` holds the same entries as record ``j``'s sorted arrays.
-          Removal records are delivered while the departing slots are still
-          labelled (``key_at`` works) but may precede the strip of the
+          tuples in eviction order, delivered while the departing slots are
+          still labelled (``key_at`` works) and before the strip of the
           surviving arrays.
 
         The arrays are the live internals: observers must only read them and
@@ -343,10 +337,7 @@ class NeighborhoodIndex:
         if self._dimension is None:
             self._dimension = point.dimension
         elif point.dimension != self._dimension:
-            raise RankingError(
-                f"dimension mismatch: index holds {self._dimension}-dimensional "
-                f"points, got {point.dimension}-dimensional {point!r}"
-            )
+            raise _dimension_mismatch(self._dimension, point)
         key = sort_key(point)
         if key in self._slot_of_key:
             raise _second_copy(point)
@@ -488,51 +479,65 @@ class NeighborhoodIndex:
         *identical* to applying the same mutations one at a time in that
         order.  Returns ``(points added, points evicted)``.
 
-        Small batches route through the per-point mutations: the block
-        machinery costs a fixed number of numpy dispatches per surviving
-        array regardless of batch size, which only pays for itself once
-        several points share them.  One deliberate divergence: the block
-        path checks *every* pending addition -- its dimension, and that no
-        other copy of its observation is indexed once the evictions are
-        applied or listed earlier in the batch -- before adding any, so a
-        bad batch raises with every eviction applied and no addition made,
-        not with the partial application the sequential path leaves.
+        Batches of more than :data:`BATCH_BLOCK_THRESHOLD` evictions take
+        the block strip (:meth:`_evict_block`); smaller ones go through
+        :meth:`discard`.  Every addition goes through :meth:`add`.  A batch
+        of two or more additions is all-or-nothing: each addition is
+        checked -- its dimension, and that no other copy of its observation
+        is indexed once the evictions are applied or listed earlier in the
+        batch -- before any is added, so a bad batch raises with every
+        eviction applied and no addition made.  A single addition needs no
+        such check, because :meth:`add` checks before it changes anything.
         """
         evicts = batch.evicts
-        adds = batch.adds
-        evicted = 0
-        added = 0
-        strip: Optional[np.ndarray] = None
         if len(evicts) > BATCH_BLOCK_THRESHOLD:
-            # The block eviction defers the survivor-array rebuild: when a
-            # block addition follows (the common tick shape), the departing
-            # entries are stripped during the very same per-survivor rebuild
-            # that splices the new ones in, halving the array traffic.
-            evicted, strip = self._evict_block(evicts)
+            evicted = self._evict_block(evicts)
         else:
+            evicted = 0
             for point in evicts:
                 evicted += self.discard(point)
-        if len(adds) > BATCH_BLOCK_THRESHOLD:
-            added = self._add_block(adds, strip)
-        else:
-            if strip is not None:
-                self._strip_block(strip)
-            for point in adds:
-                added += self.add(point)
+        adds = batch.adds
+        if len(adds) > 1:
+            self._check_additions(adds)
+        added = 0
+        for point in adds:
+            added += self.add(point)
         for old, new in batch.replaces:
             self.replace(old, new)
         return added, evicted
 
-    def _evict_block(
-        self, evicts: Sequence[DataPoint]
-    ) -> Tuple[int, Optional[np.ndarray]]:
-        """Unregister a batch of points; survivor arrays are *not* touched.
+    def _check_additions(self, adds: Sequence[DataPoint]) -> None:
+        """Raise :class:`RankingError` if some point of ``adds``, added in
+        order, would make :meth:`add` raise; change nothing.
 
-        Performs the bookkeeping half of a block eviction (observer
-        notification, slot freeing, occupied-buffer compaction) and returns
-        ``(count, departing-slot lookup table)``.  The caller owes the
-        survivors one strip pass over that table -- either standalone via
-        :meth:`_strip_block` or fused into :meth:`_add_block`'s rebuild.
+        A point already indexed, or listed earlier in ``adds``, is skipped
+        as :meth:`add` skips it.
+        """
+        dimension = self._dimension
+        listed: Dict[RestKey, DataPoint] = {}
+        for point in adds:
+            if point in self._slot_of:
+                continue
+            if dimension is None:
+                dimension = point.dimension
+            elif point.dimension != dimension:
+                raise _dimension_mismatch(dimension, point)
+            key = sort_key(point)
+            earlier = listed.get(key)
+            if earlier is None and key not in self._slot_of_key:
+                listed[key] = point
+            elif earlier != point:
+                raise _second_copy(point)
+
+    def _evict_block(self, evicts: Sequence[DataPoint]) -> int:
+        """Remove a batch of points and return how many were indexed.
+
+        The bookkeeping (observer notification, slot freeing, occupied-buffer
+        compaction) replays sequential :meth:`discard` calls exactly.  The
+        sequential path then pays one bisect-and-memmove per (departing
+        point, surviving array) pair; here every surviving array is rebuilt
+        once under a boolean keep-mask over the departing slots, so the
+        per-pair cost collapses into C-level fancy indexing.
         """
         departing: List[Tuple[int, DataPoint, array, array]] = []
         for point in evicts:
@@ -541,7 +546,7 @@ class NeighborhoodIndex:
                 continue
             departing.append((slot, point, self._nbrs[slot], self._dists[slot]))
         if not departing:
-            return 0, None
+            return 0
         # Observers see the departing rows while the slots are still
         # labelled (the rescoring cache reads ``key_at`` during `_leave`).
         for observer in self._observers:
@@ -549,7 +554,9 @@ class NeighborhoodIndex:
         # Free the bookkeeping in eviction order so the free-list and the
         # compact occupied buffers end up exactly as after sequential
         # ``discard`` calls (slot reuse must replay identically).
+        keep_lut = np.ones(len(self._points), dtype=bool)
         for slot, point, _on, _od in departing:
+            keep_lut[slot] = False
             key = self._keys[slot]
             self._points[slot] = None
             self._keys[slot] = None
@@ -565,26 +572,8 @@ class NeighborhoodIndex:
                 self._occ_pos[last_slot] = pos
             self._occ_pos[slot] = -1
             del self._slot_of_key[key]
-        if not self._occ_slots:
-            return len(departing), None
-        lut = np.zeros(len(self._points), dtype=bool)
-        for entry in departing:
-            lut[entry[0]] = True
-        return len(departing), lut
-
-    def _strip_block(self, lut: np.ndarray) -> None:
-        """Drop departed entries from every surviving array in one pass.
-
-        The sequential path pays one bisect-and-memmove per (departing
-        point, surviving array) pair; here every surviving array is rebuilt
-        once under a boolean keep-mask over the departing-slot lookup
-        table, so the per-pair cost collapses into C-level fancy indexing.
-        Used for eviction-only batches -- mixed batches fuse the strip into
-        :meth:`_add_block`'s per-survivor rebuild instead.
-        """
         dists_tbl = self._dists
         nbrs_tbl = self._nbrs
-        keep_lut = ~lut
         for survivor in self._occ_slots:
             slot_view = np.frombuffer(nbrs_tbl[survivor], dtype=SLOT_DTYPE)
             keep = keep_lut[slot_view]
@@ -596,255 +585,7 @@ class NeighborhoodIndex:
             new_nbrs.frombytes(slot_view[keep].tobytes())
             dists_tbl[survivor] = new_dists
             nbrs_tbl[survivor] = new_nbrs
-
-    def _add_block(
-        self, adds: Sequence[DataPoint], strip: Optional[np.ndarray] = None
-    ) -> int:
-        """Insert a batch of points off one shared distance block.
-
-        One ``metric.cross`` call covers every (pending, existing) pair and
-        one ``metric.pairwise`` call the batch-internal pairs -- bitwise the
-        same distances as per-point ``metric.rows`` (the vectorized metrics
-        reduce row-by-row, so block shape never changes summation order).
-        The pending points' own arrays are sorted off one shared matrix by
-        :meth:`_ordered_arrays_block`, and each existing array absorbs all
-        its new entries through a single ``searchsorted`` merge scatter.
-        When ``strip`` (a departing-slot lookup table from
-        :meth:`_evict_block`) is given, the same rebuild also drops the
-        departed entries, so survivors are reconstructed exactly once per
-        batch.
-        """
-        # ``≺`` key -> pending point, checked against the index after the
-        # evictions before any addition (see :meth:`apply_batch`).
-        pending: Dict[RestKey, DataPoint] = {}
-        try:
-            for point in adds:
-                if point in self._slot_of:
-                    continue
-                key = sort_key(point)
-                listed = pending.get(key)
-                if listed is not None and listed == point:
-                    continue
-                if listed is not None or key in self._slot_of_key:
-                    raise _second_copy(point)
-                if self._dimension is None:
-                    self._dimension = point.dimension
-                elif point.dimension != self._dimension:
-                    raise RankingError(
-                        f"dimension mismatch: index holds {self._dimension}-"
-                        f"dimensional points, got {point.dimension}-"
-                        f"dimensional {point!r}"
-                    )
-                pending[key] = point
-        except RankingError:
-            # The survivors still owe the deferred eviction strip; leave
-            # the index consistent (all evictions applied, no additions)
-            # before propagating the all-or-nothing validation failure.
-            if strip is not None:
-                self._strip_block(strip)
-            raise
-        if not pending:
-            if strip is not None:
-                self._strip_block(strip)
-            return 0
-        m = len(pending)
-        values = [point.values for point in pending.values()]
-
-        # The shared distance blocks, computed against the pre-batch value
-        # buffer before any registration mutates it.
-        base_count = len(self._occ_slots)
-        if base_count:
-            cross = self._metric.cross(values, self._occ_values)
-            base_slot_row = np.frombuffer(self._occ_slots, dtype=SLOT_DTYPE).copy()
-
-        # Allocate slots in list order (the sequential path pops the same
-        # LIFO free-list) and label them up front: :meth:`_repair_tie_runs`
-        # reads the ``≺`` keys of batch-mates by slot.
-        new_slots: List[int] = []
-        for _ in range(m):
-            if self._free:
-                slot = self._free.pop()
-            else:
-                slot = len(self._points)
-                self._points.append(None)
-                self._keys.append(None)
-                self._dists.append(None)
-                self._nbrs.append(None)
-                self._occ_pos.append(-1)
-            new_slots.append(slot)
-        for slot, key in zip(new_slots, pending):
-            self._keys[slot] = key
-        new_slot_row = np.asarray(new_slots, dtype=SLOT_DTYPE)
-
-        # Every pending point's unsorted own row is the base distances
-        # followed by its batch-mates, so the rows for the whole batch are
-        # two matrix writes: one cross copy, one off-diagonal gather of the
-        # batch-internal block.
-        own_width = base_count + m - 1
-        own_rows = np.empty((m, own_width))
-        own_slots = np.empty((m, own_width), dtype=SLOT_DTYPE)
-        if base_count:
-            own_rows[:, :base_count] = cross
-            own_slots[:, :base_count] = base_slot_row
-        if m > 1:
-            off_diag = ~np.eye(m, dtype=bool)
-            inner = self._metric.pairwise(values)
-            own_rows[:, base_count:] = inner[off_diag].reshape(m, m - 1)
-            own_slots[:, base_count:] = np.broadcast_to(
-                new_slot_row, (m, m)
-            )[off_diag].reshape(m, m - 1)
-
-        added_records: List[Tuple[int, DataPoint, array, array]] = []
-        for slot, (key, point), (own_dists, own_nbrs) in zip(
-            new_slots,
-            pending.items(),
-            self._ordered_arrays_block(own_rows, own_slots),
-        ):
-            self._slot_of_key[key] = slot
-            self._slot_of[point] = slot
-            self._points[slot] = point
-            self._dists[slot] = own_dists
-            self._nbrs[slot] = own_nbrs
-            self._occ_pos[slot] = len(self._occ_slots)
-            self._occ_slots.append(slot)
-            self._occ_values.append(point.values)
-            added_records.append((slot, point, own_nbrs, own_dists))
-
-        # Rebuild every pre-existing array exactly once: strip the departed
-        # entries (if a block eviction preceded us) and scatter the batch's
-        # column in with a single ``searchsorted`` merge, instead of one
-        # bisected memmove per (survivor, departing/added point) pair.
-        # ``side='right'`` lands each new entry after any equal-distance
-        # run, exactly where the sequential splice starts its key-ordered
-        # walk-back; the walk-back itself is replayed by
-        # :meth:`_repair_tie_runs`, which re-sorts only the tied runs.
-        if base_count:
-            # One argsort for the whole block: row ``i`` of the transposed
-            # sorted matrices is the batch pre-ordered for survivor ``i``'s
-            # merge.  Sorting the transpose row-wise keeps every sort and
-            # gather contiguous.  Introsort, not a stable sort: any two
-            # batch entries with equal distance to a survivor land adjacent
-            # in the merged row, where :meth:`_repair_tie_runs` re-sorts
-            # the whole run by ``≺`` key -- the pre-merge order of equal
-            # entries never reaches the final arrays.
-            crossT = np.ascontiguousarray(cross.T)
-            orderT = crossT.argsort(axis=1)
-            colsT = np.take_along_axis(crossT, orderT, axis=1)
-            slotsT = new_slot_row[orderT]
-            base_targets = base_slot_row.tolist()
-            keep_lut = None if strip is None else ~strip
-            n_depart = 0 if strip is None else int(strip.sum())
-            # Survivors are rebuilt a cache-sized block of rows at a time,
-            # collapsing the per-survivor numpy dispatch into a handful of
-            # matrix operations while the working set stays L2-hot.
-            for lo in range(0, base_count, SPLICE_CHUNK_ROWS):
-                hi = lo + SPLICE_CHUNK_ROWS
-                self._splice_chunk(
-                    base_targets[lo:hi],
-                    colsT[lo:hi],
-                    slotsT[lo:hi],
-                    keep_lut,
-                    base_count - 1 + n_depart,
-                    n_depart,
-                )
-        for observer in self._observers:
-            observer.points_added_batch(added_records, own_rows, own_slots)
-        return m
-
-    def _splice_chunk(
-        self,
-        rows: List[int],
-        cols: np.ndarray,
-        scols: np.ndarray,
-        keep_lut: Optional[np.ndarray],
-        width: int,
-        n_depart: int,
-    ) -> None:
-        """Strip-and-merge the arrays of survivor slots ``rows`` as one
-        rectangular matrix.
-
-        Each survivor's arrays hold every other point indexed before the
-        batch, so all have ``width`` entries, and a strip (``keep_lut``)
-        drops exactly the ``n_depart`` departed ones from each.  Row ``r``
-        of ``cols``/``scols`` holds the batch's distances and slots for
-        ``rows[r]``, in ascending distance order.  The merged rows are
-        byte-identical to the sequential splice: each new entry lands after
-        its equal-distance run (``side='right'``), and the tie-run repair
-        replays the key-ordered walk-back.
-        """
-        dists_tbl = self._dists
-        nbrs_tbl = self._nbrs
-        nrows, m = cols.shape
-        big_d = np.concatenate(
-            [np.frombuffer(dists_tbl[t]) for t in rows]
-        ).reshape(nrows, width)
-        big_n = np.concatenate(
-            [np.frombuffer(nbrs_tbl[t], dtype=SLOT_DTYPE) for t in rows]
-        ).reshape(nrows, width)
-        if keep_lut is not None:
-            keep = keep_lut[big_n]
-            width -= n_depart
-            big_d = big_d[keep].reshape(nrows, width)
-            big_n = big_n[keep].reshape(nrows, width)
-        pos = np.empty((nrows, m), dtype=np.intp)
-        for r in range(nrows):
-            pos[r] = big_d[r].searchsorted(cols[r], side="right")
-        total_row = width + m
-        flat_targets = (
-            pos + np.arange(m) + (np.arange(nrows) * total_row)[:, None]
-        ).ravel()
-        out_d = np.empty(nrows * total_row)
-        out_n = np.empty(nrows * total_row, dtype=SLOT_DTYPE)
-        out_d[flat_targets] = cols.ravel()
-        out_n[flat_targets] = scols.ravel()
-        gaps = np.ones(nrows * total_row, dtype=bool)
-        gaps[flat_targets] = False
-        out_d[gaps] = big_d.ravel()
-        out_n[gaps] = big_n.ravel()
-        out_d = out_d.reshape(nrows, total_row)
-        out_n = out_n.reshape(nrows, total_row)
-        self._repair_tie_runs(out_d, out_n)
-        out_d_mv = out_d.data.cast("B")
-        out_n_mv = out_n.data.cast("B")
-        d_stride = total_row * out_d.itemsize
-        n_stride = total_row * out_n.itemsize
-        for r, target in enumerate(rows):
-            new_dists = array("d")
-            new_dists.frombytes(out_d_mv[r * d_stride : (r + 1) * d_stride])
-            new_nbrs = array(SLOT_TYPECODE)
-            new_nbrs.frombytes(out_n_mv[r * n_stride : (r + 1) * n_stride])
-            dists_tbl[target] = new_dists
-            nbrs_tbl[target] = new_nbrs
-
-    def _repair_tie_runs(self, dists: np.ndarray, slots: np.ndarray) -> None:
-        """Re-sort every equal-distance run's slots by ``≺`` key, in place.
-
-        ``dists``/``slots`` are one row or a C-contiguous ``(rows, width)``
-        block whose rows are sorted by distance.  One vectorized compare
-        finds the tied adjacent pairs; pairs at consecutive flat positions
-        chain into one run, and a jump of two or more (a row break is
-        always one) starts the next.  Only the runs' slots are re-sorted:
-        their distances are equal, and entries outside a run stay put.
-        Runs that predate a merge already satisfy the invariant, so the
-        re-sort is idempotent there.
-        """
-        width = dists.shape[-1]
-        if width < 2:
-            return
-        pairs = np.flatnonzero(dists[..., 1:] == dists[..., :-1])
-        if not len(pairs):
-            return
-        # Positions in the (rows, width - 1) comparison -> flat positions.
-        pairs += pairs // (width - 1)
-        breaks = np.flatnonzero(np.diff(pairs) != 1)
-        starts = np.concatenate((pairs[:1], pairs[breaks + 1]))
-        ends = np.concatenate((pairs[breaks], pairs[-1:])) + 2
-        keys = self._keys
-        flat = slots.reshape(-1)
-        for start, end in zip(starts.tolist(), ends.tolist()):
-            run = flat[start:end].tolist()
-            run.sort(key=keys.__getitem__)
-            flat[start:end] = run
+        return len(departing)
 
     def _ordered_arrays(
         self, row: np.ndarray, slot_row: np.ndarray
@@ -854,9 +595,7 @@ class NeighborhoodIndex:
         Distance-first order; ties (equal doubles) must then be re-ordered
         by ``≺`` key so the arrays match the brute-force ``(distance, ≺)``
         order exactly -- :meth:`_repair_tie_runs` re-sorts just the tied
-        runs, so a row without ties is a pure C argsort.  :meth:`add`'s
-        kernel; the batched insertion path sorts a whole block with
-        :meth:`_ordered_arrays_block`.
+        runs, so a row without ties is a pure C argsort.
         """
         # Introsort, not a stable sort: without ties the order is unique
         # anyway, and the repair re-sorts every tied run by ≺ key -- so
@@ -871,36 +610,27 @@ class NeighborhoodIndex:
         own_nbrs.frombytes(sorted_slots.tobytes())
         return own_dists, own_nbrs
 
-    def _ordered_arrays_block(
-        self, rows: np.ndarray, slot_rows: np.ndarray
-    ) -> List[Tuple[array, array]]:
-        """:meth:`_ordered_arrays` for a whole ``(m, width)`` block at once.
+    def _repair_tie_runs(self, dists: np.ndarray, slots: np.ndarray) -> None:
+        """Re-sort every equal-distance run of ``slots`` by ``≺`` key, in
+        place.
 
-        One axis-1 argsort/gather, one tie repair and one serialize pass
-        for the block instead of ``m`` dispatch rounds -- byte-identical to
-        sorting each row on its own.
+        ``dists``/``slots`` are one row sorted by distance.  One vectorized
+        compare finds the tied adjacent pairs; pairs at consecutive
+        positions chain into one run, and a jump of two or more starts the
+        next.  Only the runs' slots are re-sorted: their distances are
+        equal, and entries outside a run stay put.
         """
-        m, width = rows.shape
-        if not width:
-            # A lone point into an empty index: ``memoryview.cast`` below
-            # rejects the zero strides of an empty matrix.
-            return [(array("d"), array(SLOT_TYPECODE)) for _ in range(m)]
-        order = rows.argsort(axis=1)
-        sorted_dists = np.take_along_axis(rows, order, axis=1)
-        sorted_slots = np.take_along_axis(slot_rows, order, axis=1)
-        self._repair_tie_runs(sorted_dists, sorted_slots)
-        dists_mv = sorted_dists.data.cast("B")
-        slots_mv = sorted_slots.data.cast("B")
-        d_stride = width * sorted_dists.itemsize
-        n_stride = width * sorted_slots.itemsize
-        out: List[Tuple[array, array]] = []
-        for j in range(m):
-            own_dists = array("d")
-            own_dists.frombytes(dists_mv[j * d_stride : (j + 1) * d_stride])
-            own_nbrs = array(SLOT_TYPECODE)
-            own_nbrs.frombytes(slots_mv[j * n_stride : (j + 1) * n_stride])
-            out.append((own_dists, own_nbrs))
-        return out
+        pairs = np.flatnonzero(dists[1:] == dists[:-1])
+        if not len(pairs):
+            return
+        breaks = np.flatnonzero(np.diff(pairs) != 1)
+        starts = np.concatenate((pairs[:1], pairs[breaks + 1]))
+        ends = np.concatenate((pairs[breaks], pairs[-1:])) + 2
+        keys = self._keys
+        for start, end in zip(starts.tolist(), ends.tolist()):
+            run = slots[start:end].tolist()
+            run.sort(key=keys.__getitem__)
+            slots[start:end] = run
 
     # ------------------------------------------------------------------
     # Queries

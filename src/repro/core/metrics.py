@@ -90,10 +90,10 @@ class Metric(ABC):
     def cross(self, A: Sequence[Vector], B: Sequence[Vector]) -> np.ndarray:
         """The ``(len(A), len(B))`` distance block between two vector sets.
 
-        This is the batched-insertion kernel: one call yields the distances
+        The centralized sink's arrival kernel: one call yields the distances
         from every point of an arrival batch ``A`` to every held point
         ``B``.  The default stacks one :meth:`rows` call per left-hand
-        vector, so the block path is bitwise-identical to the row path by
+        vector, so the block is bitwise-identical to the rows by
         construction; vectorized metrics override it with a single shared
         reduction (same guarantee, one kernel dispatch).
         """

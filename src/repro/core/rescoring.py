@@ -56,21 +56,9 @@ import numpy as np
 
 from .index import SLOT_DTYPE, IndexSubset, NeighborhoodIndex
 from .points import DataPoint, RestKey
-from .ranking import (
-    AverageKNNDistance,
-    RankingFunction,
-    _BUILTIN_RANKINGS,
-    _masked_head,
-)
+from .ranking import RankingFunction, _masked_head
 
 __all__ = ["ScoreCache"]
-
-#: Dirty-set size from which a whole-index k-NN cache rescoreds in bulk
-#: (one head-matrix build and one order merge) instead of per-slot walks.
-#: Per-event ticks dirty a handful of slots and stay on the scalar loop;
-#: batched ticks dirty hundreds, where the per-slot ``insort``/``del``
-#: repairs of the sorted order alone cost ``O(dirty · members)`` moves.
-BULK_RESCORE_MIN = 32
 
 
 class ScoreCache:
@@ -225,31 +213,6 @@ class ScoreCache:
         if hits.size:
             self._dirty.update(hits.tolist())
 
-    def _mark_rows_dirty(self, rows) -> None:
-        """Batch form of :meth:`_mark_row_dirty`: one vectorized row-vs-τ
-        compare per row of a whole :class:`~repro.core.batch.EventBatch`
-        (concatenating the rows first was measured slower -- the copies
-        cost more than the saved numpy dispatches).
-
-        Equivalent to marking row by row because marking is monotone (it
-        only ever adds dirty slots) and the τ buffer is never written
-        between the membership updates and the marks: every slot that
-        joined or left this batch carries ``τ = -inf`` until the next
-        rescoring pass, so batch-mates can neither mark each other nor be
-        marked through departed neighbors -- exactly as in the sequential
-        interleaving.
-        """
-        tau = self._tau
-        dirty = self._dirty
-        for nbr_slots, nbr_dists in rows:
-            if not len(nbr_dists):
-                continue
-            dists = np.frombuffer(nbr_dists)
-            slots = np.frombuffer(nbr_slots, dtype=SLOT_DTYPE)
-            hits = slots[dists <= tau[slots]]
-            if hits.size:
-                dirty.update(hits.tolist())
-
     # ------------------------------------------------------------------
     # NeighborhoodIndex observer callbacks
     # ------------------------------------------------------------------
@@ -266,39 +229,22 @@ class ScoreCache:
         self._leave(slot)
         self._mark_row_dirty(nbr_slots, nbr_dists)
 
-    def points_added_batch(self, records, rows_mat, slots_mat) -> None:
-        """Block-mutation hook: all membership joins, then one vectorized
-        mark over the member rows (see :meth:`_mark_rows_dirty` for why
-        this equals the per-point sequence).
-
-        When every record is a member, the mark is a single compare of the
-        block's shared unsorted matrices against τ -- same elements tested
-        (marking is order- and sort-insensitive), a fraction of the
-        dispatches."""
-        rows = []
-        for slot, point, nbr_slots, nbr_dists in records:
-            self._ensure_capacity(slot)
-            if not self._is_member(point):
-                continue
-            self._join(slot, point)
-            rows.append((nbr_slots, nbr_dists))
-        if len(rows) == len(records):
-            hits = slots_mat[rows_mat <= self._tau[slots_mat]]
-            if hits.size:
-                self._dirty.update(hits.tolist())
-            return
-        self._mark_rows_dirty(rows)
+    def points_added_batch(self, records) -> None:
+        """:meth:`point_added` for each ``(slot, point, nbr_slots,
+        nbr_dists)`` record, in order.  The index no longer calls it;
+        ``perfbench/bench_trace.py`` wraps it by name, so the name stays
+        until that tracer drops it."""
+        for record in records:
+            self.point_added(*record)
 
     def points_removed_batch(self, records) -> None:
-        """Block-mutation hook: all membership leaves (while the index
-        still labels the departing slots), then one vectorized mark."""
-        rows = []
-        for slot, point, nbr_slots, nbr_dists in records:
-            if not self._is_member(point):
-                continue
-            self._leave(slot)
-            rows.append((nbr_slots, nbr_dists))
-        self._mark_rows_dirty(rows)
+        """Block-eviction hook: :meth:`point_removed` for each ``(slot,
+        point, nbr_slots, nbr_dists)`` record, in eviction order, while the
+        index still labels every departing slot.  A departing slot that an
+        earlier record marks dirty leaves the dirty set when its own record
+        is applied, so the result equals sequential ``discard`` calls."""
+        for record in records:
+            self.point_removed(*record)
 
     def point_relabeled(self, slot, old, new) -> None:
         # A hop-only relabel never moves distances, so a whole-index cache
@@ -349,15 +295,6 @@ class ScoreCache:
         order = self._order
         score_of = self._score
         tau_of = self._tau
-        if (
-            subset is None
-            and self._kind == "knn"
-            and len(dirty) >= BULK_RESCORE_MIN
-            and type(ranking) in _BUILTIN_RANKINGS
-            and self._bulk_rescore()
-        ):
-            dirty.clear()
-            return
         for slot in dirty:
             key = index.key_at(slot)
             previous = score_of.get(slot)
@@ -368,55 +305,6 @@ class ScoreCache:
             tau_of[slot] = self._frontier_radius(slot, subset)
             insort(order, (score, key, slot))
         dirty.clear()
-
-    def _bulk_rescore(self) -> bool:
-        """Rescore the whole dirty set in one vectorized pass.
-
-        Byte-identical to the scalar loop for head-scored rankings against
-        the full index: scores accumulate column-wise left to right, exactly
-        the addition chain of :func:`~repro.core.ranking._left_sum` that
-        every ``AverageKNNDistance`` path uses, and the sorted order
-        is rebuilt by merging two sorted runs of (score, key, slot) tuples
-        that are unique per slot, so the result equals repeated
-        ``insort``/``del``.  Returns ``False`` without mutating anything
-        when some dirty row is shorter than ``k`` -- deficit scores keep the
-        scalar path.
-        """
-        index = self._index
-        k = self._param
-        slots = sorted(self._dirty)
-        row_at = index.row_at
-        rows = []
-        for slot in slots:
-            row = row_at(slot)[0]
-            if len(row) < k:
-                return False
-            rows.append(row)
-        head = np.frombuffer(
-            b"".join(memoryview(row)[:k] for row in rows)
-        ).reshape(len(slots), k)
-        kth = head[:, k - 1]
-        if type(self._ranking) is AverageKNNDistance:
-            acc = head[:, 0].copy()
-            for col in range(1, k):
-                acc += head[:, col]
-            scores = (acc / k).tolist()
-        else:
-            scores = kth.tolist()
-        key_at = index.key_at
-        score_of = self._score
-        fresh = []
-        for slot, score in zip(slots, scores):
-            score_of[slot] = score
-            fresh.append((score, key_at(slot), slot))
-        self._tau[slots] = kth
-        fresh.sort()
-        dirty = self._dirty
-        kept = [entry for entry in self._order if entry[2] not in dirty]
-        kept += fresh
-        kept.sort()
-        self._order = kept
-        return True
 
     # ------------------------------------------------------------------
     # Queries

@@ -110,7 +110,7 @@ def _validate_hotpath(payload: Mapping[str, Any]) -> None:
         window = _positive(row, "window", context)
         _require(window == int(window), f"{context}: 'window' must be integral")
         _positive(row, "indexed_ms", context)
-        # The batched columns are load-bearing: CI's batch floor reads them,
+        # The batched columns are load-bearing: CI's trajectory diff gates them,
         # and an artifact without them means the batch sweep never ran.
         _positive(row, "batched_ms", context)
         _positive(row, "batched_speedup", context)

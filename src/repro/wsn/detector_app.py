@@ -12,8 +12,8 @@ Each sampling tick is delivered to the detector as *one* data-change event
 the fresh reading together), which is exactly the grouping the detectors
 turn into one :class:`~repro.core.batch.EventBatch` per event: a
 steady-state tick is a tiny batch, while crash resets (whole window evicted
-at once) and received messages (many points per packet) form the large
-batches the index's block path amortizes.
+at once) and window slides that expire points received from neighbors form
+the large eviction batches the index strips in one pass.
 """
 
 from __future__ import annotations

@@ -1,20 +1,22 @@
-"""Block-vs-scalar equivalence: the block event path is an exact
-re-implementation, not an approximation.
+"""Batch-vs-sequential equivalence: ``apply_batch`` is an exact
+re-implementation of one-at-a-time mutations, not an approximation.
 
-The batched tick machinery -- ``NeighborhoodIndex.apply_batch`` block
-evictions/insertions and the ``ScoreCache`` batch dirty-marking and bulk
-rescore -- must be *byte-identical* to applying the same events one at a
-time through the per-point mutations.  These tests force the block
-machinery on at degenerate sizes (``BATCH_BLOCK_THRESHOLD = -1``), sweep
-the splice chunk width across its boundary cases, and drive randomized
-tie-heavy streams through every registered metric, comparing full
-structural snapshots against the sequential oracle.  At the detector
-level, the one batched path runs twice on the same stream: once with
-every batch forced onto the block path and once with every batch forced
-onto the scalar path (a threshold above any batch size).  The centralized
-sink applies each publication's net change to a distance matrix, not to
-an index; its window-replacement and churn script runs against the
-brute-force sink.
+``NeighborhoodIndex.apply_batch`` strips a batch of many evictions from
+every surviving array in one pass (the block eviction, which the
+``ScoreCache`` sees as one ``points_removed_batch``) and indexes every
+addition through ``add``.  The result must be *byte-identical* to applying
+the same events one at a time through ``discard`` and ``add``.  These tests
+force the block eviction on at degenerate sizes
+(``BATCH_BLOCK_THRESHOLD = -1``), drive randomized tie-heavy streams
+through every registered metric, and replay batches shaped like a
+paper-profile window-40 run, comparing full structural snapshots (and an
+attached cache's state) against the sequential oracle.  At the detector
+level, the one batched path runs twice on the same stream: once with every
+eviction batch forced onto the block eviction and once with every batch
+forced through ``discard`` (a threshold above any batch size).  The
+centralized sink applies each publication's net change to a distance
+matrix, not to an index; its window-replacement and churn script runs
+against the brute-force sink.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ import random
 import pytest
 
 import repro.core.index as index_mod
-import repro.core.rescoring as rescoring_mod
 from repro.baselines.centralized import CentralizedAggregator
 from repro.core.batch import EventBatch
 from repro.core.global_detector import GlobalOutlierDetector
@@ -32,11 +33,7 @@ from repro.core.index import NeighborhoodIndex
 from repro.core.metrics import metric_from_name, registered_metrics
 from repro.core.points import DataPoint
 from repro.core.outliers import OutlierQuery
-from repro.core.ranking import (
-    AverageKNNDistance,
-    KthNearestNeighborDistance,
-    NearestNeighborDistance,
-)
+from repro.core.ranking import AverageKNNDistance
 from repro.core.rescoring import ScoreCache
 from repro.core.semiglobal_detector import SemiGlobalOutlierDetector
 
@@ -56,7 +53,7 @@ assert sorted(name for name, _ in METRICS) == registered_metrics()
 
 def _make_point(rng: random.Random, epoch: int) -> DataPoint:
     # Grid-heavy coordinates so equal-distance ties (the hard case of the
-    # block splice) actually occur.
+    # splice and of the tie-run repair) actually occur.
     values = (
         rng.choice([0.0, 1.0, 2.0, rng.random() * 4]),
         rng.choice([0.0, 1.0, rng.random() * 4]),
@@ -85,7 +82,7 @@ def _index_snapshot(ix: NeighborhoodIndex):
 
 
 def _drive_batches(metric_name, params, monkeypatch, *, seed, trials, steps):
-    """Randomized mixed batches through the forced block path vs the
+    """Randomized mixed batches through the forced block eviction vs the
     sequential oracle, comparing full snapshots after every tick."""
     monkeypatch.setattr(index_mod, "BATCH_BLOCK_THRESHOLD", -1)
     rng = random.Random(seed)
@@ -136,18 +133,8 @@ def test_forced_block_matches_sequential(metric_name, params, monkeypatch):
     _drive_batches(metric_name, params, monkeypatch, seed=7, trials=6, steps=6)
 
 
-def test_block_path_across_splice_chunk_boundaries(monkeypatch):
-    """The chunked splice must be exact when the survivor count is below,
-    equal to, above, and not a multiple of the chunk width."""
-    for chunk in (1, 2, 3, 7):
-        monkeypatch.setattr(index_mod, "SPLICE_CHUNK_ROWS", chunk)
-        _drive_batches(
-            "euclidean", {}, monkeypatch, seed=100 + chunk, trials=3, steps=5
-        )
-
-
 def test_single_event_batches_match(monkeypatch):
-    """Degenerate one-event batches through the forced block path."""
+    """Degenerate one-event batches through the forced block eviction."""
     monkeypatch.setattr(index_mod, "BATCH_BLOCK_THRESHOLD", -1)
     rng = random.Random(11)
     blocked = NeighborhoodIndex()
@@ -187,53 +174,70 @@ def test_same_point_evicted_and_readded_in_one_tick(monkeypatch):
     assert _index_snapshot(blocked) == _index_snapshot(oracle)
 
 
-@pytest.mark.parametrize(
-    "ranking_factory",
-    [
-        lambda: AverageKNNDistance(4),
-        lambda: KthNearestNeighborDistance(3),
-        lambda: NearestNeighborDistance(),
-    ],
-    ids=["avg-knn", "kth-nn", "nearest"],
-)
-def test_scorecache_bulk_rescore_matches_scalar(ranking_factory, monkeypatch):
-    """The vectorized whole-dirty-set rescore must leave the cache in the
-    same state -- order, scores, τ buffer -- as the scalar per-slot loop."""
+def _cache_state(cache):
+    return (
+        len(cache),
+        list(cache._order),
+        dict(cache._score),
+        cache._tau.tobytes(),
+        set(cache._dirty),
+    )
 
-    def cache_state(cache):
-        return (
-            list(cache._order),
-            dict(cache._score),
-            cache._tau[:96].tobytes(),
-            set(cache._dirty),
-        )
 
-    rng = random.Random(29)
-    for trial in range(12):
-        index = NeighborhoodIndex()
-        bulk = ScoreCache(index, ranking_factory(), max_hop=None)
-        live = []
-        for epoch in range(36):
-            point = _make_point(rng, epoch)
-            index.add(point)
-            live.append(point)
-        for _ in range(4):
-            victim = live.pop(rng.randrange(len(live)))
-            index.discard(victim)
-        bulk._dirty.update(
-            slot for slot, p in enumerate(index._points) if p is not None
+@pytest.mark.parametrize("metric_name", ["euclidean", "manhattan"])
+def test_window40_batches_match_sequential_adds(metric_name, monkeypatch):
+    """Batches shaped like a paper-profile window-40 run -- 5-10 additions,
+    some of them a point evicted and re-added in the same batch, into
+    indexes of 250-300 points -- leave the index and an attached
+    ``ScoreCache`` exactly as sequential ``discard``/``add`` calls leave
+    theirs, and index each new point with one ``add`` call."""
+    adders = []
+    add = NeighborhoodIndex.add
+
+    def counted(index, point):
+        adders.append(index)
+        return add(index, point)
+
+    monkeypatch.setattr(NeighborhoodIndex, "add", counted)
+    rng = random.Random(f"window-40-{metric_name}")
+    metric = metric_from_name(metric_name)
+    epoch = [0]
+
+    def mk():
+        epoch[0] += 1
+        return _make_point(rng, epoch[0])
+
+    live = [mk() for _ in range(275)]
+    batched = NeighborhoodIndex(live, metric=metric)
+    oracle = NeighborhoodIndex(live, metric=metric)
+    caches = [
+        ScoreCache(index, AverageKNNDistance(4, metric=metric))
+        for index in (batched, oracle)
+    ]
+    for cache in caches:
+        cache.top_slots(4)
+    for step in range(12):
+        count = rng.randint(5, 10)
+        evicts = rng.sample(live, count + rng.choice((-1, 0, 1)))
+        readded = evicts[: rng.randrange(3)]
+        adds = readded + [mk() for _ in range(count - len(readded))]
+        rng.shuffle(adds)
+        adders.clear()
+        added, evicted = batched.apply_batch(
+            EventBatch(adds=list(adds), evicts=list(evicts))
         )
-        scalar = ScoreCache(index, ranking_factory(), max_hop=None)
-        scalar._order = list(bulk._order)
-        scalar._score = dict(bulk._score)
-        scalar._tau = bulk._tau.copy()
-        scalar._dirty = set(bulk._dirty)
-        scalar._members = bulk._members
-        monkeypatch.setattr(rescoring_mod, "BULK_RESCORE_MIN", 1)
-        bulk._rescore_dirty()
-        monkeypatch.setattr(rescoring_mod, "BULK_RESCORE_MIN", 10**9)
-        scalar._rescore_dirty()
-        assert cache_state(bulk) == cache_state(scalar), f"trial {trial}"
+        assert (added, evicted) == (len(adds), len(evicts))
+        assert [index is batched for index in adders] == [True] * len(adds)
+        for point in evicts:
+            oracle.discard(point)
+        for point in adds:
+            oracle.add(point)
+        assert 250 <= len(batched) <= 300
+        assert _index_snapshot(batched) == _index_snapshot(oracle), step
+        assert _cache_state(caches[0]) == _cache_state(caches[1]), step
+        assert caches[0].top_slots(4) == caches[1].top_slots(4)
+        assert _cache_state(caches[0]) == _cache_state(caches[1]), step
+        live = [p for p in live if p not in evicts] + adds
 
 
 #: ``BATCH_BLOCK_THRESHOLD`` values forcing every batch onto the block path

@@ -195,6 +195,86 @@ class TestCli:
         assert len(lines) == 1 and lines[0].startswith("error:"), err
 
 
+    @pytest.mark.parametrize(
+        "argv, env, message",
+        [
+            pytest.param(
+                ["sweep", "stress-loss", "--profile", "tiny",
+                 "--store", "F/store"], None,
+                "--store: cannot create directory F/store", id="sweep-store",
+            ),
+            pytest.param(
+                ["sweep", "stress-loss", "--profile", "tiny"], "F/store",
+                "REPRO_RESULT_STORE: cannot create directory F/store",
+                id="sweep-store-environment",
+            ),
+            pytest.param(
+                ["bench", "--quick", "--output-dir", "F/out"], None,
+                "--output-dir: cannot create directory F/out",
+                id="bench-output-dir",
+            ),
+            pytest.param(
+                ["report", "--store", "S", "--out", "F/site"], None,
+                "--out: cannot create directory F/site", id="report-out",
+            ),
+            pytest.param(
+                ["report", "--bench-dir", "bench",
+                 "--update-trajectory", "F/t.json"], None,
+                "--update-trajectory: cannot create directory F ",
+                id="report-update-trajectory",
+            ),
+            pytest.param(
+                ["report", "--store", "missing", "--out", "site"], None,
+                "--store missing: no such directory",
+                id="report-missing-store",
+            ),
+        ],
+    )
+    def test_unusable_output_directory_exits_two(
+        self, argv, env, message, tmp_path, monkeypatch, capfd
+    ):
+        """An output directory that cannot be created (``F`` is a regular
+        file), or a store to report from that does not exist, is bad input:
+        exit 2 with one ``error:`` line, before anything is simulated,
+        measured or written."""
+        import repro.bench as bench_module
+        import repro.orchestrator.executor as executor_module
+        from pathlib import Path
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("REPRO_WORKERS", raising=False)
+        monkeypatch.delenv("REPRO_RESULT_STORE", raising=False)
+        if env is not None:
+            monkeypatch.setenv("REPRO_RESULT_STORE", env)
+        Path("F").write_text("")
+        Path("S").mkdir()
+        Path("bench").mkdir()
+        results = Path(__file__).resolve().parent.parent / "results"
+        Path("bench", "BENCH_hotpath.json").write_text(
+            (results / "BENCH_hotpath.json").read_text()
+        )
+        work = []
+        for module, name in (
+            (executor_module, "run_scenario_worker"),
+            (bench_module, "run_hotpath_bench"),
+        ):
+            original = getattr(module, name)
+
+            def counted(*args, _original=original, **kwargs):
+                work.append(args)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+        before = sorted(tmp_path.rglob("*"))
+        clear_cache()
+        assert main(argv) == 2
+        err = capfd.readouterr().err
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: " + message), err
+        assert work == []
+        assert sorted(tmp_path.rglob("*")) == before
+
+
 class TestSweepCli:
     def test_list_prints_registered_families(self, capsys):
         assert main(["sweep", "--list", "--profile", "tiny"]) == 0

@@ -244,11 +244,12 @@ class TestIndexMechanics:
         with pytest.raises(RankingError):
             index.add(twin)
         with pytest.raises(RankingError):
-            index.apply_batch(EventBatch(adds=[twin]))  # the scalar path
+            index.apply_batch(EventBatch(adds=[twin]))  # checked by add
         assert _index_state(index) == before
 
-        # The block path checks every addition against the index after the
-        # evictions: a bad batch leaves the evictions alone applied.
+        # A batch's additions are checked against the index after the
+        # evictions (here the block eviction): a bad batch leaves the
+        # evictions alone applied.
         monkeypatch.setattr(index_mod, "BATCH_BLOCK_THRESHOLD", -1)
         rng = random.Random("second-copy")
         pts = _cloud(rng, 8)
@@ -271,6 +272,35 @@ class TestIndexMechanics:
             EventBatch(adds=[fresh[0], pts[0].with_hop(1)], evicts=evicts)
         )
         assert pts[0].with_hop(1) in blocked and pts[0] not in blocked
+
+    @pytest.mark.parametrize("evictions", [0, 5])
+    @pytest.mark.parametrize("bad", ["indexed-copy", "batch-copy", "dimension"])
+    def test_bad_addition_leaves_only_the_evictions_applied(self, bad, evictions):
+        """A batch of two or more additions is all-or-nothing at every size:
+        a bad addition anywhere in it raises with every eviction applied
+        and no addition made, after evictions through ``discard`` (0) or
+        the block eviction (5)."""
+        rng = random.Random(f"all-or-nothing-{bad}-{evictions}")
+        pts = _cloud(rng, 12)
+        evicts = pts[:evictions]
+        for size in (2, 3, 6):
+            for position in (1, 2, 5):
+                if position >= size:
+                    continue
+                adds = _cloud(rng, size, start_epoch=100)
+                if bad == "indexed-copy":
+                    adds[position] = pts[-1].with_hop(1)
+                elif bad == "batch-copy":
+                    adds[position] = adds[position - 1].with_hop(1)
+                else:
+                    adds[position] = make_point([1.0, 2.0, 3.0], origin=7, epoch=1)
+                index = NeighborhoodIndex(pts)
+                with pytest.raises(RankingError):
+                    index.apply_batch(EventBatch(adds=adds, evicts=evicts))
+                oracle = NeighborhoodIndex(pts)
+                for point in evicts:
+                    oracle.discard(point)
+                assert _index_state(index) == _index_state(oracle), (size, position)
 
     def test_try_subset_full_vs_partial(self):
         rng = random.Random(11)
